@@ -1,7 +1,8 @@
 """Command-line driver: solve feeders, generate topologies, verify, benchmark.
 
 Exit codes: 0 on success (converged/verified), 2 when the iteration cap
-was reached, 3 on validation or verification failure, 4 on I/O problems.
+was reached, 3 on validation or verification failure, 4 on I/O problems,
+5 when a solve diverged (a residual became non-finite).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_MAX_ITERS = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
+EXIT_DIVERGED = 5
 
 
 def _solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,6 +72,13 @@ def cmd_solve(args) -> int:
     except (SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if result.status == "diverged":
+        last = result.history[-1]
+        print(
+            f"error: diverged at iteration {last.k}: r {last.r:.3e}, s {last.s:.3e}",
+            file=sys.stderr,
+        )
+        return EXIT_DIVERGED
 
     exact = check_rank1(result.solution, model, args.rank_threshold)
     out_dir = Path(args.out_dir)

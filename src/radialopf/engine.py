@@ -523,9 +523,10 @@ def run(
 ) -> RunResult:
     """Iterate x, y, and multiplier rounds until both residuals pass.
 
-    Stops when r and s both fall below tol_scale * sqrt(|buses|), or at
-    the iteration cap, and returns the primal blocks with the full
-    residual history.
+    Stops when r and s both fall below tol_scale * sqrt(|buses|)
+    (status "converged"), at the first iteration where r or s is not
+    finite ("diverged"), or at the iteration cap ("max-iters"), and
+    returns the primal blocks with the full residual history.
     """
     if config is None:
         config = SolverConfig()
@@ -560,6 +561,9 @@ def run(
             y_time += t2 - t1
             r, s = compute_residuals(agents, config.rho)
             history.append(IterationStats(k, r, s, compute_objective(agents)))
+            if not (math.isfinite(r) and math.isfinite(s)):
+                status = "diverged"
+                break
             if r <= tol and s <= tol:
                 status = "converged"
                 break

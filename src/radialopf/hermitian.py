@@ -1,15 +1,15 @@
 """Dense complex Hermitian kernel for small matrices (dimension <= 6).
 
 Provides the storage type, the real inner product <x, y> = Re(tr(x^H y)),
-a cyclic Jacobi eigensolver with complex rotations, and projection onto
-the positive semidefinite cone (keep the eigenpairs with strictly positive
-eigenvalues).
+the eigendecomposition (LAPACK's Hermitian solver through
+``numpy.linalg.eigh``), and projection onto the positive semidefinite
+cone (keep the eigenpairs with strictly positive eigenvalues).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,10 +21,29 @@ __all__ = [
     "psd_project",
 ]
 
-# Jacobi sweep control: absolute off-diagonal target, relaxed proportionally
-# for badly scaled inputs so the sweep cap is never the effective stop.
-_OFFDIAG_TOL = 1e-13
-_MAX_SWEEPS = 50
+
+@lru_cache(maxsize=None)
+def _index_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions in the float view (re, im interleaved) of an n x n matrix.
+
+    ``lower`` lists, in params order, the real diagonal and then (re, im)
+    of each strict lower-triangle entry; ``upper`` lists the mirrored
+    entries, and ``sign`` conjugates them.
+    """
+    pairs = [(i, j) for i in range(1, n) for j in range(i)]
+    lower = [2 * i * (n + 1) for i in range(n)]
+    upper = []
+    for i, j in pairs:
+        lower += [2 * (i * n + j), 2 * (i * n + j) + 1]
+        upper += [2 * (j * n + i), 2 * (j * n + i) + 1]
+    maps = (
+        np.array(lower, dtype=np.intp),
+        np.array(upper, dtype=np.intp),
+        np.tile([1.0, -1.0], len(pairs)),
+    )
+    for arr in maps:  # the cache hands the same arrays to every caller
+        arr.flags.writeable = False
+    return maps
 
 
 class HermitianMatrix:
@@ -57,34 +76,23 @@ class HermitianMatrix:
         and the imaginary diagonal dust is dropped, which is exact for
         exactly-Hermitian input.
         """
-        a = np.asarray(a, dtype=complex)
+        a = np.ascontiguousarray(a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
-        params = np.empty(n * n)
-        params[:n] = a.diagonal().real
-        k = n
-        for i in range(1, n):
-            for j in range(i):
-                lo = a[i, j]
-                hi = a[j, i]
-                params[k] = 0.5 * (lo.real + hi.real)
-                params[k + 1] = 0.5 * (lo.imag - hi.imag)
-                k += 2
+        lower, upper, sign = _index_maps(n)
+        flat = a.reshape(-1).view(float)
+        params = flat[lower]
+        params[n:] = 0.5 * (params[n:] + sign * flat[upper])
         return cls(n, params)
 
     def to_matrix(self) -> np.ndarray:
         n = self.n
+        lower, upper, sign = _index_maps(n)
         a = np.zeros((n, n), dtype=complex)
-        p = self.params
-        a[np.diag_indices(n)] = p[:n]
-        k = n
-        for i in range(1, n):
-            for j in range(i):
-                z = complex(p[k], p[k + 1])
-                a[i, j] = z
-                a[j, i] = z.conjugate()
-                k += 2
+        flat = a.reshape(-1).view(float)
+        flat[lower] = self.params
+        flat[upper] = sign * self.params[n:]
         return a
 
     def __repr__(self) -> str:
@@ -112,86 +120,21 @@ def inner(x, y) -> float:
     return float(np.vdot(x, y).real)
 
 
-def _as_matrix(w) -> np.ndarray:
-    if isinstance(w, HermitianMatrix):
-        return w.to_matrix()
-    return HermitianMatrix.from_matrix(w).to_matrix()
-
-
 def eigh(w) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK.
 
-    Sweeps unitary 2x2 rotations over all index pairs until every
-    off-diagonal magnitude falls below the tolerance. Convergence for
-    Hermitian input is unconditional; the sweep cap only guards against
-    an internal defect.
+    LAPACK reads one triangle only, so the input is first symmetrized as
+    (a + a^H)/2; a HermitianMatrix is exactly Hermitian already.
     """
-    a_mat = _as_matrix(w)
-    n = a_mat.shape[0]
-    if n == 1:
-        return EigenDecomposition(a_mat.real.reshape(1), np.eye(1, dtype=complex))
-
-    a = [list(row) for row in a_mat.tolist()]
-    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-    scale = max(1.0, max(abs(x) for row in a for x in row))
-    tol = _OFFDIAG_TOL * scale
-    rotation_floor = 0.01 * tol
-
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            row = a[p]
-            for q in range(p + 1, n):
-                m = abs(row[q])
-                if m > off:
-                    off = m
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                m = abs(apq)
-                if m <= rotation_floor:
-                    continue
-                app = a[p][p].real
-                aqq = a[q][q].real
-                phase = apq / m
-                theta = (app - aqq) / (2.0 * m)
-                if theta >= 0.0:
-                    t = -1.0 / (theta + sqrt(1.0 + theta * theta))
-                else:
-                    t = 1.0 / (-theta + sqrt(1.0 + theta * theta))
-                c = 1.0 / sqrt(1.0 + t * t)
-                sig = t * c
-                s = sig * phase
-                s_conj = s.conjugate()
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    ak = a[k]
-                    akp = ak[p]
-                    akq = ak[q]
-                    nkp = c * akp - s_conj * akq
-                    nkq = s * akp + c * akq
-                    ak[p] = nkp
-                    ak[q] = nkq
-                    a[p][k] = nkp.conjugate()
-                    a[q][k] = nkq.conjugate()
-                a[p][p] = complex(c * c * app - 2.0 * c * sig * m + sig * sig * aqq)
-                a[q][q] = complex(sig * sig * app + 2.0 * c * sig * m + c * c * aqq)
-                a[p][q] = 0j
-                a[q][p] = 0j
-                for k in range(n):
-                    vk = v[k]
-                    vkp = vk[p]
-                    vkq = vk[q]
-                    vk[p] = c * vkp - s_conj * vkq
-                    vk[q] = s * vkp + c * vkq
-
-    values = np.array([a[i][i].real for i in range(n)])
-    vectors = np.array(v, dtype=complex)
-    order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values[order], vectors[:, order])
+    if isinstance(w, HermitianMatrix):
+        a = w.to_matrix()
+    else:
+        a = np.asarray(w, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        a = 0.5 * (a + a.conj().T)
+    values, vectors = np.linalg.eigh(a)
+    return EigenDecomposition(values[::-1], vectors[:, ::-1])
 
 
 def psd_project(w) -> HermitianMatrix:
@@ -202,10 +145,10 @@ def psd_project(w) -> HermitianMatrix:
     tolerances is left to callers; the kernel follows the definition.
     """
     dec = eigh(w)
-    keep = dec.eigenvalues > 0.0
-    n = dec.eigenvectors.shape[0]
-    if not np.any(keep):
-        return HermitianMatrix.zeros(n)
-    u = dec.eigenvectors[:, keep]
-    x = (u * dec.eigenvalues[keep]) @ u.conj().T
+    # eigenvalues are descending, so the kept pairs are a leading prefix
+    k = np.count_nonzero(dec.eigenvalues > 0.0)
+    if k == 0:
+        return HermitianMatrix.zeros(dec.eigenvectors.shape[0])
+    u = dec.eigenvectors[:, :k]
+    x = (u * dec.eigenvalues[:k]) @ u.conj().T
     return HermitianMatrix.from_matrix(x)

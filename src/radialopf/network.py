@@ -317,12 +317,20 @@ def validate_radial(model: FeederModel) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _finite(value, context: str) -> float:
+    """``float(value)``, rejecting NaN and infinities with the field's context."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise FeederParseError(f"{context}: {value!r} is not a finite number")
+    return x
+
+
 def _bound(value, context: str) -> float:
     if value is None:
         return math.inf
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise FeederParseError(f"{context}: bound must be a number or null")
-    return float(value)
+    return _finite(value, context)
 
 
 def _parse_region(obj, context: str) -> InjectionRegion:
@@ -333,10 +341,10 @@ def _parse_region(obj, context: str) -> InjectionRegion:
         if kind == "box":
             p = obj.get("p", [None, None])
             q = obj.get("q", [None, None])
-            p_lo = _bound(p[0], context)
-            q_lo = _bound(q[0], context)
-            p_hi = _bound(p[1], context)
-            q_hi = _bound(q[1], context)
+            p_lo = _bound(p[0], f"{context}.p[0]")
+            q_lo = _bound(q[0], f"{context}.q[0]")
+            p_hi = _bound(p[1], f"{context}.p[1]")
+            q_hi = _bound(q[1], f"{context}.q[1]")
             return Box(
                 -math.inf if p[0] is None else p_lo,
                 math.inf if p[1] is None else p_hi,
@@ -344,7 +352,7 @@ def _parse_region(obj, context: str) -> InjectionRegion:
                 math.inf if q[1] is None else q_hi,
             )
         if kind == "disk":
-            return Disk(float(obj["smax"]))
+            return Disk(_finite(obj["smax"], f"{context}.smax"))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise FeederParseError(f"{context}: {exc}") from exc
     raise FeederParseError(f"{context}: unknown region type {kind!r}")
@@ -353,7 +361,7 @@ def _parse_region(obj, context: str) -> InjectionRegion:
 def _parse_complex(obj, context: str) -> complex:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise FeederParseError(f"{context}: expected an object with 're' and 'im'")
-    return complex(float(obj["re"]), float(obj["im"]))
+    return complex(_finite(obj["re"], context), _finite(obj["im"], context))
 
 
 def _parse_bus(obj, k: int) -> BusSpec:
@@ -367,7 +375,11 @@ def _parse_bus(obj, k: int) -> BusSpec:
             _parse_region(r, f"{ctx}.region[{m}]") for m, r in enumerate(obj["region"])
         )
         cost = tuple(
-            ObjectiveCoeffs(float(c["alpha"]), float(c["beta"])) for c in obj["cost"]
+            ObjectiveCoeffs(
+                _finite(c["alpha"], f"{ctx}.cost[{m}].alpha"),
+                _finite(c["beta"], f"{ctx}.cost[{m}].beta"),
+            )
+            for m, c in enumerate(obj["cost"])
         )
         return BusSpec(bus_id, phases, vmin, vmax, regions, cost)
     except FeederParseError:

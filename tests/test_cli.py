@@ -1,7 +1,18 @@
 import csv
 import json
+import math
+from dataclasses import replace
 
-from radialopf.cli import EXIT_IO, EXIT_MAX_ITERS, EXIT_OK, EXIT_VALIDATION, main
+from radialopf import cli
+from radialopf.cli import (
+    EXIT_DIVERGED,
+    EXIT_IO,
+    EXIT_MAX_ITERS,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    main,
+)
+from radialopf.network import FeederModel, ObjectiveCoeffs, loads_feeder
 from radialopf.serialize import BENCH_HEADER, HISTORY_HEADER
 
 
@@ -84,6 +95,21 @@ def test_solve_max_iters_exit_code(tmp_path):
         ]
     )
     assert code == EXIT_MAX_ITERS
+
+
+def test_solve_diverged_exit_code(tmp_path, monkeypatch, capsys):
+    # the loader rejects a NaN cost, so the model is swapped in after loading
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    model = loads_feeder(net.read_text())
+    load = replace(model.buses[1], cost=(ObjectiveCoeffs(0.0, math.nan),))
+    bad = FeederModel((model.buses[0], load), model.lines)
+    monkeypatch.setattr(cli, "load_feeder", lambda path: bad)
+    code = main(["solve", "--network", str(net), "--out-dir", str(tmp_path / "r")])
+    assert code == EXIT_DIVERGED
+    assert not (tmp_path / "r").exists()
+    assert len({EXIT_OK, EXIT_MAX_ITERS, EXIT_VALIDATION, EXIT_IO, EXIT_DIVERGED}) == 5
+    assert "diverged" in capsys.readouterr().err
 
 
 def test_solve_missing_file(tmp_path, capsys):

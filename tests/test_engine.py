@@ -316,6 +316,18 @@ class TestRun:
         assert result.status == "max-iters"
         assert len(result.history) == 1
 
+    def test_non_finite_residual_stops_as_diverged(self):
+        # the loader rejects a NaN cost, so the model is built in code
+        model = chain_model([-0.1 + 0j], beta=float("nan"))
+        result = run(model, SolverConfig(max_iters=50))
+        assert result.status == "diverged"
+        assert not result.converged
+        assert len(result.history) < 50
+        last = result.history[-1]
+        assert not (np.isfinite(last.r) and np.isfinite(last.s))
+        earlier = result.history[:-1]
+        assert all(np.isfinite(st.r) and np.isfinite(st.s) for st in earlier)
+
     def test_history_is_deterministic(self):
         model = generate_topology("line", 4)
         config = SolverConfig(max_iters=80)

@@ -55,6 +55,17 @@ def test_storage_symmetrizes_dust():
     assert m[1, 0] == np.conj(m[0, 1])
 
 
+def test_storage_layout_worked_example():
+    # diagonal first, then (re, im) of the strict lower triangle row by row:
+    # a[1,0] = 2+3j, a[2,0] = 4-5j, a[2,1] = 7+8j
+    a = np.array(
+        [[1.0, 2 - 3j, 4 + 5j], [2 + 3j, 6.0, 7 - 8j], [4 - 5j, 7 + 8j, 9.0]]
+    )
+    h = HermitianMatrix.from_matrix(a)
+    assert np.array_equal(h.params, [1.0, 6.0, 9.0, 2.0, 3.0, 4.0, -5.0, 7.0, 8.0])
+    assert np.array_equal(h.to_matrix(), a)
+
+
 def test_eigh_identity():
     dec = eigh(np.eye(3, dtype=complex))
     assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
@@ -103,6 +114,25 @@ def test_eigh_cross_check_against_lapack():
             ours = eigh(a).eigenvalues
             ref = np.linalg.eigvalsh(a)[::-1]
             assert np.allclose(ours, ref, atol=1e-11)
+
+
+def test_eigh_symmetrizes_input():
+    # LAPACK reads one triangle, so eigh must decompose (a + a^H)/2 exactly
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        for _ in range(20):
+            noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = random_hermitian(rng, n) + 1e-14 * noise
+            assert not np.array_equal(a, a.conj().T)
+            ours = eigh(a)
+            ref = eigh(0.5 * (a + a.conj().T))
+            assert np.array_equal(ours.eigenvalues, ref.eigenvalues)
+            assert np.array_equal(ours.eigenvectors, ref.eigenvectors)
+
+
+def test_eigh_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        eigh(np.ones((2, 3), dtype=complex))
 
 
 def test_psd_project_fixed_point():

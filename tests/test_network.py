@@ -168,6 +168,33 @@ class TestLoader:
             doc, sort_keys=True
         )
 
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("lines", 0, "z", 0, 0, "re"), math.nan, r"lines\[0\]\.z\[0\]\[0\]"),
+            (("lines", 0, "z", 0, 0, "im"), math.nan, r"lines\[0\]\.z\[0\]\[0\]"),
+            (("buses", 1, "region", 0, "p", 0), math.nan, r"region\[0\]\.p\[0\]"),
+            (("buses", 1, "region", 0, "p", 1), math.nan, r"region\[0\]\.p\[1\]"),
+            (("buses", 1, "region", 0, "q", 0), math.nan, r"region\[0\]\.q\[0\]"),
+            (("buses", 1, "region", 0, "q", 1), math.nan, r"region\[0\]\.q\[1\]"),
+            (("buses", 1, "region", 0, "p", 1), math.inf, r"region\[0\]\.p\[1\]"),
+            (("buses", 1, "region", 0, "smax"), math.nan, r"region\[0\]\.smax"),
+            (("buses", 1, "cost", 0, "alpha"), math.nan, r"cost\[0\]\.alpha"),
+            (("buses", 1, "cost", 0, "beta"), math.nan, r"cost\[0\]\.beta"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, path, value, where):
+        doc = json.loads(json.dumps(TWO_BUS_DOC))
+        if path[-1] == "smax":
+            doc["buses"][1]["region"] = [{"type": "disk", "smax": 0.5}]
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        match = where + r": .* is not a finite number"
+        with pytest.raises(FeederParseError, match=match):
+            loads_feeder(json.dumps(doc))
+
     def test_generated_round_trip(self):
         for kind in ("line", "fat-tree"):
             model = generate_topology(kind, 9, TopologyTemplate(phases="abc"))

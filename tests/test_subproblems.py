@@ -253,6 +253,28 @@ class TestMatrixStep:
             assert np.linalg.eigvalsh(x).min() >= -1e-9
 
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_engine_path_against_eigenvalue_oracle(self, m):
+        # assembly, projection and unpacking as the x-step runs them: the
+        # block comes back exactly Hermitian and PSD, at the distance
+        # sqrt(sum of squared nonpositive eigenvalues) from the target
+        rng = np.random.default_rng(70 + m)
+        from radialopf.subproblems import HatConstants
+
+        for _ in range(50):
+            hat = HatConstants(
+                rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+            )
+            w = hat.block()
+            v, S, ell = solve_x0_matrix(hat)
+            x = np.block([[v, S], [S.conj().T, ell]])
+            assert np.array_equal(x, x.conj().T)
+            assert np.linalg.eigvalsh(x).min() >= -1e-10
+            lams = np.linalg.eigvalsh(w)
+            clipped = float(np.sum(lams[lams <= 0] ** 2))
+            assert np.linalg.norm(x - w) ** 2 == pytest.approx(clipped, abs=1e-10)
+
+
 def grid1d(lo, hi, step):
     pts = np.arange(lo, hi, step)
     return np.append(pts, hi)
