@@ -1,7 +1,7 @@
 """Distributed ADMM solver for OPF on unbalanced radial distribution feeders."""
 
 from .engine import IterationStats, RunResult, SolverConfig, run
-from .hermitian import HermitianMatrix, eigh, inner, psd_project
+from .hermitian import eigh, inner, psd_project
 from .network import (
     Box,
     Disk,
@@ -21,7 +21,6 @@ __all__ = [
     "Box",
     "Disk",
     "FeederModel",
-    "HermitianMatrix",
     "IterationStats",
     "PhaseSet",
     "RunResult",

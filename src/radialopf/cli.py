@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (converged/verified), 2 when the iteration cap
 was reached, 3 on validation or verification failure, 4 on I/O problems,
-5 when a solve diverged (a residual became non-finite).
+5 when a solve diverged (a residual became non-finite). A benchmark sweep
+returns 5 if any of its solves diverged, else 2 if any hit the cap.
 """
 
 from __future__ import annotations
@@ -44,13 +45,10 @@ def _solver_flags(parser: argparse.ArgumentParser) -> None:
         "--tol", type=float, default=1e-4, help="residual tolerance scale (times sqrt(buses))"
     )
     parser.add_argument("--max-iters", type=int, default=20000)
-    parser.add_argument("--mode", choices=["serial", "parallel"], default="serial")
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(
-        rho=args.rho, tol_scale=args.tol, max_iters=args.max_iters, mode=args.mode
-    )
+    return SolverConfig(rho=args.rho, tol_scale=args.tol, max_iters=args.max_iters)
 
 
 def _load_model(path: str):
@@ -151,6 +149,7 @@ def cmd_bench(args) -> int:
                     len(result.history),
                     repr(result.wall_seconds),
                     repr(result.wall_seconds / result.n_buses),
+                    result.status,
                 ]
             )
             print(
@@ -166,6 +165,11 @@ def cmd_bench(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote benchmark table to {args.out}")
+    statuses = {row[-1] for row in rows}
+    if "diverged" in statuses:
+        return EXIT_DIVERGED
+    if "max-iters" in statuses:
+        return EXIT_MAX_ITERS
     return EXIT_OK
 
 

@@ -4,18 +4,15 @@ Each agent owns its variable copies, its observations of neighbor
 variables, and the multipliers tied to those observations. Data crosses
 the tree edges only inside messages: observation shares flow before the
 x-step and primal shares flow before the y-step; the multiplier step then
-runs on cached values. The engine executes the agents either serially in
-bus order or on a thread pool; both paths perform identical arithmetic
-and all reductions happen in fixed bus order, so results match bit for
-bit.
+runs on cached values. The engine executes the agents in ascending bus
+order, and every reduction runs in that order, so runs are deterministic
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +74,6 @@ class SolverConfig:
     rho: float = 1.0
     tol_scale: float = 1e-4
     max_iters: int = 20000
-    mode: str = "serial"
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -86,8 +82,6 @@ class SolverConfig:
             raise ValueError("tol_scale must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.mode not in ("serial", "parallel"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -428,35 +422,32 @@ def _multiplier_update_agent(agent: AgentState, rho: float) -> None:
         )
 
 
-def _run_round(agents, order, fn, rho, pool, iteration):
+def _run_round(agents, order, fn, rho, iteration):
     try:
-        if pool is None:
-            for i in order:
-                fn(agents[i], rho)
-        else:
-            list(pool.map(lambda i: fn(agents[i], rho), order))
+        for i in order:
+            fn(agents[i], rho)
     except ValueError as exc:
         raise SolverError(f"iteration {iteration}: {exc}") from exc
 
 
-def x_update_round(agents, config: SolverConfig, pool=None, audit=None, iteration=0):
+def x_update_round(agents, config: SolverConfig, audit=None, iteration=0):
     """Refresh observation shares, then update every x_{i0} and x_{i1}."""
     order = sorted(agents)
     _deliver_y_shares(agents, order, audit)
-    _run_round(agents, order, _x_update_agent, config.rho, pool, iteration)
+    _run_round(agents, order, _x_update_agent, config.rho, iteration)
 
 
-def y_update_round(agents, config: SolverConfig, pool=None, audit=None, iteration=0):
+def y_update_round(agents, config: SolverConfig, audit=None, iteration=0):
     """Refresh primal shares, then re-solve every neighborhood observation set."""
     order = sorted(agents)
     _deliver_x_shares(agents, order, audit)
-    _run_round(agents, order, _y_update_agent, config.rho, pool, iteration)
+    _run_round(agents, order, _y_update_agent, config.rho, iteration)
 
 
-def multiplier_update_round(agents, rho: float, pool=None, iteration=0):
+def multiplier_update_round(agents, rho: float, iteration=0):
     """Dual ascent: every multiplier moves by rho times its consensus gap."""
     order = sorted(agents)
-    _run_round(agents, order, _multiplier_update_agent, rho, pool, iteration)
+    _run_round(agents, order, _multiplier_update_agent, rho, iteration)
 
 
 def _sq(a: np.ndarray) -> float:
@@ -466,8 +457,7 @@ def _sq(a: np.ndarray) -> float:
 def compute_residuals(agents, rho: float) -> tuple[float, float]:
     """Primal gap norm ||x - y|| and scaled dual change rho * ||y - y_prev||.
 
-    Sums run in ascending bus order so serial and parallel runs reduce
-    identically.
+    Sums run in ascending bus order, so every run reduces in the same order.
     """
     r_sq = 0.0
     s_sq = 0.0
@@ -539,37 +529,28 @@ def run(
     agents = initialize(model, config)
     tol = config.tol_scale * math.sqrt(len(model))
     audit: set[tuple[int, int]] | None = set() if record_messages else None
-    pool = None
     history: list[IterationStats] = []
     x_time = 0.0
     y_time = 0.0
     status = "max-iters"
     t_start = time.perf_counter()
-    try:
-        if config.mode == "parallel":
-            pool = ThreadPoolExecutor(
-                max_workers=min(len(agents), os.cpu_count() or 1)
-            )
-        for k in range(1, config.max_iters + 1):
-            t0 = time.perf_counter()
-            x_update_round(agents, config, pool, audit, k)
-            t1 = time.perf_counter()
-            y_update_round(agents, config, pool, audit, k)
-            t2 = time.perf_counter()
-            multiplier_update_round(agents, config.rho, pool, k)
-            x_time += t1 - t0
-            y_time += t2 - t1
-            r, s = compute_residuals(agents, config.rho)
-            history.append(IterationStats(k, r, s, compute_objective(agents)))
-            if not (math.isfinite(r) and math.isfinite(s)):
-                status = "diverged"
-                break
-            if r <= tol and s <= tol:
-                status = "converged"
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for k in range(1, config.max_iters + 1):
+        t0 = time.perf_counter()
+        x_update_round(agents, config, audit, k)
+        t1 = time.perf_counter()
+        y_update_round(agents, config, audit, k)
+        t2 = time.perf_counter()
+        multiplier_update_round(agents, config.rho, k)
+        x_time += t1 - t0
+        y_time += t2 - t1
+        r, s = compute_residuals(agents, config.rho)
+        history.append(IterationStats(k, r, s, compute_objective(agents)))
+        if not (math.isfinite(r) and math.isfinite(s)):
+            status = "diverged"
+            break
+        if r <= tol and s <= tol:
+            status = "converged"
+            break
     wall = time.perf_counter() - t_start
     solution = {i: agents[i].x0.copy() for i in agents}
     return RunResult(

@@ -318,19 +318,15 @@ def validate_radial(model: FeederModel) -> list[str]:
 
 
 def _finite(value, context: str) -> float:
-    """``float(value)``, rejecting NaN and infinities with the field's context."""
-    x = float(value)
-    if not math.isfinite(x):
+    """``float(value)`` of a JSON number; NaN, infinities, strings and
+    booleans raise with the field's context."""
+    if type(value) not in (int, float) or not math.isfinite(value):
         raise FeederParseError(f"{context}: {value!r} is not a finite number")
-    return x
+    return float(value)
 
 
 def _bound(value, context: str) -> float:
-    if value is None:
-        return math.inf
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise FeederParseError(f"{context}: bound must be a number or null")
-    return _finite(value, context)
+    return math.inf if value is None else _finite(value, context)
 
 
 def _parse_region(obj, context: str) -> InjectionRegion:
@@ -369,8 +365,8 @@ def _parse_bus(obj, k: int) -> BusSpec:
     try:
         bus_id = int(obj["id"])
         phases = PhaseSet(str(obj["phases"]))
-        vmin = tuple(float(x) for x in obj["vmin"])
-        vmax = tuple(float(x) for x in obj["vmax"])
+        vmin = tuple(_finite(x, f"{ctx}.vmin[{t}]") for t, x in enumerate(obj["vmin"]))
+        vmax = tuple(_finite(x, f"{ctx}.vmax[{t}]") for t, x in enumerate(obj["vmax"]))
         regions = tuple(
             _parse_region(r, f"{ctx}.region[{m}]") for m, r in enumerate(obj["region"])
         )

@@ -3,7 +3,7 @@
 Solution documents mirror the feeder layout with per-bus (v, s, S, ell)
 entries, complex numbers spelled as {"re": x, "im": y}. Iteration
 histories are CSV with the fixed header ``k,r,s,objective``; benchmark
-sweeps use ``kind,size,iterations,total_s,per_bus_s``.
+sweeps use ``kind,size,iterations,total_s,per_bus_s,status``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 HISTORY_HEADER = ["k", "r", "s", "objective"]
-BENCH_HEADER = ["kind", "size", "iterations", "total_s", "per_bus_s"]
+BENCH_HEADER = ["kind", "size", "iterations", "total_s", "per_bus_s", "status"]
 
 
 def model_hash(model: FeederModel) -> str:
@@ -123,7 +123,6 @@ def build_manifest(
             "rho": config.rho,
             "tol_scale": config.tol_scale,
             "max_iters": config.max_iters,
-            "mode": config.mode,
         },
         "model_hash": model_hash(model),
         "status": result.status,

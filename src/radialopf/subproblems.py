@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,10 +40,7 @@ __all__ = [
     "solve_x1_voltage",
     "YContext",
     "YLocal",
-    "ConstraintSystem",
     "YNodeSolver",
-    "build_constraint_system",
-    "solve_y_node",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -182,7 +180,7 @@ def solve_x0_matrix(hat: HatConstants) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Minimize the block distance over the PSD cone; returns (v, S, ell)."""
     w = hat.block()
     m = hat.v_hat.shape[0]
-    x = psd_project(w).to_matrix()
+    x = psd_project(w)
     return x[:m, :m], x[:m, m:], x[m:, m:]
 
 
@@ -323,66 +321,6 @@ def solve_x1_voltage(
 # ---------------------------------------------------------------------------
 
 
-def _herm_nparams(n: int) -> int:
-    return n * n
-
-
-def herm_to_params(a: np.ndarray, n: int) -> np.ndarray:
-    """Isometric real parameters of a Hermitian matrix (||a||_F = ||theta||_2)."""
-    theta = np.empty(n * n)
-    theta[:n] = a.diagonal().real
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            theta[k] = SQRT2 * a[i, j].real
-            theta[k + 1] = SQRT2 * a[i, j].imag
-            k += 2
-    return theta
-
-
-def params_to_herm(theta: np.ndarray, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    a[np.diag_indices(n)] = theta[:n]
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            z = complex(theta[k], theta[k + 1]) / SQRT2
-            a[i, j] = z
-            a[j, i] = z.conjugate()
-            k += 2
-    return a
-
-
-def cmat_to_params(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
-
-
-def params_to_cmat(theta: np.ndarray, n: int) -> np.ndarray:
-    half = n * n
-    return theta[:half].reshape(n, n) + 1j * theta[half:].reshape(n, n)
-
-
-def cvec_to_params(a: np.ndarray) -> np.ndarray:
-    return np.concatenate([a.real, a.imag])
-
-
-def params_to_cvec(theta: np.ndarray, n: int) -> np.ndarray:
-    return theta[:n] + 1j * theta[n:]
-
-
-def _herm_rows(a: np.ndarray, n: int) -> np.ndarray:
-    """Flatten a Hermitian-valued equation into n^2 independent real rows."""
-    rows = np.empty(n * n)
-    rows[:n] = a.diagonal().real
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[k] = a[i, j].real
-            rows[k + 1] = a[i, j].imag
-            k += 2
-    return rows
-
-
 @dataclass(frozen=True)
 class YContext:
     """Static shape of one bus's y-subproblem.
@@ -414,101 +352,139 @@ class YLocal:
     child_flows: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass
-class ConstraintSystem:
-    """Real quadratic min 1/2 y^T M y + c^T y subject to A y = 0.
+def _block_maps(kind: str, n: int):
+    """Gather and scatter maps of one complex block, in its own coordinates.
 
-    ``a_mat`` has full row rank and ``m_diag`` is strictly positive; both
-    are fixed by the network, only ``c_vec`` changes across iterations.
+    ``kind`` is "herm" (n x n Hermitian, n^2 parameters), "mat" (n x n
+    complex, 2n^2) or "vec" (length n, 2n). Returns the float-view
+    position and the scale of each parameter, and for each float slot the
+    parameter it is unpacked from (-1: the zero imaginary diagonal) and
+    the divisor.
     """
-
-    a_mat: np.ndarray
-    m_diag: np.ndarray
-    c_vec: np.ndarray
-    context: YContext
+    if kind == "herm":
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        diag = [2 * i * (n + 1) for i in range(n)]
+        pos = np.array(diag + [2 * (i * n + j) + k for i, j in upper for k in (0, 1)])
+        mirror = [2 * (j * n + i) + k for i, j in upper for k in (0, 1)]
+        scale = np.repeat([1.0, SQRT2], [n, 2 * len(upper)])
+        src = np.full(2 * n * n, -1)
+        div = np.ones(2 * n * n)
+        src[pos] = np.arange(n * n)
+        div[pos] = scale
+        src[mirror] = np.arange(n, n * n)
+        div[mirror] = np.tile([SQRT2, -SQRT2], len(upper))
+        return pos, scale, src, div
+    size = n if kind == "vec" else n * n
+    pos = np.concatenate([np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)])
+    src = np.empty(2 * size, dtype=int)
+    src[pos] = np.arange(2 * size)
+    return pos, np.ones(2 * size), src, np.ones(2 * size)
 
 
 class _Layout:
-    """Offsets of each variable block inside the stacked parameter vector."""
+    """The one real parameterization of a stack of complex blocks.
 
-    def __init__(self, ctx: YContext):
-        m = len(ctx.phases)
-        self.m = m
-        pos = 0
+    The blocks are raveled row-major one after another into a complex
+    buffer. A Hermitian block of size n has n^2 parameters: its real
+    diagonal, then sqrt(2) * (re, im) of each upper-triangle entry row by
+    row, so that ||a||_F = ||theta||_2. A complex vector or matrix has its
+    real parts, then its imaginary parts. Packing gathers the parameters
+    from the float view (re, im interleaved) of the buffer and scales
+    them; unpacking scatters them back, mirroring the lower triangle from
+    the same parameters and reading the imaginary diagonal from a
+    trailing zero.
+    """
 
-        def take(count: int) -> slice:
-            nonlocal pos
-            sl = slice(pos, pos + count)
-            pos += count
-            return sl
+    def __init__(self, blocks: tuple[tuple[str, int], ...]):
+        pos, scale, src, div, counts, views = [], [], [], [], [], []
+        entries = size = 0  # complex entries and parameters so far
+        for kind, n in blocks:
+            p, s, sc, d = _block_maps(kind, n)
+            shape = (n,) if kind == "vec" else (n, n)
+            pos.append(p + 2 * entries)
+            scale.append(s)
+            src.append(np.where(sc < 0, -1, sc + size))
+            div.append(d)
+            counts.append(len(p))
+            views.append((entries, entries + len(sc) // 2, shape))
+            entries += len(sc) // 2
+            size += len(p)
+        self.size = size
+        self.counts = tuple(counts)
+        self.views = tuple(views)
+        self.pos = np.concatenate(pos)
+        self.scale = np.concatenate(scale)
+        self.src = np.concatenate(src)
+        self.src[self.src < 0] = size
+        self.div = np.concatenate(div)
+        for arr in (self.pos, self.scale, self.src, self.div):
+            arr.flags.writeable = False  # shared between buses by _layout
 
-        self.v_self = take(_herm_nparams(m))
-        self.s_self = take(2 * m)
-        if ctx.is_root:
-            self.S_self = None
-            self.ell_self = None
-            self.v_parent = None
-        else:
-            self.S_self = take(2 * m * m)
-            self.ell_self = take(_herm_nparams(m))
-            mp = len(ctx.parent_phases)
-            self.v_parent = take(_herm_nparams(mp))
-        self.child = {}
-        for cid, cph, _ in ctx.children:
-            mc = len(cph)
-            self.child[cid] = (take(2 * mc * mc), take(_herm_nparams(mc)))
-        self.size = pos
+    def flat(self, blocks) -> np.ndarray:
+        """The blocks' parameters without the sqrt(2) scale."""
+        buf = np.concatenate([np.ravel(b) for b in blocks], dtype=complex)
+        return buf.view(float)[self.pos]
 
-    def unpack(self, theta: np.ndarray, ctx: YContext) -> YLocal:
-        m = self.m
-        v_self = params_to_herm(theta[self.v_self], m)
-        s_self = params_to_cvec(theta[self.s_self], m)
-        S_self = ell_self = v_parent = None
-        if not ctx.is_root:
-            S_self = params_to_cmat(theta[self.S_self], m)
-            ell_self = params_to_herm(theta[self.ell_self], m)
-            v_parent = params_to_herm(theta[self.v_parent], len(ctx.parent_phases))
-        flows = {}
-        for cid, cph, _ in ctx.children:
-            mc = len(cph)
-            s_sl, l_sl = self.child[cid]
-            flows[cid] = (
-                params_to_cmat(theta[s_sl], mc),
-                params_to_herm(theta[l_sl], mc),
-            )
-        return YLocal(v_self, s_self, S_self, ell_self, v_parent, flows)
+    def pack(self, blocks) -> np.ndarray:
+        return self.flat(blocks) * self.scale
+
+    def unpack(self, theta: np.ndarray) -> list[np.ndarray]:
+        buf = (np.append(theta, 0.0)[self.src] / self.div).view(complex)
+        return [buf[a:b].reshape(shape) for a, b, shape in self.views]
 
 
-def _constraint_values(local: YLocal, ctx: YContext) -> np.ndarray:
-    """Stacked branch-flow residual rows at a candidate y point (linear in y)."""
+@lru_cache(maxsize=None)
+def _layout(blocks: tuple[tuple[str, int], ...]) -> _Layout:
+    """The layout of a block signature; buses of one shape share it."""
+    return _Layout(blocks)
+
+
+def _local(blocks: list[np.ndarray], ctx: YContext) -> YLocal:
+    """Name the blocks: v, s, [S, ell, parent v], then each child's (S, ell)."""
+    v_self, s_self, *rest = blocks
+    S_self = ell_self = v_parent = None
+    if not ctx.is_root:
+        S_self, ell_self, v_parent, *rest = rest
+    flows = {
+        cid: (rest[2 * k], rest[2 * k + 1]) for k, (cid, _, _) in enumerate(ctx.children)
+    }
+    return YLocal(v_self, s_self, S_self, ell_self, v_parent, flows)
+
+
+def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
+    """Branch-flow residual blocks at a candidate y point (linear in y).
+
+    The voltage drop (Hermitian, absent at the root), then the power
+    balance (one complex entry per phase).
+    """
     m = len(ctx.phases)
     rows = []
     if not ctx.is_root:
         z = ctx.z
-        drop = (
+        rows.append(
             phase_project(local.v_parent, ctx.parent_phases, ctx.phases)
             - local.v_self
             + z @ local.S_self.conj().T
             + local.S_self @ z.conj().T
             - z @ local.ell_self @ z.conj().T
         )
-        rows.append(_herm_rows(drop, m))
     acc = np.zeros(m, dtype=complex)
     for cid, cph, zc in ctx.children:
         s_j, ell_j = local.child_flows[cid]
         acc += phase_lift(s_j - zc @ ell_j, cph, ctx.phases).diagonal()
     if not ctx.is_root:
         acc -= local.S_self.diagonal()
-    balance = local.s_self + acc
-    rows.append(np.concatenate([balance.real, balance.imag]))
-    return np.concatenate(rows)
+    rows.append(local.s_self + acc)
+    return rows
 
 
 class YNodeSolver:
     """Prefactored closed-form solver for one bus's y-subproblem.
 
-    The constraint matrix and penalty weights depend only on the network,
-    so the full solution operator
+    The y-subproblem is the real quadratic min 1/2 y^T M y + c^T y subject
+    to A y = 0 over the parameters of ``layout``. ``a_mat`` has full row
+    rank and ``m_diag`` is strictly positive; both depend only on the
+    network, so the full solution operator
     P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is computed once and every
     iteration reduces to assembling c and one matrix-vector product.
     """
@@ -518,35 +494,38 @@ class YNodeSolver:
             raise ValueError("rho must be positive")
         self.ctx = ctx
         self.rho = rho
-        self.layout = _Layout(ctx)
-        n = self.layout.size
         m = len(ctx.phases)
         nc = len(ctx.children)
 
-        a_rows = (0 if ctx.is_root else m * m) + 2 * m
-        a_mat = np.zeros((a_rows, n))
-        for col in range(n):
-            theta = np.zeros(n)
-            theta[col] = 1.0
-            local = self.layout.unpack(theta, ctx)
-            a_mat[:, col] = _constraint_values(local, ctx)
-        if np.linalg.matrix_rank(a_mat) != a_rows:
+        # blocks of v_self, s_self, [S_self, ell_self, v_parent], (S, ell) per
+        # child, with their observation weights; v_self's 3 is the weight 2
+        # of the bus's own copy plus 1 of the voltage copy
+        blocks = [("herm", m), ("vec", m)]
+        weights = [3.0, 1.0]
+        if not ctx.is_root:
+            blocks += [("mat", m), ("herm", m), ("herm", len(ctx.parent_phases))]
+            weights += [2.0 * nc + 3.0, nc + 1.0, 1.0]
+        for _, cph, _ in ctx.children:
+            blocks += [("mat", len(cph)), ("herm", len(cph))]
+            weights += [1.0, 1.0]
+        self.layout = _layout(tuple(blocks))
+        n = self.layout.size
+
+        drop = () if ctx.is_root else (("herm", m),)
+        rows = _layout(drop + (("vec", m),))
+        a_mat = np.empty((rows.size, n))
+        for col, theta in enumerate(np.eye(n)):
+            local = _local(self.layout.unpack(theta), ctx)
+            a_mat[:, col] = rows.flat(_constraint_values(local, ctx))
+        if np.linalg.matrix_rank(a_mat) != rows.size:
             raise ValueError(
                 f"bus {ctx.bus_id}: rank-deficient constraint matrix "
                 "(malformed phase data)"
             )
 
-        weights = np.empty(n)
-        weights[self.layout.v_self] = 3.0  # observation weight 2 + voltage copy
-        weights[self.layout.s_self] = 1.0
-        if not ctx.is_root:
-            weights[self.layout.S_self] = 2.0 * nc + 3.0
-            weights[self.layout.ell_self] = nc + 1.0
-            weights[self.layout.v_parent] = 1.0
-        for s_sl, l_sl in self.layout.child.values():
-            weights[s_sl] = 1.0
-            weights[l_sl] = 1.0
-        m_diag = rho * weights
+        m_diag = rho * np.repeat(weights, self.layout.counts)
+        # assemble_c pairs v_self with 2 x_v + x1_v, its weights already applied
+        self._r = rho * np.repeat([1.0] + weights[1:], self.layout.counts)
 
         self.a_mat = a_mat
         self.m_diag = m_diag
@@ -568,72 +547,16 @@ class YNodeSolver:
         child_x: dict[int, tuple[np.ndarray, np.ndarray]],
     ) -> np.ndarray:
         """Linear coefficients -mu - rho * weight * x for each parameter block."""
-        rho = self.rho
-        lay = self.layout
-        nc = len(self.ctx.children)
-        m = lay.m
-        c = np.empty(lay.size)
-        c[lay.v_self] = -herm_to_params(mu_self.mu_v + lam1, m) - rho * herm_to_params(
-            2.0 * x_self.v + x1_v, m
-        )
-        c[lay.s_self] = -cvec_to_params(mu_self.mu_s) - rho * cvec_to_params(x_self.s)
+        mu = [mu_self.mu_v + lam1, mu_self.mu_s]
+        x = [2.0 * x_self.v + x1_v, x_self.s]
         if not self.ctx.is_root:
-            c[lay.S_self] = -cmat_to_params(mu_self.mu_S) - rho * (
-                2.0 * nc + 3.0
-            ) * cmat_to_params(x_self.S)
-            c[lay.ell_self] = -herm_to_params(mu_self.mu_ell, m) - rho * (
-                nc + 1.0
-            ) * herm_to_params(x_self.ell, m)
-            mp = len(self.ctx.parent_phases)
-            c[lay.v_parent] = -herm_to_params(mu_parent_v, mp) - rho * herm_to_params(
-                x_parent_v, mp
-            )
-        for cid, cph, _ in self.ctx.children:
-            mc = len(cph)
-            s_sl, l_sl = lay.child[cid]
-            mu_S_j, mu_ell_j = child_mults[cid]
-            S_j, ell_j = child_x[cid]
-            c[s_sl] = -cmat_to_params(mu_S_j) - rho * cmat_to_params(S_j)
-            c[l_sl] = -herm_to_params(mu_ell_j, mc) - rho * herm_to_params(ell_j, mc)
-        return c
+            mu += [mu_self.mu_S, mu_self.mu_ell, mu_parent_v]
+            x += [x_self.S, x_self.ell, x_parent_v]
+        for cid, _, _ in self.ctx.children:
+            mu += child_mults[cid]
+            x += child_x[cid]
+        return -self.layout.pack(mu) - self._r * self.layout.pack(x)
 
     def solve(self, c: np.ndarray) -> YLocal:
-        theta = self._operator @ c
-        return self.layout.unpack(theta, self.ctx)
-
-    def system(self, c: np.ndarray) -> ConstraintSystem:
-        return ConstraintSystem(self.a_mat, self.m_diag, c, self.ctx)
-
-
-def build_constraint_system(
-    ctx: YContext,
-    rho: float,
-    x_self: XBlock,
-    x1_v: np.ndarray,
-    mu_self: SelfObservation,
-    lam1: np.ndarray,
-    mu_parent_v: np.ndarray | None,
-    x_parent_v: np.ndarray | None,
-    child_mults: dict[int, tuple[np.ndarray, np.ndarray]],
-    child_x: dict[int, tuple[np.ndarray, np.ndarray]],
-) -> ConstraintSystem:
-    """Assemble the full (A, M, c) system for one bus's y-subproblem."""
-    solver = YNodeSolver(ctx, rho)
-    c = solver.assemble_c(
-        x_self, x1_v, mu_self, lam1, mu_parent_v, x_parent_v, child_mults, child_x
-    )
-    return solver.system(c)
-
-
-def solve_y_node(sys: ConstraintSystem) -> YLocal:
-    """Closed-form minimizer y = (M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1) c."""
-    a = sys.a_mat
-    minv = 1.0 / sys.m_diag
-    u = minv * sys.c_vec
-    gram = (a * minv) @ a.T
-    try:
-        nu = np.linalg.solve(gram, a @ u)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular constraint Gram matrix") from exc
-    theta = minv * (a.T @ nu) - u
-    return _Layout(sys.context).unpack(theta, sys.context)
+        """The minimizer P c, unpacked; its blocks are views of one buffer."""
+        return _local(self.layout.unpack(self._operator @ c), self.ctx)

@@ -33,7 +33,6 @@ from radialopf.subproblems import (
     project_injection_box,
     project_injection_disk,
     solve_disk_multiplier,
-    solve_y_node,
 )
 from radialopf.verify import brute_force_opf, check_bfm_feasibility, check_rank1
 
@@ -59,7 +58,7 @@ def test_criterion_1_psd_projection():
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         w = rand_herm(rng, n)
-        x = psd_project(w).to_matrix()
+        x = psd_project(w)
         assert np.linalg.eigvalsh(x).min() >= -1e-10
         dist = np.linalg.norm(x - w)
         lams = np.linalg.eigvalsh(w)
@@ -173,22 +172,13 @@ def random_context(rng):
     return YContext(bus_id=1, phases=phases, z=z, parent_phases=parent_phases, children=children)
 
 
-def pack_local(local, ctx):
-    from radialopf.subproblems import cmat_to_params, cvec_to_params, herm_to_params
-
-    parts = [
-        herm_to_params(local.v_self, local.v_self.shape[0]),
-        cvec_to_params(local.s_self),
-    ]
-    if not ctx.is_root:
-        parts.append(cmat_to_params(local.S_self))
-        parts.append(herm_to_params(local.ell_self, local.ell_self.shape[0]))
-        parts.append(herm_to_params(local.v_parent, local.v_parent.shape[0]))
-    for cid, cph, _ in ctx.children:
-        S_j, ell_j = local.child_flows[cid]
-        parts.append(cmat_to_params(S_j))
-        parts.append(herm_to_params(ell_j, len(cph)))
-    return np.concatenate(parts)
+def pack_local(solver, local):
+    blocks = [local.v_self, local.s_self]
+    if not solver.ctx.is_root:
+        blocks += [local.S_self, local.ell_self, local.v_parent]
+    for cid, _, _ in solver.ctx.children:
+        blocks += local.child_flows[cid]
+    return solver.layout.pack(blocks)
 
 
 def test_criterion_3_y_update_closed_form():
@@ -197,8 +187,8 @@ def test_criterion_3_y_update_closed_form():
         ctx = random_context(rng)
         solver = YNodeSolver(ctx, rho=float(rng.uniform(0.4, 2.5)))
         c = rng.standard_normal(solver.a_mat.shape[1])
-        local = solve_y_node(solver.system(c))
-        theta = pack_local(local, ctx)
+        local = solver.solve(c)
+        theta = pack_local(solver, local)
 
         a = solver.a_mat
         nrows, ncols = a.shape

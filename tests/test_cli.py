@@ -196,6 +196,32 @@ def test_bench_rows_and_determinism(tmp_path):
     assert [r[:3] for r in rows1] == [r[:3] for r in rows2]
 
 
+def test_bench_reports_failed_solves(tmp_path, monkeypatch):
+    out = tmp_path / "b.csv"
+    args = ["bench", "--kinds", "line", "--sizes", "3", "--out", str(out)]
+    assert main(args + ["--max-iters", "1"]) == EXIT_MAX_ITERS
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "status"
+    assert rows[1][-1] == "max-iters"
+
+    # one diverged row outranks a row that hit the cap
+    real_generate = cli.generate_topology
+
+    def generate(kind, size, template):
+        model = real_generate(kind, size, template)
+        if size != 4:
+            return model
+        load = replace(model.buses[1], cost=(ObjectiveCoeffs(0.0, math.nan),))
+        return FeederModel((model.buses[0], load) + model.buses[2:], model.lines)
+
+    monkeypatch.setattr(cli, "generate_topology", generate)
+    args = ["bench", "--kinds", "line", "--sizes", "3,4", "--max-iters", "50"]
+    assert main(args + ["--out", str(out)]) == EXIT_DIVERGED
+    with open(out) as fh:
+        assert [r[-1] for r in csv.reader(fh)] == ["status", "max-iters", "diverged"]
+
+
 def test_bench_empty_sizes(tmp_path):
     code = main(["bench", "--sizes", "", "--out", str(tmp_path / "b.csv")])
     assert code == EXIT_VALIDATION

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from radialopf.hermitian import HermitianMatrix, eigh, inner, psd_project
+from radialopf.hermitian import eigh, inner, psd_project
+from radialopf.subproblems import _Layout
 
 
 def random_hermitian(rng, n):
@@ -37,33 +40,53 @@ def test_inner_shape_mismatch():
 
 
 def test_storage_round_trip():
+    # the y-step's parameter vector: unpack(pack(a)) is a to within one ulp
+    # (the sqrt(2) scale is inexact), exactly Hermitian, and an isometry
     rng = np.random.default_rng(3)
-    for n in range(1, 7):
-        a = random_hermitian(rng, n)
-        h = HermitianMatrix.from_matrix(a)
-        back = h.to_matrix()
-        assert np.allclose(back, a, atol=1e-15)
-        # storage is Hermitian by construction, not by approximation
-        assert np.array_equal(back, back.conj().T)
+    for n in range(1, 4):
+        lay = _Layout([("herm", n)])
+        for _ in range(50):
+            a = random_hermitian(rng, n)
+            theta = lay.pack([a])
+            (back,) = lay.unpack(theta)
+            np.testing.assert_array_max_ulp(back.view(float), a.view(float), maxulp=1)
+            assert np.array_equal(back.diagonal(), a.diagonal())
+            assert np.array_equal(back, back.conj().T)
+            assert np.linalg.norm(theta) == pytest.approx(np.linalg.norm(a), rel=1e-15)
 
 
 def test_storage_symmetrizes_dust():
-    a = np.array([[1.0 + 1e-18j, 0.5 + 0.25j], [0.5 - 0.25j, 2.0]])
-    h = HermitianMatrix.from_matrix(a)
-    m = h.to_matrix()
-    assert m[0, 0] == 1.0
-    assert m[1, 0] == np.conj(m[0, 1])
+    # triangles that differ by ~1e-14 still project to an exactly Hermitian X
+    rng = np.random.default_rng(43)
+    for n in range(1, 7):
+        for _ in range(20):
+            noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = random_hermitian(rng, n) + 1e-14 * noise
+            assert not np.array_equal(a, a.conj().T)
+            x = psd_project(a)
+            assert np.array_equal(x, x.conj().T)
+            assert np.all(x.diagonal().imag == 0.0)
 
 
 def test_storage_layout_worked_example():
-    # diagonal first, then (re, im) of the strict lower triangle row by row:
-    # a[1,0] = 2+3j, a[2,0] = 4-5j, a[2,1] = 7+8j
+    # diagonal first, then sqrt(2) * (re, im) of the upper triangle row by row:
+    # a[0,1] = 2-3j, a[0,2] = 4+5j, a[1,2] = 7-8j
     a = np.array(
         [[1.0, 2 - 3j, 4 + 5j], [2 + 3j, 6.0, 7 - 8j], [4 - 5j, 7 + 8j, 9.0]]
     )
-    h = HermitianMatrix.from_matrix(a)
-    assert np.array_equal(h.params, [1.0, 6.0, 9.0, 2.0, 3.0, 4.0, -5.0, 7.0, 8.0])
-    assert np.array_equal(h.to_matrix(), a)
+    r2 = math.sqrt(2.0)
+    theta = _Layout([("herm", 3)]).pack([a])
+    expected = [1.0, 6.0, 9.0, r2 * 2, r2 * -3, r2 * 4, r2 * 5, r2 * 7, r2 * -8]
+    assert np.array_equal(theta, expected)
+    # complex vectors and matrices: real parts, then imaginary parts
+    lay = _Layout([("vec", 2), ("mat", 2), ("herm", 1)])
+    s = np.array([1 + 2j, 3 + 4j])
+    m = np.array([[5 + 6j, 7 + 8j], [9 + 10j, 11 + 12j]])
+    theta = lay.pack([s, m, np.array([[13.0]])])
+    assert np.array_equal(theta, [1, 3, 2, 4, 5, 7, 9, 11, 6, 8, 10, 12, 13])
+    back_s, back_m, back_h = lay.unpack(theta)
+    assert np.array_equal(back_s, s) and np.array_equal(back_m, m)
+    assert np.array_equal(back_h, [[13.0]])
 
 
 def test_eigh_identity():
@@ -139,17 +162,17 @@ def test_psd_project_fixed_point():
     rng = np.random.default_rng(23)
     for n in (2, 3, 6):
         a = random_psd(rng, n)
-        x = psd_project(a).to_matrix()
+        x = psd_project(a)
         assert np.linalg.norm(x - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
 
 
 def test_psd_project_diagonal():
-    x = psd_project(np.diag([2.0, -3.0]).astype(complex)).to_matrix()
+    x = psd_project(np.diag([2.0, -3.0]).astype(complex))
     assert np.allclose(x, np.diag([2.0, 0.0]))
 
 
 def test_psd_project_exchange_matrix():
-    x = psd_project(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)).to_matrix()
+    x = psd_project(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     assert np.allclose(x, np.full((2, 2), 0.5), atol=1e-14)
 
 
@@ -159,7 +182,7 @@ def test_psd_project_idempotent():
         w = random_hermitian(rng, n)
         once = psd_project(w)
         twice = psd_project(once)
-        assert np.linalg.norm(once.to_matrix() - twice.to_matrix()) <= 1e-10
+        assert np.linalg.norm(once - twice) <= 1e-10
 
 
 def test_psd_project_minimizer_and_value():
@@ -169,7 +192,7 @@ def test_psd_project_minimizer_and_value():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         w = random_hermitian(rng, n)
-        x = psd_project(w).to_matrix()
+        x = psd_project(w)
         dist = np.linalg.norm(x - w)
         lams = np.linalg.eigvalsh(w)
         assert dist**2 == pytest.approx(float(np.sum(lams[lams <= 0] ** 2)), abs=1e-8)
@@ -183,5 +206,5 @@ def test_psd_project_output_is_psd():
     for _ in range(100):
         n = int(rng.integers(1, 7))
         w = random_hermitian(rng, n)
-        x = psd_project(w).to_matrix()
+        x = psd_project(w)
         assert np.linalg.eigvalsh(x).min() >= -1e-10

@@ -181,6 +181,10 @@ class TestLoader:
             (("buses", 1, "region", 0, "smax"), math.nan, r"region\[0\]\.smax"),
             (("buses", 1, "cost", 0, "alpha"), math.nan, r"cost\[0\]\.alpha"),
             (("buses", 1, "cost", 0, "beta"), math.nan, r"cost\[0\]\.beta"),
+            (("buses", 1, "vmax", 0), math.inf, r"buses\[1\]\.vmax\[0\]"),
+            (("buses", 1, "vmin", 0), math.nan, r"buses\[1\]\.vmin\[0\]"),
+            (("buses", 1, "vmax", 0), "1.1", r"buses\[1\]\.vmax\[0\]"),
+            (("buses", 0, "vmin", 0), True, r"buses\[0\]\.vmin\[0\]"),
         ],
     )
     def test_non_finite_number_rejected(self, path, value, where):

@@ -6,25 +6,19 @@ import pytest
 from radialopf.hermitian import inner
 from radialopf.network import PhaseSet
 from radialopf.subproblems import (
-    ConstraintSystem,
     FlowObservation,
     SelfObservation,
     VoltageObservation,
     XBlock,
     YContext,
     YNodeSolver,
-    build_constraint_system,
     complete_square_x0,
-    cmat_to_params,
-    cvec_to_params,
     disk_case,
-    herm_to_params,
     project_injection_box,
     project_injection_disk,
     solve_disk_multiplier,
     solve_x0_matrix,
     solve_x1_voltage,
-    solve_y_node,
 )
 
 
@@ -496,33 +490,30 @@ def random_system(rng, ctx, rho):
         mc = len(cph)
         child_mults[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
         child_x[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
-    return build_constraint_system(
-        ctx, rho, x0, rand_herm(rng, m), mu_self, lam1, mu_parent, x_parent,
-        child_mults, child_x,
+    solver = YNodeSolver(ctx, rho)
+    c = solver.assemble_c(
+        x0, rand_herm(rng, m), mu_self, lam1, mu_parent, x_parent, child_mults, child_x
     )
+    return solver, c
 
 
-def pack_solution(local, ctx):
-    parts = [herm_to_params(local.v_self, local.v_self.shape[0]), cvec_to_params(local.s_self)]
-    if not ctx.is_root:
-        parts.append(cmat_to_params(local.S_self))
-        parts.append(herm_to_params(local.ell_self, local.ell_self.shape[0]))
-        parts.append(herm_to_params(local.v_parent, local.v_parent.shape[0]))
-    for cid, cph, _ in ctx.children:
-        S_j, ell_j = local.child_flows[cid]
-        parts.append(cmat_to_params(S_j))
-        parts.append(herm_to_params(ell_j, len(cph)))
-    return np.concatenate(parts)
+def pack_solution(solver, local):
+    blocks = [local.v_self, local.s_self]
+    if not solver.ctx.is_root:
+        blocks += [local.S_self, local.ell_self, local.v_parent]
+    for cid, _, _ in solver.ctx.children:
+        blocks += local.child_flows[cid]
+    return solver.layout.pack(blocks)
 
 
-def kkt_reference(sys: ConstraintSystem) -> np.ndarray:
-    a = sys.a_mat
+def kkt_reference(solver, c) -> np.ndarray:
+    a = solver.a_mat
     nrows, ncols = a.shape
     kkt = np.zeros((ncols + nrows, ncols + nrows))
-    kkt[:ncols, :ncols] = np.diag(sys.m_diag)
+    kkt[:ncols, :ncols] = np.diag(solver.m_diag)
     kkt[:ncols, ncols:] = a.T
     kkt[ncols:, :ncols] = a
-    rhs = np.concatenate([-sys.c_vec, np.zeros(nrows)])
+    rhs = np.concatenate([-c, np.zeros(nrows)])
     return np.linalg.solve(kkt, rhs)[:ncols]
 
 
@@ -565,9 +556,7 @@ class TestYSystem:
         cid, cph, _ = ctx.children[0]
         mc = len(cph)
         mp = len(ctx.parent_phases)
-        sys = build_constraint_system(
-            ctx,
-            1.0,
+        c = YNodeSolver(ctx, 1.0).assemble_c(
             XBlock(
                 v=np.zeros((m, m), complex),
                 s=np.zeros(m, complex),
@@ -582,14 +571,69 @@ class TestYSystem:
             {cid: (np.zeros((mc, mc), complex), np.zeros((mc, mc), complex))},
             {cid: (np.zeros((mc, mc), complex), np.zeros((mc, mc), complex))},
         )
-        assert np.array_equal(sys.c_vec, np.zeros_like(sys.c_vec))
+        assert np.array_equal(c, np.zeros_like(c))
+
+    def test_assemble_c_on_x_step_slices(self):
+        # the x-step hands over S = x[:m, m:] and ell = x[m:, m:], views that
+        # are not contiguous; c must equal the penalty's linear term
+        # -<mu_b, Y_b> - rho w_b <x_b, Y_b> summed over the blocks b of any Y
+        from radialopf.subproblems import HatConstants
+
+        def x_step(m):
+            hat = HatConstants(
+                rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+            )
+            return solve_x0_matrix(hat)
+
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            m = int(rng.integers(1, 4))
+            nc = int(rng.integers(0, 3))
+            ctx = make_context(rng, m, nc)
+            rho = float(rng.uniform(0.5, 2.0))
+            v, S, ell = x_step(m)
+            assert m == 1 or not S.flags.c_contiguous
+            x0 = XBlock(v=v, s=rand_cvec(rng, m), S=S, ell=ell)
+            x1_v = rand_herm(rng, m)
+            mu = rand_self_obs(rng, m)
+            lam1 = rand_herm(rng, m)
+            mp = len(ctx.parent_phases)
+            mu_parent, x_parent = rand_herm(rng, mp), rand_herm(rng, mp)
+            child_mults, child_x = {}, {}
+            for cid, cph, _ in ctx.children:
+                mc = len(cph)
+                child_mults[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
+                child_x[cid] = x_step(mc)[1:]
+            solver = YNodeSolver(ctx, rho)
+            args = (x1_v, mu, lam1, mu_parent, x_parent, child_mults)
+            c = solver.assemble_c(x0, *args, child_x)
+            copies = {j: (a.copy(), b.copy()) for j, (a, b) in child_x.items()}
+            contiguous = XBlock(v.copy(), x0.s, S.copy(), ell.copy())
+            assert np.array_equal(c, solver.assemble_c(contiguous, *args, copies))
+
+            theta = rng.standard_normal(solver.layout.size)
+            y = solver.layout.unpack(theta)
+            terms = [
+                (mu.mu_v + lam1, 2.0 * v + x1_v, 1.0),
+                (mu.mu_s, x0.s, 1.0),
+                (mu.mu_S, S, 2.0 * nc + 3.0),
+                (mu.mu_ell, ell, nc + 1.0),
+                (mu_parent, x_parent, 1.0),
+            ]
+            for cid, _, _ in ctx.children:
+                terms.append((child_mults[cid][0], child_x[cid][0], 1.0))
+                terms.append((child_mults[cid][1], child_x[cid][1], 1.0))
+            expected = sum(
+                -inner(mu_b, y_b) - rho * w * inner(x_b, y_b)
+                for (mu_b, x_b, w), y_b in zip(terms, y, strict=True)
+            )
+            assert c @ theta == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_zero_c_gives_zero(self):
         rng = np.random.default_rng(16)
         ctx = make_context(rng, 2, 1, parent_m=3)
         solver = YNodeSolver(ctx, 1.0)
-        sys = solver.system(np.zeros(solver.a_mat.shape[1]))
-        local = solve_y_node(sys)
+        local = solver.solve(np.zeros(solver.a_mat.shape[1]))
         assert np.allclose(local.v_self, 0) and np.allclose(local.s_self, 0)
         assert np.allclose(local.v_parent, 0)
 
@@ -600,10 +644,10 @@ class TestYSystem:
             nc = int(rng.integers(0, 3))
             root = bool(rng.integers(0, 2)) and nc > 0
             ctx = make_context(rng, m, nc, root=root)
-            sys = random_system(rng, ctx, rho=float(rng.uniform(0.5, 2.0)))
-            local = solve_y_node(sys)
-            theta = pack_solution(local, ctx)
-            ref = kkt_reference(sys)
+            solver, c = random_system(rng, ctx, rho=float(rng.uniform(0.5, 2.0)))
+            local = solver.solve(c)
+            theta = pack_solution(solver, local)
+            ref = kkt_reference(solver, c)
             assert np.max(np.abs(theta - ref)) <= 1e-8
 
     def test_constraint_residual(self):
@@ -612,10 +656,10 @@ class TestYSystem:
             m = int(rng.integers(1, 4))
             nc = int(rng.integers(0, 3))
             ctx = make_context(rng, m, nc)
-            sys = random_system(rng, ctx, 1.0)
-            local = solve_y_node(sys)
-            theta = pack_solution(local, ctx)
-            assert np.max(np.abs(sys.a_mat @ theta)) <= 1e-10
+            solver, c = random_system(rng, ctx, 1.0)
+            local = solver.solve(c)
+            theta = pack_solution(solver, local)
+            assert np.max(np.abs(solver.a_mat @ theta)) <= 1e-10
 
     def test_bfm_equations_hold_in_complex_form(self):
         rng = np.random.default_rng(19)
@@ -625,8 +669,8 @@ class TestYSystem:
             m = int(rng.integers(1, 4))
             nc = int(rng.integers(0, 3))
             ctx = make_context(rng, m, nc)
-            sys = random_system(rng, ctx, 1.0)
-            local = solve_y_node(sys)
+            solver, c = random_system(rng, ctx, 1.0)
+            local = solver.solve(c)
             z = ctx.z
             drop = (
                 phase_project(local.v_parent, ctx.parent_phases, ctx.phases)
