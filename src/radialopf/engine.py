@@ -1,18 +1,31 @@
-"""Bulk-synchronous ADMM iteration over one agent per bus.
+"""Bulk-synchronous ADMM iteration over one agent per bus, run as array operations.
 
-Each agent owns its variable copies, its observations of neighbor
-variables, and the multipliers tied to those observations. Data crosses
-the tree edges only inside messages: observation shares flow before the
-x-step and primal shares flow before the y-step; the multiplier step then
-runs on cached values. The engine executes the agents in ascending bus
-order, and every reduction runs in that order, so runs are deterministic
-bit for bit.
+Each bus owns its primal copies x = (v, s, S, ell), a voltage copy x1_v
+with its multiplier lam1, the observations y that its y-step re-solves,
+and one multiplier per observation. The state of a whole run lives in a
+few flat buffers: x, x1_v, lam1, y, and mu (laid out like y). y holds
+every bus's own copies, the parent-voltage copy each child holds, and
+the (S, ell) copy each parent holds of each child; the pairing index
+``pair`` maps every y entry to the x entry it observes. Within a buffer
+each variable kind is a contiguous (B, m, m) or (B, m) slab per group of
+buses, so every step works on reshaped views.
+
+The x-step runs once per group of buses with one phase count (the root on
+its own) and then projects every phase's injection at once; the y-step
+runs once per y-block signature through a prefactored ``YNodeSolver``;
+the multiplier update and the residuals are single operations on whole
+buffers. Data crosses a tree edge only where a step reads an entry that
+another bus owns; those entries are the messages, and the message audit
+is derived from them. Every step applies the per-bus arithmetic
+elementwise and reduces in a fixed order, so runs are deterministic bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +51,14 @@ from .subproblems import (
     project_injection_disk,
     solve_x0_matrix,
     solve_x1_voltage,
+    y_signature,
 )
 
 __all__ = [
     "SolverConfig",
     "IterationStats",
-    "AgentState",
-    "XShare",
-    "YShare",
+    "State",
+    "BusView",
     "RunResult",
     "SolverError",
     "initialize",
@@ -66,7 +79,7 @@ PHASE_REFERENCE = {
 
 
 class SolverError(RuntimeError):
-    """Subproblem failure surfaced with its bus and iteration."""
+    """Subproblem failure surfaced with its iteration."""
 
 
 @dataclass(frozen=True)
@@ -92,94 +105,308 @@ class IterationStats:
     objective: float
 
 
-@dataclass(frozen=True)
-class XShare:
-    """Primal components a neighbor needs for its y-step.
-
-    Parent to child: the parent's voltage matrix. Child to parent: the
-    child's branch power and current matrices.
-    """
-
-    sender: int
-    receiver: int
-    v: np.ndarray | None = None
-    S: np.ndarray | None = None
-    ell: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class YShare:
-    """Observation and multiplier a neighbor holds about the receiver.
-
-    Parent to child: the flow observation. Child to parent: the voltage
-    observation.
-    """
-
-    sender: int
-    receiver: int
-    flow: FlowObservation | None = None
-    voltage: VoltageObservation | None = None
-
-
 @dataclass
-class AgentState:
-    """Everything bus i owns: primal copies, observations, multipliers, caches."""
+class BusView:
+    """Bus i's share of the run's buffers under per-agent names.
+
+    Every array is a view, so writing into one writes the run's state.
+    ``y_child`` and ``ycache_child`` are keyed by child id;
+    ``ycache_parent`` is the parent's copy of this bus's (S, ell).
+    """
 
     bus: BusSpec
     line: LineSpec | None
     children: tuple[int, ...]
-    ysolver: YNodeSolver
-
-    x0: XBlock = None
-    x1_v: np.ndarray = None
-
-    # observations owned by this agent
-    y_v: np.ndarray = None
-    y_s: np.ndarray = None
-    y_S: np.ndarray | None = None
-    y_ell: np.ndarray | None = None
-    y_parent_v: np.ndarray | None = None
-    y_child: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    y_prev: list[np.ndarray] = field(default_factory=list)
-
-    # multipliers owned by this agent
-    lam1: np.ndarray = None
-    mu_v: np.ndarray = None
-    mu_s: np.ndarray = None
-    mu_S: np.ndarray | None = None
-    mu_ell: np.ndarray | None = None
-    mu_parent_v: np.ndarray | None = None
-    mu_child: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    # latest neighbor payloads
-    xcache_parent_v: np.ndarray | None = None
-    xcache_child: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    ycache_parent: FlowObservation | None = None
-    ycache_child: dict[int, VoltageObservation] = field(default_factory=dict)
+    x0: XBlock
+    x1_v: np.ndarray
+    lam1: np.ndarray
+    y_v: np.ndarray
+    y_s: np.ndarray
+    y_S: np.ndarray | None
+    y_ell: np.ndarray | None
+    y_parent_v: np.ndarray | None
+    y_child: dict[int, tuple[np.ndarray, np.ndarray]]
+    mu_v: np.ndarray
+    mu_s: np.ndarray
+    mu_S: np.ndarray | None
+    mu_ell: np.ndarray | None
+    mu_parent_v: np.ndarray | None
+    ycache_parent: FlowObservation | None
+    ycache_child: dict[int, VoltageObservation]
 
     @property
     def is_root(self) -> bool:
         return self.line is None
 
-    def self_observation(self) -> SelfObservation:
-        return SelfObservation(
-            self.y_v,
-            self.y_s,
-            self.y_S,
-            self.y_ell,
-            self.mu_v,
-            self.mu_s,
-            self.mu_S,
-            self.mu_ell,
+
+@dataclass
+class _Group:
+    """Buses of one phase count m, all non-root or the root alone.
+
+    Rows are ordered by descending child count, then id, so the buses
+    with a k-th child are a leading prefix of the rows. ``x``, ``y``,
+    ``flow`` and ``kids`` are views of the buffers: the buses' primal
+    copies, their own observations and multipliers, the parents' copies
+    of their (S, ell), and per child slot the children's copies of their
+    v. ``s_hat`` is the group's slab of the injection prox centers, and
+    ``v_lo``/``v_hi`` are the buses' voltage bounds, shape (B, m).
+    """
+
+    x: XBlock
+    x1_v: np.ndarray
+    lam1: np.ndarray
+    y: SelfObservation
+    flow: FlowObservation | None
+    kids: list[VoltageObservation]
+    s_hat: np.ndarray
+    v_lo: np.ndarray
+    v_hi: np.ndarray
+
+
+class _Injections:
+    """Every phase's cost and injection region, in the order of the
+    groups' s slabs: ``box`` holds the positions of the box phases and
+    ``disks`` the (position, radius) of the half-disk phases."""
+
+    def __init__(self, buses: list[BusSpec]):
+        phases = [(reg, cost) for b in buses for reg, cost in zip(b.regions, b.cost)]
+        self.alpha = np.array([cost.alpha for _, cost in phases])
+        self.beta = np.array([cost.beta for _, cost in phases])
+        boxes = [k for k, (reg, _) in enumerate(phases) if isinstance(reg, Box)]
+        self.box = np.array(boxes, dtype=int)
+        self.box_bounds = tuple(
+            np.array([getattr(phases[k][0], name) for k in boxes])
+            for name in ("p_lo", "p_hi", "q_lo", "q_hi")
+        )
+        self.disks = [(k, reg.s_max) for k, (reg, _) in enumerate(phases) if isinstance(reg, Disk)]
+
+
+class State:
+    """The buffers of one run, their index maps, and the bus groups.
+
+    ``pair[e]`` is the x entry that y entry e observes; ``v_index`` lists
+    the entries of the buses' own v in x (and y), in the order of
+    ``x1_v`` and ``lam1``, and ``s_index`` those of s, in the order of
+    ``s_hat`` and ``injections``. ``x_shares`` and ``y_shares`` are the
+    directed (sender, receiver) bus pairs of the entries that the y-step
+    and the x-step read across a tree edge.
+    """
+
+    def __init__(self, model: FeederModel, config: SolverConfig):
+        self.model = model
+        self._by_id = {b.id: b for b in model.buses}
+        self._lines = {ln.bus: ln for ln in model.lines}
+        kids = self._kids = model.children
+
+        members: dict[tuple[bool, int], list[int]] = {}
+        for b in model.buses:
+            members.setdefault((b.id in self._lines, len(b.phases)), []).append(b.id)
+        keys = sorted(members)
+        rows = [tuple(sorted(members[key], key=lambda i: (-len(kids[i]), i))) for key in keys]
+        self._where = {i: (g, r) for g, ids in enumerate(rows) for r, i in enumerate(ids)}
+
+        # x: per group the slabs of v, s and, off the root, S and ell
+        x_alloc = _Alloc()
+        self._slabs = []
+        for (branch, m), ids in zip(keys, rows):
+            shapes = [(len(ids), m, m), (len(ids), m)] + [(len(ids), m, m)] * (2 * branch)
+            self._slabs.append(_Slabs([x_alloc.take(shape, ids) for shape in shapes]))
+        # y: the own copies laid out as x, then per group the parents' copies
+        # of (S, ell) and, per child slot, the children's copies of v
+        y_alloc = _Alloc(x_alloc)
+        for (branch, m), ids, slabs in zip(keys, rows, self._slabs):
+            if branch:
+                parents = [model.parent[i] for i in ids]
+                slabs.flow = [y_alloc.take(slab[1], parents, slab[0]) for slab in slabs.own[2:]]
+            for k in range(max(len(kids[i]) for i in ids)):
+                holders = [kids[i][k] for i in ids if len(kids[i]) > k]
+                slabs.kids.append(y_alloc.take((len(holders), m, m), holders, slabs.own[0][0]))
+        v_alloc = _Alloc()
+        v_slabs = [v_alloc.take(slabs.own[0][1], ids) for ids, slabs in zip(rows, self._slabs)]
+        s_alloc = _Alloc()
+        s_slabs = [s_alloc.take(slabs.own[1][1], ids) for ids, slabs in zip(rows, self._slabs)]
+
+        self.pair = np.concatenate(y_alloc.observes)
+        self.v_index = np.concatenate([_entries(slabs.own[0]) for slabs in self._slabs])
+        self.s_index = np.concatenate([_entries(slabs.own[1]) for slabs in self._slabs])
+        self.s_hat = np.zeros(s_alloc.size, dtype=complex)
+        self.injections = _Injections([self._by_id[i] for ids in rows for i in ids])
+        self.x = np.zeros(x_alloc.size, dtype=complex)
+        self.y = np.zeros(y_alloc.size, dtype=complex)
+        self.y_prev = np.zeros(y_alloc.size, dtype=complex)
+        self.mu = np.zeros(y_alloc.size, dtype=complex)
+        self.x1_v = np.zeros(v_alloc.size, dtype=complex)
+        self.lam1 = np.zeros(v_alloc.size, dtype=complex)
+
+        owner_y = np.concatenate(y_alloc.owners)
+        owner_x = owner_y[self.pair]
+        cross = owner_y != owner_x
+        self.y_shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
+        self.x_shares = {(b, a) for a, b in self.y_shares}
+
+        self.groups = [
+            self._group(*args) for args in zip(rows, self._slabs, v_slabs, s_slabs)
+        ]
+
+        signatures: dict[tuple, tuple[list, list]] = {}
+        for b in model.buses:
+            ctx = self._context(b.id)
+            ctxs, index = signatures.setdefault(y_signature(ctx), ([], []))
+            ctxs.append(ctx)
+            index.append(self._y_entries(b.id))
+        self.ysolvers = [
+            YNodeSolver(ctxs, config.rho, np.array(index)) for ctxs, index in signatures.values()
+        ]
+
+    def _group(self, ids, slabs: "_Slabs", v_slab, s_slab) -> _Group:
+        def views(buf, group):
+            return [_view(buf, slab) for slab in group]
+
+        x = views(self.x, slabs.own)
+        y = views(self.y, slabs.own)
+        mu = views(self.mu, slabs.own)
+        if slabs.flow:
+            y_S, y_ell = views(self.y, slabs.flow)
+            mu_S, mu_ell = views(self.mu, slabs.flow)
+            flow = FlowObservation(y_S, y_ell, mu_S, mu_ell)
+        else:
+            x += [None, None]
+            y += [None, None]
+            mu += [None, None]
+            flow = None
+        return _Group(
+            x=XBlock(*x),
+            x1_v=_view(self.x1_v, v_slab),
+            lam1=_view(self.lam1, v_slab),
+            y=SelfObservation(*y, *mu),
+            flow=flow,
+            kids=[
+                VoltageObservation(_view(self.y, slab), _view(self.mu, slab))
+                for slab in slabs.kids
+            ],
+            s_hat=_view(self.s_hat, s_slab),
+            v_lo=np.array([self._by_id[i].v_lo for i in ids]),
+            v_hi=np.array([self._by_id[i].v_hi for i in ids]),
         )
 
-    def stacked_y(self) -> list[np.ndarray]:
-        out = [self.y_v, self.y_s]
-        if not self.is_root:
-            out += [self.y_S, self.y_ell, self.y_parent_v]
-        for j in sorted(self.y_child):
-            out += list(self.y_child[j])
-        return out
+    def _context(self, i: int) -> YContext:
+        bus = self._by_id[i]
+        line = self._lines.get(i)
+        return YContext(
+            bus_id=i,
+            phases=bus.phases,
+            z=None if line is None else line.z,
+            parent_phases=None if line is None else self._by_id[line.parent].phases,
+            children=tuple((j, self._by_id[j].phases, self._lines[j].z) for j in self._kids[i]),
+        )
+
+    def _y_entries(self, i: int) -> np.ndarray:
+        """Positions in y of bus i's y-blocks, in its y-solver's layout order:
+        v, s, [S, ell, parent v], then (S, ell) of each child."""
+        g, r = self._where[i]
+        rows = [(slab, r) for slab in self._slabs[g].own]
+        if i in self._lines:
+            parent = self.model.parent[i]
+            par_g, par_r = self._where[parent]
+            rows.append((self._slabs[par_g].kids[self._kids[parent].index(i)], par_r))
+        for j in self._kids[i]:
+            jg, jr = self._where[j]
+            rows += [(slab, jr) for slab in self._slabs[jg].flow]
+        return np.concatenate([_entries(slab, r) for slab, r in rows])
+
+    def bus(self, i: int) -> BusView:
+        """Bus i's views of the buffers."""
+        g, r = self._where[i]
+        group = self.groups[g]
+        line = self._lines.get(i)
+        y = group.y
+        kids = self._kids[i]
+
+        def row(a):
+            return None if a is None else a[r]
+
+        y_parent_v = mu_parent_v = ycache_parent = None
+        if line is not None:
+            par_g, par_r = self._where[line.parent]
+            held = self.groups[par_g].kids[self._kids[line.parent].index(i)]
+            y_parent_v, mu_parent_v = held.v[par_r], held.mu_v[par_r]
+            f = group.flow
+            ycache_parent = FlowObservation(f.S[r], f.ell[r], f.mu_S[r], f.mu_ell[r])
+        y_child = {}
+        for j in kids:
+            jg, jr = self._where[j]
+            y_child[j] = (self.groups[jg].flow.S[jr], self.groups[jg].flow.ell[jr])
+        return BusView(
+            bus=self._by_id[i],
+            line=line,
+            children=kids,
+            x0=XBlock(*(row(a) for a in (group.x.v, group.x.s, group.x.S, group.x.ell))),
+            x1_v=group.x1_v[r],
+            lam1=group.lam1[r],
+            y_v=y.v[r],
+            y_s=y.s[r],
+            y_S=row(y.S),
+            y_ell=row(y.ell),
+            y_parent_v=y_parent_v,
+            y_child=y_child,
+            mu_v=y.mu_v[r],
+            mu_s=y.mu_s[r],
+            mu_S=row(y.mu_S),
+            mu_ell=row(y.mu_ell),
+            mu_parent_v=mu_parent_v,
+            ycache_parent=ycache_parent,
+            ycache_child={
+                j: VoltageObservation(group.kids[k].v[r], group.kids[k].mu_v[r])
+                for k, j in enumerate(kids)
+            },
+        )
+
+
+@dataclass
+class _Slabs:
+    """One group's slabs, as (start, shape): its own v, s[, S, ell] in x
+    and y, the parents' copies of (S, ell), and per child slot the
+    children's copies of v."""
+
+    own: list
+    flow: list = field(default_factory=list)
+    kids: list = field(default_factory=list)
+
+
+class _Alloc:
+    """Hands out consecutive slabs of one flat buffer.
+
+    Records the bus that owns each entry and, for y, the x entry it
+    observes; a y allocator starts after the own copies, laid out as x.
+    """
+
+    def __init__(self, own: "_Alloc | None" = None):
+        self.size = 0 if own is None else own.size
+        self.owners = [] if own is None else list(own.owners)
+        self.observes = [] if own is None else [np.arange(own.size)]
+
+    def take(self, shape: tuple[int, ...], owners, observed: int | None = None):
+        start = self.size
+        count = math.prod(shape)
+        self.size += count
+        self.owners.append(np.repeat(np.asarray(owners, dtype=int), count // shape[0]))
+        if observed is not None:
+            self.observes.append(np.arange(observed, observed + count))
+        return start, shape
+
+
+def _view(buf: np.ndarray, slab) -> np.ndarray:
+    start, shape = slab
+    return buf[start : start + math.prod(shape)].reshape(shape)
+
+
+def _entries(slab, row: int | None = None) -> np.ndarray:
+    """Entry positions of a slab, or of one of its rows."""
+    start, shape = slab
+    if row is None:
+        return np.arange(start, start + math.prod(shape))
+    size = math.prod(shape[1:])
+    return np.arange(start + row * size, start + (row + 1) * size)
 
 
 def _flat_voltage(phases: PhaseSet) -> np.ndarray:
@@ -190,30 +417,7 @@ def _initial_injection(bus: BusSpec) -> np.ndarray:
     return np.array([r.initial_point() for r in bus.regions], dtype=complex)
 
 
-def _build_agents(model: FeederModel, config: SolverConfig) -> dict[int, AgentState]:
-    by_id = {b.id: b for b in model.buses}
-    lines = {ln.bus: ln for ln in model.lines}
-    agents: dict[int, AgentState] = {}
-    for bus in model.buses:
-        line = lines.get(bus.id)
-        kids = model.children[bus.id]
-        ctx = YContext(
-            bus_id=bus.id,
-            phases=bus.phases,
-            z=None if line is None else line.z,
-            parent_phases=None if line is None else by_id[line.parent].phases,
-            children=tuple((j, by_id[j].phases, lines[j].z) for j in kids),
-        )
-        agents[bus.id] = AgentState(
-            bus=bus,
-            line=line,
-            children=kids,
-            ysolver=YNodeSolver(ctx, config.rho),
-        )
-    return agents
-
-
-def initialize(model: FeederModel, config: SolverConfig | None = None) -> dict[int, AgentState]:
+def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
     """Flat-start state per the zero-impedance heuristic.
 
     Voltages start at the nominal 120-degree references, injections at a
@@ -223,11 +427,11 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> dict[i
     """
     if config is None:
         config = SolverConfig()
-    agents = _build_agents(model, config)
-    order = sorted(agents)
+    state = State(model, config)
+    buses = {b.id: b for b in model.buses}
 
-    volt = {i: _flat_voltage(agents[i].bus.phases) for i in order}
-    inj = {i: _initial_injection(agents[i].bus) for i in order}
+    volt = {i: _flat_voltage(b.phases) for i, b in buses.items()}
+    inj = {i: _initial_injection(b) for i, b in buses.items()}
 
     # bottom-up accumulation of branch currents (children before parents)
     current: dict[int, np.ndarray] = {}
@@ -236,258 +440,118 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> dict[i
     while stack:
         i = stack.pop()
         post.append(i)
-        stack.extend(agents[i].children)
+        stack.extend(model.children[i])
     for i in reversed(post):
-        agent = agents[i]
         amps = np.conj(inj[i] / volt[i])
-        for j in agent.children:
-            child_phases = agents[j].bus.phases
-            idx = child_phases.indices_in(agent.bus.phases)
+        for j in model.children[i]:
+            idx = buses[j].phases.indices_in(buses[i].phases)
             amps[idx] += current[j]
         current[i] = amps
 
-    for i in order:
-        agent = agents[i]
-        v = np.outer(volt[i], volt[i].conj())
-        agent.x0 = XBlock(v=v, s=inj[i].copy())
-        if not agent.is_root:
-            amps = current[i]
-            agent.x0.S = np.outer(volt[i], amps.conj())
-            agent.x0.ell = np.outer(amps, amps.conj())
-        agent.x1_v = v.copy()
-
-    for i in order:
-        agent = agents[i]
-        v = agent.x0.v
-        agent.y_v = v.copy()
-        agent.y_s = agent.x0.s.copy()
-        n = len(agent.bus.phases)
-        agent.lam1 = np.zeros((n, n), dtype=complex)
-        agent.mu_v = np.zeros((n, n), dtype=complex)
-        agent.mu_s = np.zeros(n, dtype=complex)
-        if not agent.is_root:
-            agent.y_S = agent.x0.S.copy()
-            agent.y_ell = agent.x0.ell.copy()
-            agent.mu_S = np.zeros((n, n), dtype=complex)
-            agent.mu_ell = np.zeros((n, n), dtype=complex)
-            parent = agents[agent.line.parent]
-            mp = len(parent.bus.phases)
-            agent.y_parent_v = np.outer(volt[parent.bus.id], volt[parent.bus.id].conj())
-            agent.mu_parent_v = np.zeros((mp, mp), dtype=complex)
-            agent.xcache_parent_v = agent.y_parent_v.copy()
-        for j in agent.children:
-            child = agents[j]
-            agent.y_child[j] = (child.x0.S.copy(), child.x0.ell.copy())
-            nc = len(child.bus.phases)
-            agent.mu_child[j] = (
-                np.zeros((nc, nc), dtype=complex),
-                np.zeros((nc, nc), dtype=complex),
-            )
-            agent.xcache_child[j] = (child.x0.S.copy(), child.x0.ell.copy())
-
-    _deliver_y_shares(agents, order, None)
-    return agents
+    for i in buses:
+        view = state.bus(i)
+        view.x0.v[...] = np.outer(volt[i], volt[i].conj())
+        view.x0.s[...] = inj[i]
+        if not view.is_root:
+            view.x0.S[...] = np.outer(volt[i], current[i].conj())
+            view.x0.ell[...] = np.outer(current[i], current[i].conj())
+        view.x1_v[...] = view.x0.v
+    state.y[...] = state.x[state.pair]
+    state.y_prev[...] = state.y
+    return state
 
 
 # ---------------------------------------------------------------------------
-# message rounds
+# rounds
 # ---------------------------------------------------------------------------
 
 
-def _deliver_y_shares(agents, order, audit):
-    for i in order:
-        agent = agents[i]
-        if not agent.is_root:
-            parent = agents[agent.line.parent]
-            msg = YShare(
-                sender=i,
-                receiver=parent.bus.id,
-                voltage=VoltageObservation(agent.y_parent_v, agent.mu_parent_v),
-            )
-            if audit is not None:
-                audit.add((msg.sender, msg.receiver))
-            parent.ycache_child[i] = msg.voltage
-        for j in agent.children:
-            s_obs, ell_obs = agent.y_child[j]
-            mu_s_obs, mu_ell_obs = agent.mu_child[j]
-            msg = YShare(
-                sender=i,
-                receiver=j,
-                flow=FlowObservation(s_obs, ell_obs, mu_s_obs, mu_ell_obs),
-            )
-            if audit is not None:
-                audit.add((msg.sender, msg.receiver))
-            agents[j].ycache_parent = msg.flow
-
-
-def _deliver_x_shares(agents, order, audit):
-    for i in order:
-        agent = agents[i]
-        if not agent.is_root:
-            msg = XShare(
-                sender=i,
-                receiver=agent.line.parent,
-                S=agent.x0.S,
-                ell=agent.x0.ell,
-            )
-            if audit is not None:
-                audit.add((msg.sender, msg.receiver))
-            agents[msg.receiver].xcache_child[i] = (msg.S, msg.ell)
-        for j in agent.children:
-            msg = XShare(sender=i, receiver=j, v=agent.x0.v)
-            if audit is not None:
-                audit.add((msg.sender, msg.receiver))
-            agents[j].xcache_parent_v = msg.v
-
-
-def _x_update_agent(agent: AgentState, rho: float) -> None:
-    bus = agent.bus
-    if set(agent.ycache_child) != set(agent.children) or (
-        not agent.is_root and agent.ycache_parent is None
-    ):
-        raise ValueError(f"bus {bus.id}: missing neighbor observation")
-    child_obs = [agent.ycache_child[j] for j in sorted(agent.ycache_child)]
-    hat = complete_square_x0(
-        agent.self_observation(), agent.ycache_parent, child_obs, rho
-    )
-    if agent.is_root:
-        v_new, S_new, ell_new = hat.v_hat, None, None
-    else:
-        v_new, S_new, ell_new = solve_x0_matrix(hat)
-
-    s_new = np.empty(len(bus.phases), dtype=complex)
-    for t, region in enumerate(bus.regions):
-        cost = bus.cost[t]
-        a1 = cost.alpha + rho
-        b1 = cost.beta - rho * hat.s_hat[t].real
-        a2 = rho
-        b2 = -rho * hat.s_hat[t].imag
-        if isinstance(region, Box):
-            p, q = project_injection_box(
-                a1, b1, a2, b2, region.p_lo, region.p_hi, region.q_lo, region.q_hi
-            )
-        elif isinstance(region, Disk):
-            if region.s_max == 0.0:
-                p, q = 0.0, 0.0
-            else:
-                p, q = project_injection_disk(a1, b1, a2, b2, region.s_max)
-        else:  # pragma: no cover - regions are a closed union
-            raise SolverError(f"bus {bus.id}: unknown region {region!r}")
-        s_new[t] = complex(p, q)
-
-    agent.x0 = XBlock(v=v_new, s=s_new, S=S_new, ell=ell_new)
-    agent.x1_v = solve_x1_voltage(agent.lam1, agent.y_v, bus.v_lo, bus.v_hi, rho)
-
-
-def _y_update_agent(agent: AgentState, rho: float) -> None:
-    solver = agent.ysolver
-    c = solver.assemble_c(
-        agent.x0,
-        agent.x1_v,
-        agent.self_observation(),
-        agent.lam1,
-        agent.mu_parent_v,
-        agent.xcache_parent_v,
-        agent.mu_child,
-        agent.xcache_child,
-    )
-    local = solver.solve(c)
-    agent.y_prev = agent.stacked_y()
-    agent.y_v = local.v_self
-    agent.y_s = local.s_self
-    if not agent.is_root:
-        agent.y_S = local.S_self
-        agent.y_ell = local.ell_self
-        agent.y_parent_v = local.v_parent
-    agent.y_child = {j: local.child_flows[j] for j in agent.children}
-
-
-def _multiplier_update_agent(agent: AgentState, rho: float) -> None:
-    agent.lam1 = agent.lam1 + rho * (agent.x1_v - agent.y_v)
-    agent.mu_v = agent.mu_v + rho * (agent.x0.v - agent.y_v)
-    agent.mu_s = agent.mu_s + rho * (agent.x0.s - agent.y_s)
-    if not agent.is_root:
-        agent.mu_S = agent.mu_S + rho * (agent.x0.S - agent.y_S)
-        agent.mu_ell = agent.mu_ell + rho * (agent.x0.ell - agent.y_ell)
-        agent.mu_parent_v = agent.mu_parent_v + rho * (
-            agent.xcache_parent_v - agent.y_parent_v
-        )
-    for j in agent.children:
-        mu_S_j, mu_ell_j = agent.mu_child[j]
-        S_j, ell_j = agent.xcache_child[j]
-        y_S_j, y_ell_j = agent.y_child[j]
-        agent.mu_child[j] = (
-            mu_S_j + rho * (S_j - y_S_j),
-            mu_ell_j + rho * (ell_j - y_ell_j),
-        )
-
-
-def _run_round(agents, order, fn, rho, iteration):
+@contextmanager
+def _surfaced(iteration: int):
+    """Re-raise a kernel's ValueError as a SolverError naming the iteration."""
     try:
-        for i in order:
-            fn(agents[i], rho)
+        yield
     except ValueError as exc:
         raise SolverError(f"iteration {iteration}: {exc}") from exc
 
 
-def x_update_round(agents, config: SolverConfig, audit=None, iteration=0):
-    """Refresh observation shares, then update every x_{i0} and x_{i1}."""
-    order = sorted(agents)
-    _deliver_y_shares(agents, order, audit)
-    _run_round(agents, order, _x_update_agent, config.rho, iteration)
+def _x_update_group(group: _Group, rho: float) -> None:
+    x = group.x
+    hat = complete_square_x0(group.y, group.flow, group.kids, rho)
+    if group.flow is None:
+        x.v[...] = hat.v_hat
+    else:
+        x.v[...], x.S[...], x.ell[...] = solve_x0_matrix(hat)
+    group.s_hat[...] = hat.s_hat
+    group.x1_v[...] = solve_x1_voltage(group.lam1, group.y.v, group.v_lo, group.v_hi, rho)
 
 
-def y_update_round(agents, config: SolverConfig, audit=None, iteration=0):
-    """Refresh primal shares, then re-solve every neighborhood observation set."""
-    order = sorted(agents)
-    _deliver_x_shares(agents, order, audit)
-    _run_round(agents, order, _y_update_agent, config.rho, iteration)
+def _project_injections(state: State, rho: float) -> None:
+    """Every phase's injection: the box clamp for all box phases at once,
+    then the half-disk projection once per DER phase."""
+    inj = state.injections
+    a1 = inj.alpha + rho
+    b1 = inj.beta - rho * state.s_hat.real
+    b2 = -rho * state.s_hat.imag
+    box = inj.box
+    s = np.empty_like(state.s_hat)
+    s.real[box], s.imag[box] = project_injection_box(
+        a1[box], b1[box], rho, b2[box], *inj.box_bounds
+    )
+    for k, s_max in inj.disks:
+        p = q = 0.0
+        if s_max != 0.0:
+            p, q = project_injection_disk(float(a1[k]), float(b1[k]), rho, float(b2[k]), s_max)
+        s[k] = complex(p, q)
+    state.x[state.s_index] = s
 
 
-def multiplier_update_round(agents, rho: float, iteration=0):
+def x_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
+    """Deliver the observation shares, then update every x_{i0} and x_{i1}."""
+    if audit is not None:
+        audit.update(state.y_shares)
+    with _surfaced(iteration):
+        for group in state.groups:
+            _x_update_group(group, config.rho)
+        _project_injections(state, config.rho)
+
+
+def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
+    """Deliver the primal shares, then re-solve every neighborhood observation set."""
+    if audit is not None:
+        audit.update(state.x_shares)
+    v = state.v_index
+    mu = state.mu.copy()
+    mu[v] += state.lam1
+    x = state.x[state.pair]
+    x[v] = 2.0 * x[v] + state.x1_v
+    np.copyto(state.y_prev, state.y)
+    with _surfaced(iteration):
+        for solver in state.ysolvers:
+            solver.solve(solver.assemble_c(mu, x), state.y)
+
+
+def multiplier_update_round(state: State, rho: float, iteration=0):
     """Dual ascent: every multiplier moves by rho times its consensus gap."""
-    order = sorted(agents)
-    _run_round(agents, order, _multiplier_update_agent, rho, iteration)
+    state.lam1 += rho * (state.x1_v - state.y[state.v_index])
+    state.mu += rho * (state.x[state.pair] - state.y)
 
 
 def _sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def compute_residuals(agents, rho: float) -> tuple[float, float]:
-    """Primal gap norm ||x - y|| and scaled dual change rho * ||y - y_prev||.
-
-    Sums run in ascending bus order, so every run reduces in the same order.
-    """
-    r_sq = 0.0
-    s_sq = 0.0
-    for i in sorted(agents):
-        agent = agents[i]
-        r_sq += _sq(agent.x1_v - agent.y_v)
-        r_sq += _sq(agent.x0.v - agent.y_v)
-        r_sq += _sq(agent.x0.s - agent.y_s)
-        if not agent.is_root:
-            r_sq += _sq(agent.x0.S - agent.y_S)
-            r_sq += _sq(agent.x0.ell - agent.y_ell)
-            r_sq += _sq(agent.xcache_parent_v - agent.y_parent_v)
-        for j in agent.children:
-            S_j, ell_j = agent.xcache_child[j]
-            y_S_j, y_ell_j = agent.y_child[j]
-            r_sq += _sq(S_j - y_S_j)
-            r_sq += _sq(ell_j - y_ell_j)
-        if agent.y_prev:
-            for old, new in zip(agent.y_prev, agent.stacked_y()):
-                s_sq += _sq(new - old)
-    return math.sqrt(r_sq), rho * math.sqrt(s_sq)
+def compute_residuals(state: State, rho: float) -> tuple[float, float]:
+    """Primal gap norm ||x - y|| and scaled dual change rho * ||y - y_prev||."""
+    r_sq = _sq(state.x1_v - state.y[state.v_index]) + _sq(state.x[state.pair] - state.y)
+    return math.sqrt(r_sq), rho * math.sqrt(_sq(state.y - state.y_prev))
 
 
-def compute_objective(agents) -> float:
-    total = 0.0
-    for i in sorted(agents):
-        agent = agents[i]
-        for t, cost in enumerate(agent.bus.cost):
-            total += cost.value(float(agent.x0.s[t].real))
-    return total
+def compute_objective(state: State) -> float:
+    """Sum of the phase costs f(p) = alpha/2 p^2 + beta p at the injections."""
+    inj = state.injections
+    p = state.x[state.s_index].real
+    return float((0.5 * inj.alpha * p * p + inj.beta * p).sum())
 
 
 @dataclass
@@ -526,7 +590,7 @@ def run(
 
         raise FeederValidationError(violations)
 
-    agents = initialize(model, config)
+    state = initialize(model, config)
     tol = config.tol_scale * math.sqrt(len(model))
     audit: set[tuple[int, int]] | None = set() if record_messages else None
     history: list[IterationStats] = []
@@ -536,15 +600,15 @@ def run(
     t_start = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        x_update_round(agents, config, audit, k)
+        x_update_round(state, config, audit, k)
         t1 = time.perf_counter()
-        y_update_round(agents, config, audit, k)
+        y_update_round(state, config, audit, k)
         t2 = time.perf_counter()
-        multiplier_update_round(agents, config.rho, k)
+        multiplier_update_round(state, config.rho, k)
         x_time += t1 - t0
         y_time += t2 - t1
-        r, s = compute_residuals(agents, config.rho)
-        history.append(IterationStats(k, r, s, compute_objective(agents)))
+        r, s = compute_residuals(state, config.rho)
+        history.append(IterationStats(k, r, s, compute_objective(state)))
         if not (math.isfinite(r) and math.isfinite(s)):
             status = "diverged"
             break
@@ -552,7 +616,7 @@ def run(
             status = "converged"
             break
     wall = time.perf_counter() - t_start
-    solution = {i: agents[i].x0.copy() for i in agents}
+    solution = {b.id: state.bus(b.id).x0.copy() for b in model.buses}
     return RunResult(
         solution=solution,
         history=history,

@@ -3,7 +3,9 @@
 Provides the real inner product <x, y> = Re(tr(x^H y)), the
 eigendecomposition (LAPACK's Hermitian solver through
 ``numpy.linalg.eigh``), and projection onto the positive semidefinite
-cone (keep the eigenpairs with strictly positive eigenvalues).
+cone (keep the eigenpairs with strictly positive eigenvalues). The
+decomposition and the projection take one matrix or a stack of shape
+(..., n, n), so the x-step projects all blocks of one size in one call.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ __all__ = [
 ]
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues sorted descending and the matching orthonormal columns."""
@@ -29,7 +36,7 @@ class EigenDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * self.eigenvalues[..., None, :]) @ _adjoint(u)
 
 
 def inner(x, y) -> float:
@@ -42,30 +49,30 @@ def inner(x, y) -> float:
 
 
 def eigh(w) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by LAPACK.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack, by LAPACK.
 
     LAPACK reads one triangle only, so the input is first symmetrized as
     (a + a^H)/2.
     """
     a = np.asarray(w, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    a = 0.5 * (a + a.conj().T)
+    a = 0.5 * (a + _adjoint(a))
     values, vectors = np.linalg.eigh(a)
-    return EigenDecomposition(values[::-1], vectors[:, ::-1])
+    return EigenDecomposition(values[..., ::-1], vectors[..., ::-1])
 
 
 def psd_project(w) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius distance.
+    """Nearest positive semidefinite matrix in Frobenius distance, per matrix.
 
     Keeps exactly the eigenpairs with strictly positive eigenvalues:
     X = sum_{lambda_i > 0} lambda_i u_i u_i^H, returned exactly Hermitian
-    as (X + X^H)/2. Thresholding with tolerances is left to callers; the
-    kernel follows the definition.
+    as (X + X^H)/2. The other eigenvalues are masked to zero, so a stack
+    is projected in one product. Thresholding with tolerances is left to
+    callers; the kernel follows the definition.
     """
     dec = eigh(w)
-    # eigenvalues are descending, so the kept pairs are a leading prefix
-    k = np.count_nonzero(dec.eigenvalues > 0.0)
-    u = dec.eigenvectors[:, :k]
-    x = (u * dec.eigenvalues[:k]) @ u.conj().T
-    return 0.5 * (x + x.conj().T)
+    kept = np.where(dec.eigenvalues > 0.0, dec.eigenvalues, 0.0)
+    u = dec.eigenvectors
+    x = (u * kept[..., None, :]) @ _adjoint(u)
+    return 0.5 * (x + _adjoint(x))

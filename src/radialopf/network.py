@@ -318,11 +318,16 @@ def validate_radial(model: FeederModel) -> list[str]:
 
 
 def _finite(value, context: str) -> float:
-    """``float(value)`` of a JSON number; NaN, infinities, strings and
-    booleans raise with the field's context."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise FeederParseError(f"{context}: {value!r} is not a finite number")
-    return float(value)
+    """``float(value)`` of a JSON number; NaN, infinities, integers beyond
+    the float range, strings and booleans raise with the field's context."""
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise FeederParseError(f"{context}: {value!r} is not a finite number")
 
 
 def _bound(value, context: str) -> float:

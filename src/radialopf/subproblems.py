@@ -1,4 +1,4 @@
-"""Per-bus solver kernels for the distributed OPF iteration.
+"""Solver kernels for the distributed OPF iteration, on stacks of buses.
 
 Each bus alternates between two kinds of local problems:
 
@@ -12,6 +12,12 @@ Each bus alternates between two kinds of local problems:
   branch-flow equalities, a positive-diagonal quadratic over a real
   parameter vector with a full-row-rank constraint matrix, solved in
   closed form.
+
+The engine runs each kernel once for a group of buses: the matrix kernels
+take arrays with a leading bus axis, the box projection and the voltage
+clamp work elementwise, and one ``YNodeSolver`` holds the stacked
+operators of all buses with one neighborhood shape. Only the half-disk
+projection stays scalar; it runs once per DER phase.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hermitian import psd_project
-from .network import PhaseSet, phase_lift, phase_project
+from .network import PhaseSet
 
 __all__ = [
     "XBlock",
@@ -41,6 +47,7 @@ __all__ = [
     "YContext",
     "YLocal",
     "YNodeSolver",
+    "y_signature",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -103,7 +110,7 @@ class VoltageObservation:
 
 @dataclass
 class HatConstants:
-    """Square-completion targets for one bus's x-step.
+    """Square-completion targets of the x-step, for one bus or a stack.
 
     ``v_hat``/``S_hat``/``ell_hat`` assemble into the Hermitian target of
     the PSD block distance; ``s_hat`` is the injection prox center. The
@@ -118,12 +125,12 @@ class HatConstants:
     def block(self) -> np.ndarray:
         if self.S_hat is None or self.ell_hat is None:
             raise ValueError("root hat constants have no matrix block")
-        m = self.v_hat.shape[0]
-        w = np.empty((2 * m, 2 * m), dtype=complex)
-        w[:m, :m] = self.v_hat
-        w[:m, m:] = self.S_hat
-        w[m:, :m] = self.S_hat.conj().T
-        w[m:, m:] = self.ell_hat
+        m = self.v_hat.shape[-1]
+        w = np.empty(self.v_hat.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+        w[..., :m, :m] = self.v_hat
+        w[..., :m, m:] = self.S_hat
+        w[..., m:, :m] = self.S_hat.conj().swapaxes(-1, -2)
+        w[..., m:, m:] = self.ell_hat
         return w
 
 
@@ -134,6 +141,11 @@ def complete_square_x0(
     rho: float,
 ) -> HatConstants:
     """Collapse the weighted observation penalties into prox targets.
+
+    Works on a stack of buses: every array has a leading bus axis.
+    ``child_obs`` has one entry per child slot; slot k stacks the voltage
+    copies held by the k-th child (ascending id) of the buses that have
+    more than k children, and those buses come first in the stack.
 
     Every scalar variable w appears in several penalty terms
     sum_j kappa_j/2 * rho * |w - w_j|^2 plus a linear multiplier term;
@@ -146,11 +158,12 @@ def complete_square_x0(
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    nc = len(child_obs)
-
     v_num = 2.0 * self_obs.v - (self_obs.mu_v / rho)
+    nc = np.zeros((len(v_num), 1, 1))
     for ob in child_obs:
-        v_num = v_num + ob.v - ob.mu_v / rho
+        b = len(ob.v)
+        v_num[:b] = v_num[:b] + ob.v - ob.mu_v / rho
+        nc[:b] += 1.0
     v_hat = v_num / (nc + 2.0)
 
     s_hat = self_obs.s - self_obs.mu_s / rho
@@ -177,11 +190,13 @@ def complete_square_x0(
 
 
 def solve_x0_matrix(hat: HatConstants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize the block distance over the PSD cone; returns (v, S, ell)."""
-    w = hat.block()
-    m = hat.v_hat.shape[0]
-    x = psd_project(w)
-    return x[:m, :m], x[:m, m:], x[m:, m:]
+    """Minimize the block distance over the PSD cone; returns (v, S, ell).
+
+    A stack of targets is projected in one batched call.
+    """
+    m = hat.v_hat.shape[-1]
+    x = psd_project(hat.block())
+    return x[..., :m, :m], x[..., :m, m:], x[..., m:, m:]
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +208,17 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def project_injection_box(
-    a1: float,
-    b1: float,
-    a2: float,
-    b2: float,
-    p_lo: float,
-    p_hi: float,
-    q_lo: float,
-    q_hi: float,
-) -> tuple[float, float]:
+def project_injection_box(a1, b1, a2, b2, p_lo, p_hi, q_lo, q_hi):
     """Minimize a1/2 p^2 + b1 p + a2/2 q^2 + b2 q over a rectangle.
 
     Separable strictly convex quadratic: clamp each unconstrained
-    minimizer into its interval.
+    minimizer into its interval. Elementwise over arrays of phases.
     """
-    if a1 <= 0 or a2 <= 0:
+    if np.less_equal(a1, 0).any() or np.less_equal(a2, 0).any():
         raise ValueError("nonpositive curvature")
-    return _clamp(-b1 / a1, p_lo, p_hi), _clamp(-b2 / a2, q_lo, q_hi)
+    p = np.minimum(np.maximum(-b1 / a1, p_lo), p_hi)
+    q = np.minimum(np.maximum(-b2 / a2, q_lo), q_hi)
+    return p, q
 
 
 def disk_case(a1: float, b1: float, a2: float, b2: float, c: float) -> int:
@@ -306,13 +314,15 @@ def solve_x1_voltage(
 
     Minimizes <lam, x> + rho/2 ||x - y_v||^2 with per-phase bounds on the
     diagonal, so the base point is y_v - lam/rho; diagonal entries clamp
-    into [v_lo, v_hi] and off-diagonal entries pass through.
+    into [v_lo, v_hi] and off-diagonal entries pass through. Takes one
+    matrix or a stack, with bounds of shape (..., m).
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     out = y_v - lam / rho
-    diag = np.clip(out.diagonal().real, v_lo, v_hi)
-    np.fill_diagonal(out, diag)
+    m = out.shape[-1]
+    diag = out.reshape(out.shape[:-2] + (m * m,))[..., :: m + 1]
+    diag[...] = np.clip(diag.real, v_lo, v_hi)
     return out
 
 
@@ -410,6 +420,7 @@ class _Layout:
             entries += len(sc) // 2
             size += len(p)
         self.size = size
+        self.entries = entries
         self.counts = tuple(counts)
         self.views = tuple(views)
         self.pos = np.concatenate(pos)
@@ -420,23 +431,52 @@ class _Layout:
         for arr in (self.pos, self.scale, self.src, self.div):
             arr.flags.writeable = False  # shared between buses by _layout
 
+    def join(self, blocks) -> np.ndarray:
+        """The blocks raveled one after another: a complex (..., entries) buffer."""
+        first = np.asarray(blocks[0])
+        lead = first.shape[: first.ndim - len(self.views[0][2])]
+        return np.concatenate(
+            [np.reshape(b, lead + (-1,)) for b in blocks], axis=-1, dtype=complex
+        )
+
     def flat(self, blocks) -> np.ndarray:
         """The blocks' parameters without the sqrt(2) scale."""
-        buf = np.concatenate([np.ravel(b) for b in blocks], dtype=complex)
-        return buf.view(float)[self.pos]
+        return self.join(blocks).view(float)[..., self.pos]
 
     def pack(self, blocks) -> np.ndarray:
         return self.flat(blocks) * self.scale
 
+    def scatter(self, theta: np.ndarray) -> np.ndarray:
+        """Parameters (..., size) to the complex (..., entries) buffer."""
+        zero = np.zeros(theta.shape[:-1] + (1,))
+        padded = np.concatenate([theta, zero], axis=-1)
+        return (np.take(padded, self.src, axis=-1) / self.div).view(complex)
+
+    def split(self, buf: np.ndarray) -> list[np.ndarray]:
+        """Views of the blocks of a complex (..., entries) buffer."""
+        lead = buf.shape[:-1]
+        return [buf[..., a:b].reshape(lead + shape) for a, b, shape in self.views]
+
     def unpack(self, theta: np.ndarray) -> list[np.ndarray]:
-        buf = (np.append(theta, 0.0)[self.src] / self.div).view(complex)
-        return [buf[a:b].reshape(shape) for a, b, shape in self.views]
+        return self.split(self.scatter(theta))
 
 
 @lru_cache(maxsize=None)
 def _layout(blocks: tuple[tuple[str, int], ...]) -> _Layout:
     """The layout of a block signature; buses of one shape share it."""
     return _Layout(blocks)
+
+
+def y_signature(ctx: YContext) -> tuple[tuple[str, int], ...]:
+    """The blocks of a bus's y-variables: v, s, [S, ell, parent v], then
+    (S, ell) per child. Buses with one signature share a ``YNodeSolver``."""
+    m = len(ctx.phases)
+    blocks = [("herm", m), ("vec", m)]
+    if not ctx.is_root:
+        blocks += [("mat", m), ("herm", m), ("herm", len(ctx.parent_phases))]
+    for _, cph, _ in ctx.children:
+        blocks += [("mat", len(cph)), ("herm", len(cph))]
+    return tuple(blocks)
 
 
 def _local(blocks: list[np.ndarray], ctx: YContext) -> YLocal:
@@ -452,76 +492,94 @@ def _local(blocks: list[np.ndarray], ctx: YContext) -> YLocal:
 
 
 def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
-    """Branch-flow residual blocks at a candidate y point (linear in y).
+    """Branch-flow residual blocks at a stack of candidate y points (linear in y).
 
     The voltage drop (Hermitian, absent at the root), then the power
-    balance (one complex entry per phase).
+    balance (one complex entry per phase). The phase projection and lift
+    are index maps, so every block keeps its leading stack axes.
     """
-    m = len(ctx.phases)
     rows = []
     if not ctx.is_root:
         z = ctx.z
+        zh = z.conj().T
+        S = local.S_self
+        idx = ctx.phases.indices_in(ctx.parent_phases)
         rows.append(
-            phase_project(local.v_parent, ctx.parent_phases, ctx.phases)
+            local.v_parent[(Ellipsis,) + np.ix_(idx, idx)]
             - local.v_self
-            + z @ local.S_self.conj().T
-            + local.S_self @ z.conj().T
-            - z @ local.ell_self @ z.conj().T
+            + z @ S.conj().swapaxes(-1, -2)
+            + S @ zh
+            - z @ local.ell_self @ zh
         )
-    acc = np.zeros(m, dtype=complex)
+    acc = np.zeros(local.s_self.shape, dtype=complex)
     for cid, cph, zc in ctx.children:
         s_j, ell_j = local.child_flows[cid]
-        acc += phase_lift(s_j - zc @ ell_j, cph, ctx.phases).diagonal()
+        acc[..., cph.indices_in(ctx.phases)] += np.diagonal(
+            s_j - zc @ ell_j, axis1=-2, axis2=-1
+        )
     if not ctx.is_root:
-        acc -= local.S_self.diagonal()
+        acc -= np.diagonal(local.S_self, axis1=-2, axis2=-1)
     rows.append(local.s_self + acc)
     return rows
 
 
 class YNodeSolver:
-    """Prefactored closed-form solver for one bus's y-subproblem.
+    """Prefactored closed-form solver for the y-subproblems of buses of one shape.
 
-    The y-subproblem is the real quadratic min 1/2 y^T M y + c^T y subject
-    to A y = 0 over the parameters of ``layout``. ``a_mat`` has full row
-    rank and ``m_diag`` is strictly positive; both depend only on the
-    network, so the full solution operator
+    Each bus's y-subproblem is the real quadratic min 1/2 y^T M y + c^T y
+    subject to A y = 0 over the parameters of ``layout``. ``a_mat`` (one
+    per bus) has full row rank and ``m_diag`` is strictly positive; both
+    depend only on the network, so the full solution operator
     P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is computed once and every
-    iteration reduces to assembling c and one matrix-vector product.
+    iteration reduces to one gather of c and one stacked matrix-vector
+    product for the whole group.
+
+    ``index[b]`` lists the positions of bus b's y-blocks, in layout
+    order, in the complex buffers that ``assemble_c`` reads and ``solve``
+    writes; by default the buses' blocks follow one another.
     """
 
-    def __init__(self, ctx: YContext, rho: float):
+    def __init__(self, ctxs, rho: float, index: np.ndarray | None = None):
         if rho <= 0:
             raise ValueError("rho must be positive")
-        self.ctx = ctx
+        self.ctxs = tuple(ctxs)
         self.rho = rho
-        m = len(ctx.phases)
-        nc = len(ctx.children)
+        blocks = y_signature(self.ctxs[0])
+        if any(y_signature(ctx) != blocks for ctx in self.ctxs):
+            raise ValueError("buses of one y-solver need one block signature")
+        self.layout = _layout(blocks)
+        n = self.layout.size
+        nb = len(self.ctxs)
+        if index is None:
+            index = np.arange(nb * self.layout.entries).reshape(nb, -1)
+        self.index = index
+        floats = (2 * index[..., None] + np.arange(2)).reshape(nb, -1)
+        self._gather = floats[:, self.layout.pos]
 
-        # blocks of v_self, s_self, [S_self, ell_self, v_parent], (S, ell) per
-        # child, with their observation weights; v_self's 3 is the weight 2
-        # of the bus's own copy plus 1 of the voltage copy
-        blocks = [("herm", m), ("vec", m)]
+        # observation weights: v_self's 3 is the weight 2 of the bus's own
+        # copy plus 1 of the voltage copy; then s, [S, ell, parent v], and
+        # 1 for each child's (S, ell)
+        ctx = self.ctxs[0]
+        nc = len(ctx.children)
         weights = [3.0, 1.0]
         if not ctx.is_root:
-            blocks += [("mat", m), ("herm", m), ("herm", len(ctx.parent_phases))]
             weights += [2.0 * nc + 3.0, nc + 1.0, 1.0]
-        for _, cph, _ in ctx.children:
-            blocks += [("mat", len(cph)), ("herm", len(cph))]
-            weights += [1.0, 1.0]
-        self.layout = _layout(tuple(blocks))
-        n = self.layout.size
+        weights += [1.0, 1.0] * nc
 
+        # the constraint rows at every unit parameter vector at once
+        m = len(ctx.phases)
         drop = () if ctx.is_root else (("herm", m),)
         rows = _layout(drop + (("vec", m),))
-        a_mat = np.empty((rows.size, n))
-        for col, theta in enumerate(np.eye(n)):
-            local = _local(self.layout.unpack(theta), ctx)
-            a_mat[:, col] = rows.flat(_constraint_values(local, ctx))
-        if np.linalg.matrix_rank(a_mat) != rows.size:
-            raise ValueError(
-                f"bus {ctx.bus_id}: rank-deficient constraint matrix "
-                "(malformed phase data)"
-            )
+        unit = self.layout.unpack(np.eye(n))
+        a_mat = np.stack(
+            [rows.flat(_constraint_values(_local(unit, c), c)).T for c in self.ctxs]
+        )
+        for c, rank in zip(self.ctxs, np.linalg.matrix_rank(a_mat)):
+            if rank != rows.size:
+                raise ValueError(
+                    f"bus {c.bus_id}: rank-deficient constraint matrix "
+                    "(malformed phase data)"
+                )
 
         m_diag = rho * np.repeat(weights, self.layout.counts)
         # assemble_c pairs v_self with 2 x_v + x1_v, its weights already applied
@@ -530,33 +588,26 @@ class YNodeSolver:
         self.a_mat = a_mat
         self.m_diag = m_diag
         minv = 1.0 / m_diag
-        gram = (a_mat * minv) @ a_mat.T
-        operator = (minv[:, None] * a_mat.T) @ np.linalg.solve(gram, a_mat * minv)
-        operator[np.diag_indices(n)] -= minv
+        gram = (a_mat * minv) @ a_mat.swapaxes(-1, -2)
+        operator = (minv[:, None] * a_mat.swapaxes(-1, -2)) @ np.linalg.solve(
+            gram, a_mat * minv
+        )
+        operator[:, np.arange(n), np.arange(n)] -= minv
         self._operator = operator
 
-    def assemble_c(
-        self,
-        x_self: XBlock,
-        x1_v: np.ndarray,
-        mu_self: SelfObservation,
-        lam1: np.ndarray,
-        mu_parent_v: np.ndarray | None,
-        x_parent_v: np.ndarray | None,
-        child_mults: dict[int, tuple[np.ndarray, np.ndarray]],
-        child_x: dict[int, tuple[np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """Linear coefficients -mu - rho * weight * x for each parameter block."""
-        mu = [mu_self.mu_v + lam1, mu_self.mu_s]
-        x = [2.0 * x_self.v + x1_v, x_self.s]
-        if not self.ctx.is_root:
-            mu += [mu_self.mu_S, mu_self.mu_ell, mu_parent_v]
-            x += [x_self.S, x_self.ell, x_parent_v]
-        for cid, _, _ in self.ctx.children:
-            mu += child_mults[cid]
-            x += child_x[cid]
-        return -self.layout.pack(mu) - self._r * self.layout.pack(x)
+    def assemble_c(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Linear coefficients -mu - rho * weight * x of every bus, shape (B, size).
 
-    def solve(self, c: np.ndarray) -> YLocal:
-        """The minimizer P c, unpacked; its blocks are views of one buffer."""
-        return _local(self.layout.unpack(self._operator @ c), self.ctx)
+        ``mu`` and ``x`` are complex buffers laid out like y: the
+        multiplier of each y-block (mu_v + lam1 for v) and the primal
+        value it observes (2 x_v + x1_v for v).
+        """
+        scale = self.layout.scale
+        mu_flat = mu.view(float)[self._gather]
+        x_flat = x.view(float)[self._gather]
+        return -(mu_flat * scale) - self._r * (x_flat * scale)
+
+    def solve(self, c: np.ndarray, y: np.ndarray) -> None:
+        """Write every bus's minimizer P c into its blocks of ``y``."""
+        theta = (self._operator @ c[..., None])[..., 0]
+        y[self.index] = self.layout.scatter(theta)

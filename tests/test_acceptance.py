@@ -28,6 +28,7 @@ from radialopf.subproblems import (
     VoltageObservation,
     YContext,
     YNodeSolver,
+    _local,
     complete_square_x0,
     disk_case,
     project_injection_box,
@@ -173,10 +174,11 @@ def random_context(rng):
 
 
 def pack_local(solver, local):
+    ctx = solver.ctxs[0]
     blocks = [local.v_self, local.s_self]
-    if not solver.ctx.is_root:
+    if not ctx.is_root:
         blocks += [local.S_self, local.ell_self, local.v_parent]
-    for cid, _, _ in solver.ctx.children:
+    for cid, _, _ in ctx.children:
         blocks += local.child_flows[cid]
     return solver.layout.pack(blocks)
 
@@ -185,12 +187,13 @@ def test_criterion_3_y_update_closed_form():
     rng = np.random.default_rng(103)
     for _ in range(500):
         ctx = random_context(rng)
-        solver = YNodeSolver(ctx, rho=float(rng.uniform(0.4, 2.5)))
-        c = rng.standard_normal(solver.a_mat.shape[1])
-        local = solver.solve(c)
-        theta = pack_local(solver, local)
+        solver = YNodeSolver([ctx], rho=float(rng.uniform(0.4, 2.5)))
+        c = rng.standard_normal(solver.a_mat.shape[2])
+        y = np.zeros(solver.index.size, dtype=complex)
+        solver.solve(c[None], y)
+        theta = pack_local(solver, _local(solver.layout.split(y), ctx))
 
-        a = solver.a_mat
+        a = solver.a_mat[0]
         nrows, ncols = a.shape
         kkt = np.zeros((ncols + nrows, ncols + nrows))
         kkt[:ncols, :ncols] = np.diag(solver.m_diag)
@@ -240,6 +243,11 @@ def cvec_directions(m):
         yield e
 
 
+def stack(obs):
+    """One bus's observation as a stack of one, the x-step's input shape."""
+    return type(obs)(*(np.asarray(a)[None] for a in vars(obs).values()))
+
+
 def direct_penalty(v, S, ell, s, self_obs, parent_obs, child_obs, rho):
     nc = len(child_obs)
 
@@ -283,7 +291,10 @@ def test_criterion_4_square_completion_gradient():
         kids = [
             VoltageObservation(rand_herm(rng, m), rand_herm(rng, m)) for _ in range(nc)
         ]
-        hat = complete_square_x0(self_obs, parent, kids, rho)
+        hat = complete_square_x0(
+            stack(self_obs), stack(parent), [stack(ob) for ob in kids], rho
+        )
+        hat = type(hat)(*(a[0] for a in vars(hat).values()))
 
         v = rand_herm(rng, m)
         S = rand_cmat(rng, m)

@@ -125,6 +125,19 @@ def test_solve_invalid_network(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_solve_huge_integer_is_a_parse_error(tmp_path, capsys):
+    # a JSON integer beyond the float range is rejected, not an OverflowError
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    doc = json.loads(net.read_text())
+    doc["buses"][1]["vmax"] = [10**400]
+    net.write_text(json.dumps(doc))
+    code = main(["solve", "--network", str(net), "--out-dir", str(tmp_path / "r")])
+    assert code == EXIT_VALIDATION
+    assert "buses[1].vmax[0]" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_generate_and_validate(tmp_path):
     out = tmp_path / "feeder.json"
     code = main(["generate", "--kind", "fat-tree", "--size", "7", "--out", str(out)])

@@ -65,9 +65,14 @@ def chain_model(injections, z=0.01 + 0.02j, beta=1.0):
 TWO_BUS = chain_model([-0.1 - 0.05j])
 
 
+def views(state):
+    """Every bus's view of the run's buffers, by id; views stay live."""
+    return {b.id: state.bus(b.id) for b in state.model.buses}
+
+
 class TestInitialize:
     def test_leaf_current_from_injection(self):
-        agents = initialize(TWO_BUS)
+        agents = views(initialize(TWO_BUS))
         leaf = agents[1]
         s = leaf.x0.s[0]
         # flat start: V = 1, so I = conj(s / V) and S = V conj(I) = s
@@ -77,14 +82,14 @@ class TestInitialize:
 
     def test_chain_accumulates_child_currents(self):
         model = chain_model([-0.1 + 0j, -0.2 + 0j])
-        agents = initialize(model)
+        agents = views(initialize(model))
         # bus 1 carries its own injection current plus bus 2's
         assert agents[1].x0.S[0, 0] == pytest.approx(-0.3 + 0j)
         assert agents[2].x0.S[0, 0] == pytest.approx(-0.2 + 0j)
 
     def test_zero_injections_flat(self):
         model = chain_model([0j, 0j])
-        agents = initialize(model)
+        agents = views(initialize(model))
         for i in (1, 2):
             assert np.allclose(agents[i].x0.ell, 0)
             assert np.allclose(agents[i].x0.S, 0)
@@ -92,20 +97,20 @@ class TestInitialize:
 
     def test_three_phase_flat_start(self):
         model = generate_topology("line", 3, TopologyTemplate(phases="abc"))
-        agents = initialize(model)
+        agents = views(initialize(model))
         v = agents[0].x0.v
         ref = np.array([PHASE_REFERENCE[ch] for ch in "abc"])
         assert np.allclose(v, np.outer(ref, ref.conj()))
         assert np.allclose(np.abs(v.diagonal()), 1.0)
 
     def test_multipliers_start_at_zero(self):
-        agents = initialize(TWO_BUS)
+        agents = views(initialize(TWO_BUS))
         assert np.all(agents[1].lam1 == 0)
         assert np.all(agents[1].mu_S == 0)
         assert np.all(agents[1].mu_parent_v == 0)
 
     def test_observations_match_primal(self):
-        agents = initialize(TWO_BUS)
+        agents = views(initialize(TWO_BUS))
         root, leaf = agents[0], agents[1]
         assert np.array_equal(leaf.y_parent_v, root.x0.v)
         assert np.array_equal(root.y_child[1][0], leaf.x0.S)
@@ -117,16 +122,17 @@ class TestRounds:
         # zero multipliers is a fixed point, so one iteration moves nothing
         model = chain_model([0j], z=0j, beta=0.0)
         config = SolverConfig()
-        agents = initialize(model, config)
+        state = initialize(model, config)
+        agents = views(state)
         before = {i: agents[i].x0.copy() for i in agents}
-        x_update_round(agents, config)
-        y_update_round(agents, config)
-        multiplier_update_round(agents, config.rho)
+        x_update_round(state, config)
+        y_update_round(state, config)
+        multiplier_update_round(state, config.rho)
         for i in agents:
             assert np.allclose(agents[i].x0.v, before[i].v, atol=1e-9)
             assert np.allclose(agents[i].x0.s, before[i].s, atol=1e-9)
             assert np.all(agents[i].lam1 == 0) or np.allclose(agents[i].lam1, 0, atol=1e-12)
-        r, s = compute_residuals(agents, config.rho)
+        r, s = compute_residuals(state, config.rho)
         assert r <= 1e-10 and s <= 1e-10
 
     def test_run_converges_immediately_at_fixed_point(self):
@@ -135,26 +141,26 @@ class TestRounds:
         assert result.converged and len(result.history) == 1
 
     def test_multiplier_scalar_step(self):
-        agents = initialize(TWO_BUS)
-        agent = agents[0]
-        agent.x0.s = agent.y_s + 2.0
-        multiplier_update_round(agents, rho=0.5)
+        state = initialize(TWO_BUS)
+        agent = state.bus(0)
+        agent.x0.s[...] = agent.y_s + 2.0
+        multiplier_update_round(state, rho=0.5)
         assert agent.mu_s[0] == pytest.approx(1.0)
 
     def test_multiplier_stationary_at_consensus(self):
-        agents = initialize(TWO_BUS)
-        multiplier_update_round(agents, rho=1.0)
-        for agent in agents.values():
+        state = initialize(TWO_BUS)
+        multiplier_update_round(state, rho=1.0)
+        for agent in views(state).values():
             assert np.allclose(agent.mu_v, 0) and np.allclose(agent.mu_s, 0)
 
     def test_multiplier_shapes_preserved(self):
         model = generate_topology("fat-tree", 5, TopologyTemplate(phases="ab"))
         config = SolverConfig()
-        agents = initialize(model, config)
-        x_update_round(agents, config)
-        y_update_round(agents, config)
-        multiplier_update_round(agents, config.rho)
-        for agent in agents.values():
+        state = initialize(model, config)
+        x_update_round(state, config)
+        y_update_round(state, config)
+        multiplier_update_round(state, config.rho)
+        for agent in views(state).values():
             n = len(agent.bus.phases)
             assert agent.lam1.shape == (n, n)
             assert agent.mu_s.shape == (n,)
@@ -162,33 +168,36 @@ class TestRounds:
                 assert agent.mu_parent_v.shape == agent.y_parent_v.shape
 
     def test_residual_is_euclidean(self):
-        agents = initialize(chain_model([0j], z=0j))
-        root = agents[0]
-        root.x0.s = root.y_s + 3.0
-        root.x1_v = root.y_v + 4.0
-        r, s = compute_residuals(agents, rho=1.0)
+        state = initialize(chain_model([0j], z=0j))
+        root = state.bus(0)
+        root.x0.s[...] = root.y_s + 3.0
+        root.x1_v[...] = root.y_v + 4.0
+        r, s = compute_residuals(state, rho=1.0)
         assert r == pytest.approx(5.0)
         assert s == 0.0
 
-    def test_missing_neighbor_share_aborts(self):
-        from radialopf.engine import _x_update_agent
-
-        model = chain_model([-0.1 + 0j, -0.2 + 0j])
+    def test_one_iteration_messages_every_tree_edge(self):
+        # the cross-bus reads of the x- and y-steps are the messages: each
+        # round sends both ways along every line and nowhere else
+        model = generate_topology("fat-tree", 7, TopologyTemplate(phases="abc"))
         config = SolverConfig()
-        agents = initialize(model, config)
-        agents[1].ycache_child.clear()
-        with pytest.raises(ValueError, match="missing neighbor observation"):
-            _x_update_agent(agents[1], config.rho)
+        state = initialize(model, config)
+        edges = {(ln.bus, ln.parent) for ln in model.lines}
+        edges |= {(b, a) for a, b in edges}
+        for step in (x_update_round, y_update_round):
+            audit = set()
+            step(state, config, audit)
+            assert audit == edges
 
     def test_x_outputs_stay_psd(self):
         model = generate_topology("fat-tree", 7, TopologyTemplate(phases="abc"))
         config = SolverConfig()
-        agents = initialize(model, config)
+        state = initialize(model, config)
         for _ in range(5):
-            x_update_round(agents, config)
-            y_update_round(agents, config)
-            multiplier_update_round(agents, config.rho)
-        for agent in agents.values():
+            x_update_round(state, config)
+            y_update_round(state, config)
+            multiplier_update_round(state, config.rho)
+        for agent in views(state).values():
             if agent.is_root:
                 continue
             blk = np.block(
@@ -231,13 +240,14 @@ class TestRounds:
 
         model = generate_topology("fat-tree", 7, TopologyTemplate(phases="ab"))
         config = SolverConfig()
-        agents = initialize(model, config)
+        state = initialize(model, config)
+        agents = views(state)
         for _ in range(3):
-            x_update_round(agents, config)
-            y_update_round(agents, config)
-            multiplier_update_round(agents, config.rho)
+            x_update_round(state, config)
+            y_update_round(state, config)
+            multiplier_update_round(state, config.rho)
         before = {i: agents[i].x0.copy() for i in agents}
-        x_update_round(agents, config)
+        x_update_round(state, config)
         for i, agent in agents.items():
             h_new = h_value(agent, config.rho, agent.x0)
             h_old = h_value(agent, config.rho, before[i])
@@ -255,14 +265,14 @@ class TestRounds:
     def test_y_update_satisfies_bfm_exactly(self):
         model = generate_topology("fat-tree", 7, TopologyTemplate(phases="abc"))
         config = SolverConfig()
-        agents = initialize(model, config)
+        state = initialize(model, config)
         by_id = {b.id: b for b in model.buses}
         lines = {ln.bus: ln for ln in model.lines}
         for _ in range(3):
-            x_update_round(agents, config)
-            y_update_round(agents, config)
-            multiplier_update_round(agents, config.rho)
-        for i, agent in agents.items():
+            x_update_round(state, config)
+            y_update_round(state, config)
+            multiplier_update_round(state, config.rho)
+        for i, agent in views(state).items():
             bus = agent.bus
             if not agent.is_root:
                 z = agent.line.z
@@ -348,12 +358,13 @@ class TestRun:
         assert result.message_pairs <= edges
 
     def test_objective_reported_from_primal(self):
-        agents = initialize(TWO_BUS)
+        state = initialize(TWO_BUS)
+        agents = views(state)
         # loss objective: sum of real injections over both buses
         expected = float(
             agents[0].x0.s[0].real + agents[1].x0.s[0].real
         )
-        assert compute_objective(agents) == pytest.approx(expected)
+        assert compute_objective(state) == pytest.approx(expected)
 
     def test_validation_error_surfaces(self):
         from radialopf.network import FeederValidationError

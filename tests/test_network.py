@@ -185,6 +185,12 @@ class TestLoader:
             (("buses", 1, "vmin", 0), math.nan, r"buses\[1\]\.vmin\[0\]"),
             (("buses", 1, "vmax", 0), "1.1", r"buses\[1\]\.vmax\[0\]"),
             (("buses", 0, "vmin", 0), True, r"buses\[0\]\.vmin\[0\]"),
+            pytest.param(
+                ("buses", 1, "vmax", 0), 10**400, r"buses\[1\]\.vmax\[0\]", id="vmax-huge-int"
+            ),
+            pytest.param(
+                ("buses", 1, "cost", 0, "beta"), 10**400, r"cost\[0\]\.beta", id="beta-huge-int"
+            ),
         ],
     )
     def test_non_finite_number_rejected(self, path, value, where):

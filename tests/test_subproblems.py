@@ -7,11 +7,13 @@ from radialopf.hermitian import inner
 from radialopf.network import PhaseSet
 from radialopf.subproblems import (
     FlowObservation,
+    HatConstants,
     SelfObservation,
     VoltageObservation,
     XBlock,
     YContext,
     YNodeSolver,
+    _local,
     complete_square_x0,
     disk_case,
     project_injection_box,
@@ -59,6 +61,20 @@ def rand_self_obs(rng, m, root=False):
     )
 
 
+def stack(*objs):
+    """Observations (or hat constants) of several buses as one stack."""
+    columns = zip(*(vars(o).values() for o in objs))
+    return type(objs[0])(*(None if col[0] is None else np.stack(col) for col in columns))
+
+
+def complete_one(self_obs, parent, kids, rho):
+    """complete_square_x0 on a stack of one bus, with the stack axis dropped."""
+    hat = complete_square_x0(
+        stack(self_obs), None if parent is None else stack(parent), [stack(k) for k in kids], rho
+    )
+    return HatConstants(*(None if a is None else a[0] for a in vars(hat).values()))
+
+
 def consensus_obs(m, value, nc):
     """All observations equal and all multipliers zero."""
     v = np.full((m, m), value, dtype=complex)
@@ -81,7 +97,7 @@ def consensus_obs(m, value, nc):
 class TestCompleteSquare:
     def test_consensus_is_fixed(self):
         self_obs, parent, kids = consensus_obs(2, 0.7, nc=2)
-        hat = complete_square_x0(self_obs, parent, kids, rho=1.3)
+        hat = complete_one(self_obs, parent, kids, rho=1.3)
         assert np.allclose(hat.v_hat, self_obs.v)
         assert np.allclose(hat.S_hat, self_obs.S)
         assert np.allclose(hat.ell_hat, self_obs.ell)
@@ -96,7 +112,7 @@ class TestCompleteSquare:
         parent = FlowObservation(
             rand_cmat(rng, 2), rand_herm(rng, 2), rand_cmat(rng, 2), rand_herm(rng, 2)
         )
-        hat = complete_square_x0(self_obs, parent, [], rho)
+        hat = complete_one(self_obs, parent, [], rho)
         assert np.allclose(hat.v_hat, self_obs.v - self_obs.mu_v / (2 * rho))
 
     def test_injection_target(self):
@@ -106,7 +122,7 @@ class TestCompleteSquare:
         parent = FlowObservation(
             rand_cmat(rng, 3), rand_herm(rng, 3), rand_cmat(rng, 3), rand_herm(rng, 3)
         )
-        hat = complete_square_x0(self_obs, parent, [], rho)
+        hat = complete_one(self_obs, parent, [], rho)
         assert np.allclose(hat.s_hat, self_obs.s - self_obs.mu_s / rho)
 
     def test_hat_targets_are_hermitian(self):
@@ -116,9 +132,30 @@ class TestCompleteSquare:
             rand_cmat(rng, 3), rand_herm(rng, 3), rand_cmat(rng, 3), rand_herm(rng, 3)
         )
         kids = [VoltageObservation(rand_herm(rng, 3), rand_herm(rng, 3))]
-        hat = complete_square_x0(self_obs, parent, kids, 1.0)
+        hat = complete_one(self_obs, parent, kids, 1.0)
         assert np.array_equal(hat.v_hat, hat.v_hat.conj().T)
         assert np.array_equal(hat.ell_hat, hat.ell_hat.conj().T)
+
+    def test_stack_matches_each_bus_alone(self):
+        # buses with more children come first: child slot k stacks the k-th
+        # child's voltage copy of the buses that have one
+        rng = np.random.default_rng(24)
+        m, rho = 2, 0.7
+        buses = []
+        for nc in (3, 2, 2, 0):
+            parent = FlowObservation(
+                rand_cmat(rng, m), rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+            )
+            kids = [VoltageObservation(rand_herm(rng, m), rand_herm(rng, m)) for _ in range(nc)]
+            buses.append((rand_self_obs(rng, m), parent, kids))
+        slots = [stack(*(kids[k] for _, _, kids in buses if len(kids) > k)) for k in range(3)]
+        hat = complete_square_x0(
+            stack(*(b[0] for b in buses)), stack(*(b[1] for b in buses)), slots, rho
+        )
+        for r, bus in enumerate(buses):
+            one = complete_one(*bus, rho)
+            for name in ("v_hat", "s_hat", "S_hat", "ell_hat"):
+                assert np.array_equal(getattr(hat, name)[r], getattr(one, name))
 
 
 def direct_penalty(v, S, ell, s, self_obs, parent_obs, child_obs, rho):
@@ -165,7 +202,7 @@ class TestSquareCompletionIdentity:
                 for _ in range(nc)
             ]
             rho = float(rng.uniform(0.3, 3.0))
-            hat = complete_square_x0(self_obs, parent, kids, rho)
+            hat = complete_one(self_obs, parent, kids, rho)
 
             def pt():
                 return (
@@ -193,8 +230,6 @@ class TestMatrixStep:
         w = b @ b.conj().T
         m = 2
         hat_v, hat_S, hat_l = w[:m, :m], w[:m, m:], w[m:, m:]
-        from radialopf.subproblems import HatConstants
-
         hat = HatConstants(hat_v, np.zeros(m, dtype=complex), hat_S, hat_l)
         v, S, ell = solve_x0_matrix(hat)
         assert np.allclose(v, hat_v, atol=1e-10)
@@ -202,8 +237,6 @@ class TestMatrixStep:
         assert np.allclose(ell, hat_l, atol=1e-10)
 
     def test_diagonal_truncation(self):
-        from radialopf.subproblems import HatConstants
-
         hat = HatConstants(
             np.array([[1.0 + 0j]]),
             np.zeros(1, dtype=complex),
@@ -217,8 +250,6 @@ class TestMatrixStep:
 
     def test_beats_random_psd_candidates(self):
         rng = np.random.default_rng(5)
-        from radialopf.subproblems import HatConstants
-
         for _ in range(10):
             m = int(rng.integers(1, 4))
             hat = HatConstants(
@@ -235,8 +266,6 @@ class TestMatrixStep:
 
     def test_output_block_psd(self):
         rng = np.random.default_rng(6)
-        from radialopf.subproblems import HatConstants
-
         for _ in range(50):
             m = int(rng.integers(1, 4))
             hat = HatConstants(
@@ -253,8 +282,6 @@ class TestMatrixStep:
         # block comes back exactly Hermitian and PSD, at the distance
         # sqrt(sum of squared nonpositive eigenvalues) from the target
         rng = np.random.default_rng(70 + m)
-        from radialopf.subproblems import HatConstants
-
         for _ in range(50):
             hat = HatConstants(
                 rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
@@ -267,6 +294,20 @@ class TestMatrixStep:
             lams = np.linalg.eigvalsh(w)
             clipped = float(np.sum(lams[lams <= 0] ** 2))
             assert np.linalg.norm(x - w) ** 2 == pytest.approx(clipped, abs=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stack_matches_each_block_alone(self, m):
+        rng = np.random.default_rng(80 + m)
+        hats = [
+            HatConstants(
+                rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+            )
+            for _ in range(6)
+        ]
+        v, S, ell = solve_x0_matrix(stack(*hats))
+        for r, hat in enumerate(hats):
+            for got, want in zip((v[r], S[r], ell[r]), solve_x0_matrix(hat)):
+                assert np.array_equal(got, want)
 
 
 def grid1d(lo, hi, step):
@@ -332,6 +373,17 @@ class TestBoxProjection:
             assert lo1 <= p <= hi1 and lo2 <= q <= hi2
             obj = 0.5 * a1 * p * p + b1 * p + 0.5 * a2 * q * q + b2 * q
             assert obj <= box_grid_best(a1, b1, a2, b2, lo1, hi1, lo2, hi2) + 1e-5
+
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(27)
+        a1 = rng.uniform(0.2, 3.0, 30)
+        b1, b2 = rng.uniform(-2.0, 2.0, (2, 30))
+        lo1, lo2 = rng.uniform(-1.0, 0.0, (2, 30))
+        hi1, hi2 = lo1 + rng.uniform(0.05, 1.5, 30), lo2 + rng.uniform(0.05, 1.5, 30)
+        p, q = project_injection_box(a1, b1, 1.3, b2, lo1, hi1, lo2, hi2)
+        for k in range(30):
+            one = project_injection_box(a1[k], b1[k], 1.3, b2[k], lo1[k], hi1[k], lo2[k], hi2[k])
+            assert (p[k], q[k]) == one
 
 
 class TestDiskProjection:
@@ -444,6 +496,16 @@ class TestVoltageClamp:
                 np.fill_diagonal(cand, d)
                 assert base <= h(cand) + 1e-9
 
+    def test_stack_matches_each_matrix_alone(self):
+        rng = np.random.default_rng(28)
+        lam = np.stack([rand_herm(rng, 3) for _ in range(4)])
+        y = np.stack([rand_herm(rng, 3) for _ in range(4)])
+        lo = rng.uniform(0.8, 1.0, (4, 3))
+        hi = lo + rng.uniform(0.0, 0.3, (4, 3))
+        out = solve_x1_voltage(lam, y, lo, hi, 1.5)
+        for r in range(4):
+            assert np.array_equal(out[r], solve_x1_voltage(lam[r], y[r], lo[r], hi[r], 1.5))
+
 
 # ---------------------------------------------------------------------------
 # y-subproblem
@@ -490,24 +552,47 @@ def random_system(rng, ctx, rho):
         mc = len(cph)
         child_mults[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
         child_x[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
-    solver = YNodeSolver(ctx, rho)
-    c = solver.assemble_c(
-        x0, rand_herm(rng, m), mu_self, lam1, mu_parent, x_parent, child_mults, child_x
+    solver = YNodeSolver([ctx], rho)
+    c = coefficients(
+        solver, x0, rand_herm(rng, m), mu_self, lam1, mu_parent, x_parent, child_mults, child_x
     )
     return solver, c
 
 
+def coefficients(solver, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, child_x):
+    """c of a one-bus solver: its multiplier and primal blocks laid out as
+    y, v_self paired with mu_v + lam1 and 2 x_v + x1_v as the engine pairs them."""
+    mus = [mu.mu_v + lam1, mu.mu_s]
+    xs = [2.0 * x0.v + x1_v, x0.s]
+    ctx = solver.ctxs[0]
+    if not ctx.is_root:
+        mus += [mu.mu_S, mu.mu_ell, mu_parent]
+        xs += [x0.S, x0.ell, x_parent]
+    for cid, _, _ in ctx.children:
+        mus += child_mults[cid]
+        xs += child_x[cid]
+    return solver.assemble_c(solver.layout.join(mus), solver.layout.join(xs))[0]
+
+
+def solve_local(solver, c):
+    """The one-bus solver's minimizer, unpacked into named blocks."""
+    y = np.zeros(solver.index.size, dtype=complex)
+    solver.solve(c[None], y)
+    return _local(solver.layout.split(y), solver.ctxs[0])
+
+
 def pack_solution(solver, local):
+    ctx = solver.ctxs[0]
     blocks = [local.v_self, local.s_self]
-    if not solver.ctx.is_root:
+    if not ctx.is_root:
         blocks += [local.S_self, local.ell_self, local.v_parent]
-    for cid, _, _ in solver.ctx.children:
+    for cid, _, _ in ctx.children:
         blocks += local.child_flows[cid]
     return solver.layout.pack(blocks)
 
 
 def kkt_reference(solver, c) -> np.ndarray:
-    a = solver.a_mat
+    a = solver.a_mat[0]
     nrows, ncols = a.shape
     kkt = np.zeros((ncols + nrows, ncols + nrows))
     kkt[:ncols, :ncols] = np.diag(solver.m_diag)
@@ -521,23 +606,23 @@ class TestYSystem:
     def test_leaf_single_phase_row_count(self):
         rng = np.random.default_rng(13)
         ctx = make_context(rng, 1, 0, parent_m=1)
-        solver = YNodeSolver(ctx, 1.0)
+        solver = YNodeSolver([ctx], 1.0)
         # one voltage-drop row plus two power-balance rows
-        assert solver.a_mat.shape[0] == 3
+        assert solver.a_mat[0].shape[0] == 3
         # params: v(1) + s(2) + S(2) + ell(1) + parent v(1)
-        assert solver.a_mat.shape[1] == 7
+        assert solver.a_mat[0].shape[1] == 7
 
     def test_root_has_no_voltage_drop_rows(self):
         rng = np.random.default_rng(14)
         ctx = make_context(rng, 3, 2, root=True)
-        solver = YNodeSolver(ctx, 1.0)
-        assert solver.a_mat.shape[0] == 6
+        solver = YNodeSolver([ctx], 1.0)
+        assert solver.a_mat[0].shape[0] == 6
 
     def test_three_phase_row_count(self):
         rng = np.random.default_rng(15)
         ctx = make_context(rng, 3, 1, parent_m=3)
-        solver = YNodeSolver(ctx, 1.0)
-        assert solver.a_mat.shape[0] == 9 + 6
+        solver = YNodeSolver([ctx], 1.0)
+        assert solver.a_mat[0].shape[0] == 9 + 6
 
     def test_zero_inputs_give_zero_coefficients(self):
         rng = np.random.default_rng(21)
@@ -556,7 +641,8 @@ class TestYSystem:
         cid, cph, _ = ctx.children[0]
         mc = len(cph)
         mp = len(ctx.parent_phases)
-        c = YNodeSolver(ctx, 1.0).assemble_c(
+        c = coefficients(
+            YNodeSolver([ctx], 1.0),
             XBlock(
                 v=np.zeros((m, m), complex),
                 s=np.zeros(m, complex),
@@ -577,8 +663,6 @@ class TestYSystem:
         # the x-step hands over S = x[:m, m:] and ell = x[m:, m:], views that
         # are not contiguous; c must equal the penalty's linear term
         # -<mu_b, Y_b> - rho w_b <x_b, Y_b> summed over the blocks b of any Y
-        from radialopf.subproblems import HatConstants
-
         def x_step(m):
             hat = HatConstants(
                 rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
@@ -604,12 +688,12 @@ class TestYSystem:
                 mc = len(cph)
                 child_mults[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
                 child_x[cid] = x_step(mc)[1:]
-            solver = YNodeSolver(ctx, rho)
+            solver = YNodeSolver([ctx], rho)
             args = (x1_v, mu, lam1, mu_parent, x_parent, child_mults)
-            c = solver.assemble_c(x0, *args, child_x)
+            c = coefficients(solver, x0, *args, child_x)
             copies = {j: (a.copy(), b.copy()) for j, (a, b) in child_x.items()}
             contiguous = XBlock(v.copy(), x0.s, S.copy(), ell.copy())
-            assert np.array_equal(c, solver.assemble_c(contiguous, *args, copies))
+            assert np.array_equal(c, coefficients(solver, contiguous, *args, copies))
 
             theta = rng.standard_normal(solver.layout.size)
             y = solver.layout.unpack(theta)
@@ -632,8 +716,8 @@ class TestYSystem:
     def test_zero_c_gives_zero(self):
         rng = np.random.default_rng(16)
         ctx = make_context(rng, 2, 1, parent_m=3)
-        solver = YNodeSolver(ctx, 1.0)
-        local = solver.solve(np.zeros(solver.a_mat.shape[1]))
+        solver = YNodeSolver([ctx], 1.0)
+        local = solve_local(solver, np.zeros(solver.a_mat.shape[2]))
         assert np.allclose(local.v_self, 0) and np.allclose(local.s_self, 0)
         assert np.allclose(local.v_parent, 0)
 
@@ -645,7 +729,7 @@ class TestYSystem:
             root = bool(rng.integers(0, 2)) and nc > 0
             ctx = make_context(rng, m, nc, root=root)
             solver, c = random_system(rng, ctx, rho=float(rng.uniform(0.5, 2.0)))
-            local = solver.solve(c)
+            local = solve_local(solver, c)
             theta = pack_solution(solver, local)
             ref = kkt_reference(solver, c)
             assert np.max(np.abs(theta - ref)) <= 1e-8
@@ -657,9 +741,9 @@ class TestYSystem:
             nc = int(rng.integers(0, 3))
             ctx = make_context(rng, m, nc)
             solver, c = random_system(rng, ctx, 1.0)
-            local = solver.solve(c)
+            local = solve_local(solver, c)
             theta = pack_solution(solver, local)
-            assert np.max(np.abs(solver.a_mat @ theta)) <= 1e-10
+            assert np.max(np.abs(solver.a_mat[0] @ theta)) <= 1e-10
 
     def test_bfm_equations_hold_in_complex_form(self):
         rng = np.random.default_rng(19)
@@ -670,7 +754,7 @@ class TestYSystem:
             nc = int(rng.integers(0, 3))
             ctx = make_context(rng, m, nc)
             solver, c = random_system(rng, ctx, 1.0)
-            local = solver.solve(c)
+            local = solve_local(solver, c)
             z = ctx.z
             drop = (
                 phase_project(local.v_parent, ctx.parent_phases, ctx.phases)
@@ -698,5 +782,39 @@ class TestYSystem:
             children=(),
         )
         # each equation row still carries its own v or s entry
-        solver = YNodeSolver(degenerate, 1.0)
-        assert solver.a_mat.shape[0] == 4 + 4
+        solver = YNodeSolver([degenerate], 1.0)
+        assert solver.a_mat[0].shape[0] == 4 + 4
+
+    def test_group_matches_each_bus_alone(self):
+        # one solver over buses of one signature, with the blocks of each
+        # bus scattered through shared buffers, equals a solver per bus
+        rng = np.random.default_rng(23)
+        ctxs = []
+        for bus_id in (4, 7, 9):
+            kids = tuple(
+                (cid, PhaseSet(ph), rand_cmat(rng, len(ph), scale=0.05))
+                for cid, ph in ((20 + bus_id, "ab"), (30 + bus_id, "a"))
+            )
+            z = rand_cmat(rng, 2, scale=0.05)
+            ctxs.append(YContext(bus_id, PhaseSet("ab"), z, PhaseSet("abc"), kids))
+        entries = YNodeSolver(ctxs, 1.3).layout.entries
+        index = rng.permutation(3 * entries + 5)[: 3 * entries].reshape(3, entries)
+        group = YNodeSolver(ctxs, 1.3, index)
+        mu = rand_cvec(rng, 3 * entries + 5)
+        x = rand_cvec(rng, 3 * entries + 5)
+        c = group.assemble_c(mu, x)
+        y = np.zeros_like(mu)
+        group.solve(c, y)
+        for b, ctx in enumerate(ctxs):
+            alone = YNodeSolver([ctx], 1.3)
+            assert np.array_equal(alone.a_mat[0], group.a_mat[b])
+            c_b = alone.assemble_c(mu[index[b]], x[index[b]])
+            assert np.array_equal(c_b[0], c[b])
+            y_b = np.zeros(entries, dtype=complex)
+            alone.solve(c_b, y_b)
+            assert np.array_equal(y_b, y[index[b]])
+
+    def test_group_needs_one_signature(self):
+        rng = np.random.default_rng(29)
+        with pytest.raises(ValueError, match="signature"):
+            YNodeSolver([make_context(rng, 2, 0), make_context(rng, 2, 1)], 1.0)

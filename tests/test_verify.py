@@ -199,11 +199,12 @@ class TestOracleConsistency:
 
         model = two_bus(0.05 + 0.1j, Box(-0.35, -0.25, -0.25, 0.25))
         config = SolverConfig()
-        agents = initialize(model, config)
+        state = initialize(model, config)
         for _ in range(4):
-            x_update_round(agents, config)
-            y_update_round(agents, config)
-            multiplier_update_round(agents, config.rho)
+            x_update_round(state, config)
+            y_update_round(state, config)
+            multiplier_update_round(state, config.rho)
+        agents = {i: state.bus(i) for i in (0, 1)}
         leaf = agents[1]
         solution = {
             0: XBlock(v=leaf.y_parent_v.copy(), s=agents[0].y_s.copy()),
