@@ -64,8 +64,8 @@ def _load_model(path: str):
 
 def cmd_solve(args) -> int:
     model = _load_model(args.network)
-    config = _config(args)
     try:
+        config = _config(args)
         result = run(model, config)
     except (SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -127,12 +127,16 @@ def cmd_generate(args) -> int:
 
 def cmd_bench(args) -> int:
     kinds = [k for k in args.kinds.split(",") if k]
-    sizes = [int(x) for x in args.sizes.split(",") if x]
+    try:
+        sizes = [int(x) for x in args.sizes.split(",") if x]
+        config = _config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     if not kinds or not sizes:
         print("error: empty benchmark sweep", file=sys.stderr)
         return EXIT_VALIDATION
     template = TopologyTemplate(phases=args.phases)
-    config = _config(args)
     rows = []
     for kind in kinds:
         for size in sizes:
@@ -180,7 +184,7 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.solution}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed solution document: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

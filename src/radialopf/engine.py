@@ -10,15 +10,17 @@ the (S, ell) copy each parent holds of each child; the pairing index
 each variable kind is a contiguous (B, m, m) or (B, m) slab per group of
 buses, so every step works on reshaped views.
 
-The x-step runs once per group of buses with one phase count (the root on
-its own) and then projects every phase's injection at once; the y-step
-runs once per y-block signature through a prefactored ``YNodeSolver``;
-the multiplier update and the residuals are single operations on whole
-buffers. Data crosses a tree edge only where a step reads an entry that
-another bus owns; those entries are the messages, and the message audit
-is derived from them. Every step applies the per-bus arithmetic
-elementwise and reduces in a fixed order, so runs are deterministic bit
-for bit.
+Every y entry carries its penalty weight (``weight``, from
+``subproblems.y_weights``). The x-step completes the square for every bus
+in one weighted sum over y, projects the matrix targets once per group of
+buses with one phase count (the root on its own), and then projects every
+phase's injection at once; the y-step runs once per y-block signature
+through a prefactored ``YNodeSolver``; the multiplier update and the
+residuals are single operations on whole buffers. Data crosses a tree
+edge only where a step reads an entry that another bus owns; those
+entries are the messages, and the message audit is derived from them.
+Every step applies the per-bus arithmetic elementwise and reduces in a
+fixed order, so runs are deterministic bit for bit.
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ from .network import (
     validate_radial,
 )
 from .subproblems import (
-    FlowObservation,
-    SelfObservation,
-    VoltageObservation,
+    HatConstants,
     XBlock,
     YContext,
     YNodeSolver,
@@ -52,6 +52,7 @@ from .subproblems import (
     solve_x0_matrix,
     solve_x1_voltage,
     y_signature,
+    y_weights,
 )
 
 __all__ = [
@@ -89,10 +90,10 @@ class SolverConfig:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.tol_scale <= 0:
-            raise ValueError("tol_scale must be positive")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise ValueError("tol_scale must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -103,6 +104,24 @@ class IterationStats:
     r: float
     s: float
     objective: float
+
+
+@dataclass
+class FlowObservation:
+    """Branch-flow observation a parent holds about one of its children."""
+
+    S: np.ndarray
+    ell: np.ndarray
+    mu_S: np.ndarray
+    mu_ell: np.ndarray
+
+
+@dataclass
+class VoltageObservation:
+    """Voltage observation a child holds about its parent."""
+
+    v: np.ndarray
+    mu_v: np.ndarray
 
 
 @dataclass
@@ -143,22 +162,19 @@ class BusView:
 class _Group:
     """Buses of one phase count m, all non-root or the root alone.
 
-    Rows are ordered by descending child count, then id, so the buses
-    with a k-th child are a leading prefix of the rows. ``x``, ``y``,
-    ``flow`` and ``kids`` are views of the buffers: the buses' primal
-    copies, their own observations and multipliers, the parents' copies
-    of their (S, ell), and per child slot the children's copies of their
-    v. ``s_hat`` is the group's slab of the injection prox centers, and
-    ``v_lo``/``v_hi`` are the buses' voltage bounds, shape (B, m).
+    ``targets`` holds the (start, shape) of the buses' v[, S, ell] slabs
+    in x, where the x-step's targets are laid out alike. ``x``, ``y_v``,
+    ``x1_v`` and ``lam1`` are views of the buffers: the buses' primal
+    copies, their own voltage observations, voltage copies and their
+    multipliers. ``v_lo``/``v_hi`` are the buses' voltage bounds, shape
+    (B, m).
     """
 
+    targets: list
     x: XBlock
+    y_v: np.ndarray
     x1_v: np.ndarray
     lam1: np.ndarray
-    y: SelfObservation
-    flow: FlowObservation | None
-    kids: list[VoltageObservation]
-    s_hat: np.ndarray
     v_lo: np.ndarray
     v_hi: np.ndarray
 
@@ -184,10 +200,13 @@ class _Injections:
 class State:
     """The buffers of one run, their index maps, and the bus groups.
 
-    ``pair[e]`` is the x entry that y entry e observes; ``v_index`` lists
-    the entries of the buses' own v in x (and y), in the order of
+    ``pair[e]`` is the x entry that y entry e observes and ``weight[e]``
+    its penalty weight; ``den`` sums the weights per x entry. ``v_index``
+    lists the entries of the buses' own v in x (and y), in the order of
     ``x1_v`` and ``lam1``, and ``s_index`` those of s, in the order of
-    ``s_hat`` and ``injections``. ``x_shares`` and ``y_shares`` are the
+    ``injections``. Rows of a group are ordered by descending child
+    count, then id, so the buses with a k-th child are a leading prefix
+    of each child slot's slab. ``x_shares`` and ``y_shares`` are the
     directed (sender, receiver) bus pairs of the entries that the y-step
     and the x-step read across a tree edge.
     """
@@ -223,13 +242,10 @@ class State:
                 slabs.kids.append(y_alloc.take((len(holders), m, m), holders, slabs.own[0][0]))
         v_alloc = _Alloc()
         v_slabs = [v_alloc.take(slabs.own[0][1], ids) for ids, slabs in zip(rows, self._slabs)]
-        s_alloc = _Alloc()
-        s_slabs = [s_alloc.take(slabs.own[1][1], ids) for ids, slabs in zip(rows, self._slabs)]
 
         self.pair = np.concatenate(y_alloc.observes)
         self.v_index = np.concatenate([_entries(slabs.own[0]) for slabs in self._slabs])
         self.s_index = np.concatenate([_entries(slabs.own[1]) for slabs in self._slabs])
-        self.s_hat = np.zeros(s_alloc.size, dtype=complex)
         self.injections = _Injections([self._by_id[i] for ids in rows for i in ids])
         self.x = np.zeros(x_alloc.size, dtype=complex)
         self.y = np.zeros(y_alloc.size, dtype=complex)
@@ -244,9 +260,7 @@ class State:
         self.y_shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
         self.x_shares = {(b, a) for a, b in self.y_shares}
 
-        self.groups = [
-            self._group(*args) for args in zip(rows, self._slabs, v_slabs, s_slabs)
-        ]
+        self.groups = [self._group(*args) for args in zip(rows, self._slabs, v_slabs)]
 
         signatures: dict[tuple, tuple[list, list]] = {}
         for b in model.buses:
@@ -257,34 +271,19 @@ class State:
         self.ysolvers = [
             YNodeSolver(ctxs, config.rho, np.array(index)) for ctxs, index in signatures.values()
         ]
+        self.weight = np.empty(y_alloc.size)
+        for solver in self.ysolvers:
+            sizes = [end - start for start, end, _ in solver.layout.views]
+            self.weight[solver.index] = np.repeat(y_weights(solver.ctxs[0]), sizes)
+        self.den = np.bincount(self.pair, self.weight)
 
-    def _group(self, ids, slabs: "_Slabs", v_slab, s_slab) -> _Group:
-        def views(buf, group):
-            return [_view(buf, slab) for slab in group]
-
-        x = views(self.x, slabs.own)
-        y = views(self.y, slabs.own)
-        mu = views(self.mu, slabs.own)
-        if slabs.flow:
-            y_S, y_ell = views(self.y, slabs.flow)
-            mu_S, mu_ell = views(self.mu, slabs.flow)
-            flow = FlowObservation(y_S, y_ell, mu_S, mu_ell)
-        else:
-            x += [None, None]
-            y += [None, None]
-            mu += [None, None]
-            flow = None
+    def _group(self, ids, slabs: "_Slabs", v_slab) -> _Group:
         return _Group(
-            x=XBlock(*x),
+            targets=slabs.own[:1] + slabs.own[2:],
+            x=XBlock(*(_view(self.x, slab) for slab in slabs.own)),
+            y_v=_view(self.y, slabs.own[0]),
             x1_v=_view(self.x1_v, v_slab),
             lam1=_view(self.lam1, v_slab),
-            y=SelfObservation(*y, *mu),
-            flow=flow,
-            kids=[
-                VoltageObservation(_view(self.y, slab), _view(self.mu, slab))
-                for slab in slabs.kids
-            ],
-            s_hat=_view(self.s_hat, s_slab),
             v_lo=np.array([self._by_id[i].v_lo for i in ids]),
             v_hi=np.array([self._by_id[i].v_hi for i in ids]),
         )
@@ -317,47 +316,49 @@ class State:
     def bus(self, i: int) -> BusView:
         """Bus i's views of the buffers."""
         g, r = self._where[i]
-        group = self.groups[g]
+        slabs = self._slabs[g]
         line = self._lines.get(i)
-        y = group.y
         kids = self._kids[i]
 
-        def row(a):
-            return None if a is None else a[r]
+        def own(buf):
+            rows = [_view(buf, slab)[r] for slab in slabs.own]
+            return rows + [None] * (4 - len(rows))
 
+        y, mu = own(self.y), own(self.mu)
         y_parent_v = mu_parent_v = ycache_parent = None
         if line is not None:
             par_g, par_r = self._where[line.parent]
-            held = self.groups[par_g].kids[self._kids[line.parent].index(i)]
-            y_parent_v, mu_parent_v = held.v[par_r], held.mu_v[par_r]
-            f = group.flow
-            ycache_parent = FlowObservation(f.S[r], f.ell[r], f.mu_S[r], f.mu_ell[r])
+            held = self._slabs[par_g].kids[self._kids[line.parent].index(i)]
+            y_parent_v, mu_parent_v = (_view(buf, held)[par_r] for buf in (self.y, self.mu))
+            ycache_parent = FlowObservation(
+                *(_view(buf, slab)[r] for buf in (self.y, self.mu) for slab in slabs.flow)
+            )
         y_child = {}
         for j in kids:
             jg, jr = self._where[j]
-            y_child[j] = (self.groups[jg].flow.S[jr], self.groups[jg].flow.ell[jr])
+            y_child[j] = tuple(_view(self.y, slab)[jr] for slab in self._slabs[jg].flow)
         return BusView(
             bus=self._by_id[i],
             line=line,
             children=kids,
-            x0=XBlock(*(row(a) for a in (group.x.v, group.x.s, group.x.S, group.x.ell))),
-            x1_v=group.x1_v[r],
-            lam1=group.lam1[r],
-            y_v=y.v[r],
-            y_s=y.s[r],
-            y_S=row(y.S),
-            y_ell=row(y.ell),
+            x0=XBlock(*own(self.x)),
+            x1_v=self.groups[g].x1_v[r],
+            lam1=self.groups[g].lam1[r],
+            y_v=y[0],
+            y_s=y[1],
+            y_S=y[2],
+            y_ell=y[3],
             y_parent_v=y_parent_v,
             y_child=y_child,
-            mu_v=y.mu_v[r],
-            mu_s=y.mu_s[r],
-            mu_S=row(y.mu_S),
-            mu_ell=row(y.mu_ell),
+            mu_v=mu[0],
+            mu_s=mu[1],
+            mu_S=mu[2],
+            mu_ell=mu[3],
             mu_parent_v=mu_parent_v,
             ycache_parent=ycache_parent,
             ycache_child={
-                j: VoltageObservation(group.kids[k].v[r], group.kids[k].mu_v[r])
-                for k, j in enumerate(kids)
+                j: VoltageObservation(_view(self.y, slab)[r], _view(self.mu, slab)[r])
+                for j, slab in zip(kids, slabs.kids)
             },
         )
 
@@ -475,26 +476,28 @@ def _surfaced(iteration: int):
         raise SolverError(f"iteration {iteration}: {exc}") from exc
 
 
-def _x_update_group(group: _Group, rho: float) -> None:
+def _x_update_group(group: _Group, hat: np.ndarray, rho: float) -> None:
+    """The group's matrix blocks from their targets in ``hat``, and its
+    voltage copies."""
     x = group.x
-    hat = complete_square_x0(group.y, group.flow, group.kids, rho)
-    if group.flow is None:
-        x.v[...] = hat.v_hat
+    v_hat, *branch = (_view(hat, slab) for slab in group.targets)
+    if branch:
+        x.v[...], x.S[...], x.ell[...] = solve_x0_matrix(HatConstants(v_hat, *branch))
     else:
-        x.v[...], x.S[...], x.ell[...] = solve_x0_matrix(hat)
-    group.s_hat[...] = hat.s_hat
-    group.x1_v[...] = solve_x1_voltage(group.lam1, group.y.v, group.v_lo, group.v_hi, rho)
+        x.v[...] = v_hat
+    group.x1_v[...] = solve_x1_voltage(group.lam1, group.y_v, group.v_lo, group.v_hi, rho)
 
 
-def _project_injections(state: State, rho: float) -> None:
-    """Every phase's injection: the box clamp for all box phases at once,
-    then the half-disk projection once per DER phase."""
+def _project_injections(state: State, s_hat: np.ndarray, rho: float) -> None:
+    """Every phase's injection about its target ``s_hat``: the box clamp
+    for all box phases at once, then the half-disk projection once per
+    DER phase."""
     inj = state.injections
     a1 = inj.alpha + rho
-    b1 = inj.beta - rho * state.s_hat.real
-    b2 = -rho * state.s_hat.imag
+    b1 = inj.beta - rho * s_hat.real
+    b2 = -rho * s_hat.imag
     box = inj.box
-    s = np.empty_like(state.s_hat)
+    s = np.empty_like(s_hat)
     s.real[box], s.imag[box] = project_injection_box(
         a1[box], b1[box], rho, b2[box], *inj.box_bounds
     )
@@ -511,9 +514,12 @@ def x_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
     if audit is not None:
         audit.update(state.y_shares)
     with _surfaced(iteration):
+        hat = complete_square_x0(
+            state.y, state.mu, state.weight, state.pair, state.den, config.rho
+        )
         for group in state.groups:
-            _x_update_group(group, config.rho)
-        _project_injections(state, config.rho)
+            _x_update_group(group, hat, config.rho)
+        _project_injections(state, hat[state.s_index], config.rho)
 
 
 def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
@@ -523,8 +529,8 @@ def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
     v = state.v_index
     mu = state.mu.copy()
     mu[v] += state.lam1
-    x = state.x[state.pair]
-    x[v] = 2.0 * x[v] + state.x1_v
+    x = state.weight * state.x[state.pair]
+    x[v] += state.x1_v
     np.copyto(state.y_prev, state.y)
     with _surfaced(iteration):
         for solver in state.ysolvers:
@@ -561,7 +567,6 @@ class RunResult:
     status: str
     wall_seconds: float
     x_round_seconds: float
-    y_round_seconds: float
     n_buses: int
     message_pairs: set[tuple[int, int]] | None = None
 
@@ -595,18 +600,14 @@ def run(
     audit: set[tuple[int, int]] | None = set() if record_messages else None
     history: list[IterationStats] = []
     x_time = 0.0
-    y_time = 0.0
     status = "max-iters"
     t_start = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
         x_update_round(state, config, audit, k)
-        t1 = time.perf_counter()
+        x_time += time.perf_counter() - t0
         y_update_round(state, config, audit, k)
-        t2 = time.perf_counter()
         multiplier_update_round(state, config.rho, k)
-        x_time += t1 - t0
-        y_time += t2 - t1
         r, s = compute_residuals(state, config.rho)
         history.append(IterationStats(k, r, s, compute_objective(state)))
         if not (math.isfinite(r) and math.isfinite(s)):
@@ -623,7 +624,6 @@ def run(
         status=status,
         wall_seconds=wall,
         x_round_seconds=x_time,
-        y_round_seconds=y_time,
         n_buses=len(model),
         message_pairs=audit,
     )

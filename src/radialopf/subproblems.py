@@ -13,11 +13,13 @@ Each bus alternates between two kinds of local problems:
   parameter vector with a full-row-rank constraint matrix, solved in
   closed form.
 
-The engine runs each kernel once for a group of buses: the matrix kernels
-take arrays with a leading bus axis, the box projection and the voltage
-clamp work elementwise, and one ``YNodeSolver`` holds the stacked
-operators of all buses with one neighborhood shape. Only the half-disk
-projection stays scalar; it runs once per DER phase.
+The penalty weights of the observations (``y_weights``) are defined once
+and read by both steps. The engine runs square completion once over every
+bus, as one weighted sum per primal entry; the matrix kernels take arrays
+with a leading bus axis, the box projection and the voltage clamp work
+elementwise, and one ``YNodeSolver`` holds the stacked operators of all
+buses with one neighborhood shape. Only the half-disk projection stays
+scalar; it runs once per DER phase.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ from .network import PhaseSet
 __all__ = [
     "XBlock",
     "HatConstants",
-    "SelfObservation",
-    "FlowObservation",
-    "VoltageObservation",
     "complete_square_x0",
     "solve_x0_matrix",
     "project_injection_box",
@@ -48,6 +47,7 @@ __all__ = [
     "YLocal",
     "YNodeSolver",
     "y_signature",
+    "y_weights",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -77,54 +77,16 @@ class XBlock:
 
 
 @dataclass
-class SelfObservation:
-    """A bus's own observation copies and their multipliers."""
-
-    v: np.ndarray
-    s: np.ndarray
-    S: np.ndarray | None
-    ell: np.ndarray | None
-    mu_v: np.ndarray
-    mu_s: np.ndarray
-    mu_S: np.ndarray | None
-    mu_ell: np.ndarray | None
-
-
-@dataclass
-class FlowObservation:
-    """Branch-flow observation a parent holds about one of its children."""
-
-    S: np.ndarray
-    ell: np.ndarray
-    mu_S: np.ndarray
-    mu_ell: np.ndarray
-
-
-@dataclass
-class VoltageObservation:
-    """Voltage observation a child holds about its parent."""
-
-    v: np.ndarray
-    mu_v: np.ndarray
-
-
-@dataclass
 class HatConstants:
-    """Square-completion targets of the x-step, for one bus or a stack.
-
-    ``v_hat``/``S_hat``/``ell_hat`` assemble into the Hermitian target of
-    the PSD block distance; ``s_hat`` is the injection prox center. The
-    root has no branch variables, so its S/ell targets are None.
-    """
+    """Hermitian block target of the x-step's PSD projection, for one bus
+    or a stack: ``v_hat``/``S_hat``/``ell_hat`` are the square-completion
+    targets of a non-root bus's v, S and ell."""
 
     v_hat: np.ndarray
-    s_hat: np.ndarray
-    S_hat: np.ndarray | None = None
-    ell_hat: np.ndarray | None = None
+    S_hat: np.ndarray
+    ell_hat: np.ndarray
 
     def block(self) -> np.ndarray:
-        if self.S_hat is None or self.ell_hat is None:
-            raise ValueError("root hat constants have no matrix block")
         m = self.v_hat.shape[-1]
         w = np.empty(self.v_hat.shape[:-2] + (2 * m, 2 * m), dtype=complex)
         w[..., :m, :m] = self.v_hat
@@ -135,58 +97,30 @@ class HatConstants:
 
 
 def complete_square_x0(
-    self_obs: SelfObservation,
-    parent_obs: FlowObservation | None,
-    child_obs: list[VoltageObservation],
+    y: np.ndarray,
+    mu: np.ndarray,
+    weight: np.ndarray,
+    pair: np.ndarray,
+    den: np.ndarray,
     rho: float,
-) -> HatConstants:
+) -> np.ndarray:
     """Collapse the weighted observation penalties into prox targets.
 
-    Works on a stack of buses: every array has a leading bus axis.
-    ``child_obs`` has one entry per child slot; slot k stacks the voltage
-    copies held by the k-th child (ascending id) of the buses that have
-    more than k children, and those buses come first in the stack.
-
-    Every scalar variable w appears in several penalty terms
-    sum_j kappa_j/2 * rho * |w - w_j|^2 plus a linear multiplier term;
+    Each observation e of x entry i = ``pair[e]`` adds
+    <mu_e, x_i> + w_e/2 * rho * |x_i - y_e|^2 to the x-step objective;
     completing the square gives the target
-    (sum_j kappa_j w_j - mu_w / rho) / sum_j kappa_j. The observation
-    weights are chosen so the v/S/ell targets combine into a single
-    Hermitian block distance: self weights (2|C|+3, 1, 2, |C|+1) for
-    (S, s, v, ell), parent weight 1 for S and ell, and weight 1 for the
-    voltage copy held by each child.
+    sum_e (w_e y_e - mu_e / rho) / sum_e w_e. ``y``, ``mu`` and ``weight``
+    are laid out alike and ``den`` holds sum_e w_e per x entry. The sums
+    run over the observations of every bus at once, in y order; returns
+    the targets laid out like x.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    v_num = 2.0 * self_obs.v - (self_obs.mu_v / rho)
-    nc = np.zeros((len(v_num), 1, 1))
-    for ob in child_obs:
-        b = len(ob.v)
-        v_num[:b] = v_num[:b] + ob.v - ob.mu_v / rho
-        nc[:b] += 1.0
-    v_hat = v_num / (nc + 2.0)
-
-    s_hat = self_obs.s - self_obs.mu_s / rho
-
-    if parent_obs is None:
-        if self_obs.S is not None:
-            raise ValueError("bus with branch variables needs a parent observation")
-        return HatConstants(v_hat, s_hat)
-
-    if self_obs.S is None or self_obs.ell is None:
-        raise ValueError("missing self branch observation")
-    s_weight = 2.0 * nc + 3.0
-    S_hat = (
-        s_weight * self_obs.S
-        + parent_obs.S
-        - (self_obs.mu_S + parent_obs.mu_S) / rho
-    ) / (s_weight + 1.0)
-    ell_hat = (
-        (nc + 1.0) * self_obs.ell
-        + parent_obs.ell
-        - (self_obs.mu_ell + parent_obs.mu_ell) / rho
-    ) / (nc + 2.0)
-    return HatConstants(v_hat, s_hat, S_hat, ell_hat)
+    terms = weight * y - mu / rho
+    hat = np.empty(len(den), dtype=complex)
+    hat.real = np.bincount(pair, terms.real, len(den)) / den
+    hat.imag = np.bincount(pair, terms.imag, len(den)) / den
+    return hat
 
 
 def solve_x0_matrix(hat: HatConstants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -479,6 +413,23 @@ def y_signature(ctx: YContext) -> tuple[tuple[str, int], ...]:
     return tuple(blocks)
 
 
+def y_weights(ctx: YContext) -> tuple[float, ...]:
+    """The penalty weight of each block of ``y_signature(ctx)``.
+
+    With |C| children, the bus's own copies of v, s, S and ell weigh 2, 1,
+    2|C|+3 and |C|+1, and every copy it holds of a neighbor's variable
+    (the parent's v, each child's S and ell) weighs 1. The weights on each
+    of v and ell then sum to |C|+2 and those on S to twice that, so the
+    x-step's square completion leaves one Hermitian block distance. Both
+    the x-step and the y-step read these weights.
+    """
+    nc = len(ctx.children)
+    weights = [2.0, 1.0]
+    if not ctx.is_root:
+        weights += [2.0 * nc + 3.0, nc + 1.0, 1.0]
+    return tuple(weights + [1.0, 1.0] * nc)
+
+
 def _local(blocks: list[np.ndarray], ctx: YContext) -> YLocal:
     """Name the blocks: v, s, [S, ell, parent v], then each child's (S, ell)."""
     v_self, s_self, *rest = blocks
@@ -556,17 +507,8 @@ class YNodeSolver:
         floats = (2 * index[..., None] + np.arange(2)).reshape(nb, -1)
         self._gather = floats[:, self.layout.pos]
 
-        # observation weights: v_self's 3 is the weight 2 of the bus's own
-        # copy plus 1 of the voltage copy; then s, [S, ell, parent v], and
-        # 1 for each child's (S, ell)
-        ctx = self.ctxs[0]
-        nc = len(ctx.children)
-        weights = [3.0, 1.0]
-        if not ctx.is_root:
-            weights += [2.0 * nc + 3.0, nc + 1.0, 1.0]
-        weights += [1.0, 1.0] * nc
-
         # the constraint rows at every unit parameter vector at once
+        ctx = self.ctxs[0]
         m = len(ctx.phases)
         drop = () if ctx.is_root else (("herm", m),)
         rows = _layout(drop + (("vec", m),))
@@ -581,9 +523,10 @@ class YNodeSolver:
                     "(malformed phase data)"
                 )
 
+        # the observation weights, and 1 more on v_self for the x1_v copy
+        weights = np.array(y_weights(ctx))
+        weights[0] += 1.0
         m_diag = rho * np.repeat(weights, self.layout.counts)
-        # assemble_c pairs v_self with 2 x_v + x1_v, its weights already applied
-        self._r = rho * np.repeat([1.0] + weights[1:], self.layout.counts)
 
         self.a_mat = a_mat
         self.m_diag = m_diag
@@ -596,16 +539,16 @@ class YNodeSolver:
         self._operator = operator
 
     def assemble_c(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Linear coefficients -mu - rho * weight * x of every bus, shape (B, size).
+        """Linear coefficients -mu - rho * x of every bus, shape (B, size).
 
         ``mu`` and ``x`` are complex buffers laid out like y: the
         multiplier of each y-block (mu_v + lam1 for v) and the primal
-        value it observes (2 x_v + x1_v for v).
+        value it observes times the block's weight (2 x_v + x1_v for v).
         """
         scale = self.layout.scale
         mu_flat = mu.view(float)[self._gather]
         x_flat = x.view(float)[self._gather]
-        return -(mu_flat * scale) - self._r * (x_flat * scale)
+        return -(mu_flat * scale) - self.rho * (x_flat * scale)
 
     def solve(self, c: np.ndarray, y: np.ndarray) -> None:
         """Write every bus's minimizer P c into its blocks of ``y``."""

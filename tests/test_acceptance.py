@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from radialopf.engine import SolverConfig, run
+from radialopf.engine import SolverConfig, State, run
 from radialopf.hermitian import inner, psd_project
 from radialopf.network import (
     Box,
@@ -23,9 +23,6 @@ from radialopf.network import (
     generate_topology,
 )
 from radialopf.subproblems import (
-    FlowObservation,
-    SelfObservation,
-    VoltageObservation,
     YContext,
     YNodeSolver,
     _local,
@@ -243,26 +240,47 @@ def cvec_directions(m):
         yield e
 
 
-def stack(obs):
-    """One bus's observation as a stack of one, the x-step's input shape."""
-    return type(obs)(*(np.asarray(a)[None] for a in vars(obs).values()))
+def observed_bus(rng, m, nc, rho):
+    """A small state whose bus 1 hangs under the root and has nc leaf
+    children, all with m phases, with random observations and multipliers
+    of bus 1's x entries; returns the state and bus 1's view."""
+    ph = PhaseSet("abc"[:m])
+    free = tuple(Box(-INF, INF, -INF, INF) for _ in range(m))
+    buses = tuple(
+        BusSpec(i, ph, (0.9,) * m, (1.1,) * m, free, loss_cost(m)) for i in range(nc + 2)
+    )
+    z = (0.01 + 0.02j) * np.eye(m)
+    lines = tuple(LineSpec(i, 0 if i == 1 else 1, z) for i in range(1, nc + 2))
+    state = State(FeederModel(buses, lines), SolverConfig(rho=rho))
+    obs = state.bus(1)
+    par = obs.ycache_parent
+    for a in (obs.y_v, obs.mu_v, obs.y_ell, obs.mu_ell, par.ell, par.mu_ell):
+        a[...] = rand_herm(rng, m)
+    for a in (obs.y_s, obs.mu_s):
+        a[...] = rand_cvec(rng, m)
+    for a in (obs.y_S, obs.mu_S, par.S, par.mu_S):
+        a[...] = rand_cmat(rng, m)
+    for ob in obs.ycache_child.values():
+        ob.v[...], ob.mu_v[...] = rand_herm(rng, m), rand_herm(rng, m)
+    return state, obs
 
 
-def direct_penalty(v, S, ell, s, self_obs, parent_obs, child_obs, rho):
-    nc = len(child_obs)
+def direct_penalty(v, S, ell, s, obs, rho):
+    nc = len(obs.children)
+    par = obs.ycache_parent
 
     def nsq(a, b):
         return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** 2)
 
-    val = inner(self_obs.mu_v, v) + inner(self_obs.mu_s, s)
-    val += 0.5 * rho * (2.0 * nsq(v, self_obs.v) + nsq(s, self_obs.s))
-    val += inner(self_obs.mu_S, S) + inner(self_obs.mu_ell, ell)
+    val = inner(obs.mu_v, v) + inner(obs.mu_s, s)
+    val += 0.5 * rho * (2.0 * nsq(v, obs.y_v) + nsq(s, obs.y_s))
+    val += inner(obs.mu_S, S) + inner(obs.mu_ell, ell)
     val += 0.5 * rho * (
-        (2.0 * nc + 3.0) * nsq(S, self_obs.S) + (nc + 1.0) * nsq(ell, self_obs.ell)
+        (2.0 * nc + 3.0) * nsq(S, obs.y_S) + (nc + 1.0) * nsq(ell, obs.y_ell)
     )
-    val += inner(parent_obs.mu_S, S) + inner(parent_obs.mu_ell, ell)
-    val += 0.5 * rho * (nsq(S, parent_obs.S) + nsq(ell, parent_obs.ell))
-    for ob in child_obs:
+    val += inner(par.mu_S, S) + inner(par.mu_ell, ell)
+    val += 0.5 * rho * (nsq(S, par.S) + nsq(ell, par.ell))
+    for ob in obs.ycache_child.values():
         val += inner(ob.mu_v, v) + 0.5 * rho * nsq(v, ob.v)
     return val
 
@@ -275,26 +293,11 @@ def test_criterion_4_square_completion_gradient():
         m = int(rng.integers(1, 4))
         nc = int(rng.integers(0, 4))
         rho = float(rng.uniform(0.4, 2.5))
-        self_obs = SelfObservation(
-            v=rand_herm(rng, m),
-            s=rand_cvec(rng, m),
-            S=rand_cmat(rng, m),
-            ell=rand_herm(rng, m),
-            mu_v=rand_herm(rng, m),
-            mu_s=rand_cvec(rng, m),
-            mu_S=rand_cmat(rng, m),
-            mu_ell=rand_herm(rng, m),
+        state, obs = observed_bus(rng, m, nc, rho)
+        state.x[...] = complete_square_x0(
+            state.y, state.mu, state.weight, state.pair, state.den, rho
         )
-        parent = FlowObservation(
-            rand_cmat(rng, m), rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
-        )
-        kids = [
-            VoltageObservation(rand_herm(rng, m), rand_herm(rng, m)) for _ in range(nc)
-        ]
-        hat = complete_square_x0(
-            stack(self_obs), stack(parent), [stack(ob) for ob in kids], rho
-        )
-        hat = type(hat)(*(a[0] for a in vars(hat).values()))
+        hat = state.bus(1).x0
 
         v = rand_herm(rng, m)
         S = rand_cmat(rng, m)
@@ -309,21 +312,19 @@ def test_criterion_4_square_completion_gradient():
                     S + t * dS if dS is not None else S,
                     ell + t * dell if dell is not None else ell,
                     s + t * ds if ds is not None else s,
-                    self_obs,
-                    parent,
-                    kids,
+                    obs,
                     rho,
                 )
 
             return (at(h) - at(-h)) / (2.0 * h)
 
         for e in herm_directions(m):
-            assert abs(fd(dv=e) - scale * inner(e, v - hat.v_hat)) <= 1e-6
-            assert abs(fd(dell=e) - scale * inner(e, ell - hat.ell_hat)) <= 1e-6
+            assert abs(fd(dv=e) - scale * inner(e, v - hat.v)) <= 1e-6
+            assert abs(fd(dell=e) - scale * inner(e, ell - hat.ell)) <= 1e-6
         for e in cmat_directions(m):
-            assert abs(fd(dS=e) - 2.0 * scale * inner(e, S - hat.S_hat)) <= 1e-6
+            assert abs(fd(dS=e) - 2.0 * scale * inner(e, S - hat.S)) <= 1e-6
         for e in cvec_directions(m):
-            assert abs(fd(ds=e) - rho * inner(e, s - hat.s_hat)) <= 1e-6
+            assert abs(fd(ds=e) - rho * inner(e, s - hat.s)) <= 1e-6
         points += 1
     print("criterion 4 PASS: square completion matches direct gradients")
 

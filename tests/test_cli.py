@@ -3,6 +3,8 @@ import json
 import math
 from dataclasses import replace
 
+import pytest
+
 from radialopf import cli
 from radialopf.cli import (
     EXIT_DIVERGED,
@@ -238,3 +240,49 @@ def test_bench_reports_failed_solves(tmp_path, monkeypatch):
 def test_bench_empty_sizes(tmp_path):
     code = main(["bench", "--sizes", "", "--out", str(tmp_path / "b.csv")])
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--rho", "0"],
+        ["--rho", "nan"],
+        ["--max-iters", "0"],
+        ["--tol", "-1"],
+        ["--tol", "nan", "--max-iters", "50"],
+        ["--tol", "inf"],
+    ],
+)
+def test_solve_rejects_bad_solver_flags(tmp_path, capsys, flags):
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    code = main(["solve", "--network", str(net), "--out-dir", str(tmp_path / "r")] + flags)
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flags", [["--sizes", "x"], ["--rho", "0"], ["--tol", "nan"]])
+def test_bench_rejects_bad_flags(tmp_path, capsys, flags):
+    out = tmp_path / "b.csv"
+    code = main(["bench", "--kinds", "line", "--sizes", "3", "--out", str(out)] + flags)
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"buses": [{"id": 0, "v": [[{"re": None, "im": 0}]], "s": []}]},
+        [1],
+    ],
+)
+def test_verify_malformed_solution_document(tmp_path, capsys, doc):
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    sol = tmp_path / "solution.json"
+    sol.write_text(json.dumps(doc))
+    code = main(["verify", "--solution", str(sol), "--network", str(net)])
+    assert code == EXIT_VALIDATION
+    assert "malformed solution document" in capsys.readouterr().err

@@ -1,9 +1,14 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from radialopf.engine import (
     PHASE_REFERENCE,
     SolverConfig,
+    State,
     compute_objective,
     compute_residuals,
     initialize,
@@ -21,6 +26,7 @@ from radialopf.network import (
     PhaseSet,
     TopologyTemplate,
     generate_topology,
+    loads_feeder,
     phase_lift,
     phase_project,
 )
@@ -392,3 +398,42 @@ class TestConfig:
             SolverConfig(tol_scale=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(rho=bad)
+            with pytest.raises(ValueError):
+                SolverConfig(tol_scale=bad)
+
+
+def mixed_feeder():
+    """Seven buses with one, two and three phases and ids out of child-count order."""
+    doc = json.loads((Path(__file__).parent / "data" / "engine_equivalence.json").read_text())
+    return loads_feeder(json.dumps(doc["mixed-7-unsorted"]["feeder"]))
+
+
+class TestWeights:
+    @pytest.mark.parametrize(
+        "model", [mixed_feeder(), generate_topology("fat-tree", 7, TopologyTemplate(phases="ab"))]
+    )
+    def test_den_sums_the_observation_weights(self, model):
+        # the weights on each x entry's observations: 2 own + 1 per child's
+        # copy of v, 1 on s, 2|C|+3 own + 1 parent's copy of S, |C|+1 + 1 of ell
+        state = State(model, SolverConfig())
+        state.x[...] = state.den
+        for agent in views(state).values():
+            nc = len(agent.children)
+            assert np.all(agent.x0.v == nc + 2)
+            assert np.all(agent.x0.s == 1)
+            if not agent.is_root:
+                assert np.all(agent.x0.S == 2 * nc + 4)
+                assert np.all(agent.x0.ell == nc + 2)
+
+    def test_y_step_reads_the_x_step_weights(self):
+        # M = rho * weight on every y entry, with 1 more on v_self for x1_v
+        rho = 1.7
+        state = State(mixed_feeder(), SolverConfig(rho=rho))
+        for solver in state.ysolvers:
+            entries = solver.index[:, solver.layout.pos // 2]
+            extra = np.arange(solver.layout.size) < solver.layout.counts[0]
+            for row in entries:
+                assert np.array_equal(solver.m_diag, rho * (state.weight[row] + extra))

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from radialopf.engine import SolverConfig, State
 from radialopf.hermitian import inner
-from radialopf.network import PhaseSet
+from radialopf.network import Box, BusSpec, FeederModel, LineSpec, ObjectiveCoeffs, PhaseSet
 from radialopf.subproblems import (
-    FlowObservation,
     HatConstants,
-    SelfObservation,
-    VoltageObservation,
     XBlock,
     YContext,
     YNodeSolver,
@@ -21,6 +19,7 @@ from radialopf.subproblems import (
     solve_disk_multiplier,
     solve_x0_matrix,
     solve_x1_voltage,
+    y_weights,
 )
 
 
@@ -37,153 +36,158 @@ def rand_cvec(rng, n, scale=1.0):
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-def rand_self_obs(rng, m, root=False):
-    if root:
-        return SelfObservation(
-            v=rand_herm(rng, m),
-            s=rand_cvec(rng, m),
-            S=None,
-            ell=None,
-            mu_v=rand_herm(rng, m),
-            mu_s=rand_cvec(rng, m),
-            mu_S=None,
-            mu_ell=None,
-        )
-    return SelfObservation(
-        v=rand_herm(rng, m),
-        s=rand_cvec(rng, m),
-        S=rand_cmat(rng, m),
-        ell=rand_herm(rng, m),
-        mu_v=rand_herm(rng, m),
-        mu_s=rand_cvec(rng, m),
-        mu_S=rand_cmat(rng, m),
-        mu_ell=rand_herm(rng, m),
+def rand_mults(rng, m, root=False):
+    """A bus's random multipliers of its own (v, s[, S, ell])."""
+    mu = XBlock(rand_herm(rng, m), rand_cvec(rng, m))
+    if not root:
+        mu.S, mu.ell = rand_cmat(rng, m), rand_herm(rng, m)
+    return mu
+
+
+def feeder(parents, phases):
+    """Bus k + 1 hangs under bus parents[k]; every bus has ``phases``."""
+    ph = PhaseSet(phases)
+    m = len(ph)
+    free = tuple(Box(-math.inf, math.inf, -math.inf, math.inf) for _ in range(m))
+    cost = tuple(ObjectiveCoeffs(0.0, 1.0) for _ in range(m))
+    buses = tuple(
+        BusSpec(i, ph, (0.9,) * m, (1.1,) * m, free, cost) for i in range(len(parents) + 1)
     )
+    z = (0.01 + 0.02j) * np.eye(m)
+    lines = tuple(LineSpec(k + 1, p, z) for k, p in enumerate(parents))
+    return FeederModel(buses, lines)
 
 
-def stack(*objs):
-    """Observations (or hat constants) of several buses as one stack."""
-    columns = zip(*(vars(o).values() for o in objs))
-    return type(objs[0])(*(None if col[0] is None else np.stack(col) for col in columns))
+def one_bus_state(m, nc, rho=1.0):
+    """Bus 1 under the root with nc leaf children, all with m phases."""
+    return State(feeder([0] + [1] * nc, "abc"[:m]), SolverConfig(rho=rho))
 
 
-def complete_one(self_obs, parent, kids, rho):
-    """complete_square_x0 on a stack of one bus, with the stack axis dropped."""
-    hat = complete_square_x0(
-        stack(self_obs), None if parent is None else stack(parent), [stack(k) for k in kids], rho
-    )
-    return HatConstants(*(None if a is None else a[0] for a in vars(hat).values()))
+def observations(view):
+    """The observations of bus ``view``'s x entries and their multipliers:
+    its own copies, the parent's copy of its (S, ell), then each child's
+    copy of its v."""
+    arrays = [view.y_v, view.y_s, view.mu_v, view.mu_s]
+    par = view.ycache_parent
+    if par is not None:
+        arrays += [view.y_S, view.y_ell, view.mu_S, view.mu_ell]
+        arrays += [par.S, par.ell, par.mu_S, par.mu_ell]
+    for ob in view.ycache_child.values():
+        arrays += [ob.v, ob.mu_v]
+    return arrays
 
 
-def consensus_obs(m, value, nc):
-    """All observations equal and all multipliers zero."""
-    v = np.full((m, m), value, dtype=complex)
-    zeros = np.zeros((m, m), dtype=complex)
-    self_obs = SelfObservation(
-        v=v.copy(),
-        s=np.full(m, value, dtype=complex),
-        S=v.copy(),
-        ell=v.copy(),
-        mu_v=zeros.copy(),
-        mu_s=np.zeros(m, dtype=complex),
-        mu_S=zeros.copy(),
-        mu_ell=zeros.copy(),
-    )
-    parent = FlowObservation(v.copy(), v.copy(), zeros.copy(), zeros.copy())
-    kids = [VoltageObservation(v.copy(), zeros.copy()) for _ in range(nc)]
-    return self_obs, parent, kids
+def fill_observations(rng, view):
+    """Random observations and multipliers of bus ``view``'s x entries."""
+    m = len(view.bus.phases)
+    for a in observations(view):
+        if a.ndim == 1:
+            a[...] = rand_cvec(rng, m)
+        else:
+            a[...] = rand_herm(rng, m)
+    par = view.ycache_parent
+    if par is not None:
+        for a in (view.y_S, view.mu_S, par.S, par.mu_S):
+            a[...] = rand_cmat(rng, m)
+
+
+def targets(state, rho):
+    """complete_square_x0 over the state's buffers, each bus's targets
+    (v, s[, S, ell]) read through its views."""
+    hat = complete_square_x0(state.y, state.mu, state.weight, state.pair, state.den, rho)
+    state.x[...] = hat
+    return {b.id: state.bus(b.id).x0.copy() for b in state.model.buses}
 
 
 class TestCompleteSquare:
     def test_consensus_is_fixed(self):
-        self_obs, parent, kids = consensus_obs(2, 0.7, nc=2)
-        hat = complete_one(self_obs, parent, kids, rho=1.3)
-        assert np.allclose(hat.v_hat, self_obs.v)
-        assert np.allclose(hat.S_hat, self_obs.S)
-        assert np.allclose(hat.ell_hat, self_obs.ell)
-        assert np.allclose(hat.s_hat, self_obs.s)
+        # all observations equal and all multipliers zero
+        state = one_bus_state(2, nc=2)
+        state.y[...] = 0.7
+        state.mu[...] = 0.0
+        obs = state.bus(1)
+        hat = targets(state, rho=1.3)[1]
+        assert np.allclose(hat.v, obs.y_v)
+        assert np.allclose(hat.S, obs.y_S)
+        assert np.allclose(hat.ell, obs.y_ell)
+        assert np.allclose(hat.s, obs.y_s)
 
     def test_leaf_voltage_target(self):
-        # leaf: only the self observation (weight 2) sees v, so the target
+        # leaf: only the own observation (weight 2) sees v, so the target
         # is v_obs - mu_v / (2 rho)
         rng = np.random.default_rng(0)
         rho = 0.8
-        self_obs = rand_self_obs(rng, 2)
-        parent = FlowObservation(
-            rand_cmat(rng, 2), rand_herm(rng, 2), rand_cmat(rng, 2), rand_herm(rng, 2)
-        )
-        hat = complete_one(self_obs, parent, [], rho)
-        assert np.allclose(hat.v_hat, self_obs.v - self_obs.mu_v / (2 * rho))
+        state = one_bus_state(2, nc=0)
+        obs = state.bus(1)
+        fill_observations(rng, obs)
+        hat = targets(state, rho)[1]
+        assert np.allclose(hat.v, obs.y_v - obs.mu_v / (2 * rho))
 
     def test_injection_target(self):
         rng = np.random.default_rng(1)
         rho = 2.0
-        self_obs = rand_self_obs(rng, 3)
-        parent = FlowObservation(
-            rand_cmat(rng, 3), rand_herm(rng, 3), rand_cmat(rng, 3), rand_herm(rng, 3)
-        )
-        hat = complete_one(self_obs, parent, [], rho)
-        assert np.allclose(hat.s_hat, self_obs.s - self_obs.mu_s / rho)
+        state = one_bus_state(3, nc=0)
+        obs = state.bus(1)
+        fill_observations(rng, obs)
+        hat = targets(state, rho)[1]
+        assert np.allclose(hat.s, obs.y_s - obs.mu_s / rho)
 
     def test_hat_targets_are_hermitian(self):
         rng = np.random.default_rng(2)
-        self_obs = rand_self_obs(rng, 3)
-        parent = FlowObservation(
-            rand_cmat(rng, 3), rand_herm(rng, 3), rand_cmat(rng, 3), rand_herm(rng, 3)
-        )
-        kids = [VoltageObservation(rand_herm(rng, 3), rand_herm(rng, 3))]
-        hat = complete_one(self_obs, parent, kids, 1.0)
-        assert np.array_equal(hat.v_hat, hat.v_hat.conj().T)
-        assert np.array_equal(hat.ell_hat, hat.ell_hat.conj().T)
+        state = one_bus_state(3, nc=1)
+        fill_observations(rng, state.bus(1))
+        hat = targets(state, 1.0)[1]
+        assert np.array_equal(hat.v, hat.v.conj().T)
+        assert np.array_equal(hat.ell, hat.ell.conj().T)
 
     def test_stack_matches_each_bus_alone(self):
-        # buses with more children come first: child slot k stacks the k-th
-        # child's voltage copy of the buses that have one
+        # buses 1-4 with 3, 2, 2 and 0 children complete their squares in
+        # one sum over the whole state; each matches a state of its own
         rng = np.random.default_rng(24)
         m, rho = 2, 0.7
-        buses = []
-        for nc in (3, 2, 2, 0):
-            parent = FlowObservation(
-                rand_cmat(rng, m), rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
-            )
-            kids = [VoltageObservation(rand_herm(rng, m), rand_herm(rng, m)) for _ in range(nc)]
-            buses.append((rand_self_obs(rng, m), parent, kids))
-        slots = [stack(*(kids[k] for _, _, kids in buses if len(kids) > k)) for k in range(3)]
-        hat = complete_square_x0(
-            stack(*(b[0] for b in buses)), stack(*(b[1] for b in buses)), slots, rho
-        )
-        for r, bus in enumerate(buses):
-            one = complete_one(*bus, rho)
-            for name in ("v_hat", "s_hat", "S_hat", "ell_hat"):
-                assert np.array_equal(getattr(hat, name)[r], getattr(one, name))
+        state = State(feeder([0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3], "ab"), SolverConfig(rho=rho))
+        for i in (1, 2, 3, 4):
+            fill_observations(rng, state.bus(i))
+        hat = targets(state, rho)
+        for i in (1, 2, 3, 4):
+            view = state.bus(i)
+            alone = one_bus_state(m, len(view.children), rho)
+            for src, dst in zip(observations(view), observations(alone.bus(1)), strict=True):
+                dst[...] = src
+            one = targets(alone, rho)[1]
+            for name in ("v", "s", "S", "ell"):
+                assert np.array_equal(getattr(hat[i], name), getattr(one, name))
 
 
-def direct_penalty(v, S, ell, s, self_obs, parent_obs, child_obs, rho):
+def direct_penalty(v, S, ell, s, obs, rho):
     """Multiplier and penalty terms of the x-step objective, written directly
-    from the weighted observation sums (independent of the hat derivation)."""
-    nc = len(child_obs)
+    from the weighted observation sums of bus view ``obs`` (independent of
+    the hat derivation)."""
+    nc = len(obs.children)
 
     def nsq(a, b):
         return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** 2)
 
-    val = inner(self_obs.mu_v, v) + inner(self_obs.mu_s, s)
-    val += 0.5 * rho * (2.0 * nsq(v, self_obs.v) + nsq(s, self_obs.s))
-    if parent_obs is not None:
-        val += inner(self_obs.mu_S, S) + inner(self_obs.mu_ell, ell)
+    val = inner(obs.mu_v, v) + inner(obs.mu_s, s)
+    val += 0.5 * rho * (2.0 * nsq(v, obs.y_v) + nsq(s, obs.y_s))
+    par = obs.ycache_parent
+    if par is not None:
+        val += inner(obs.mu_S, S) + inner(obs.mu_ell, ell)
         val += 0.5 * rho * (
-            (2.0 * nc + 3.0) * nsq(S, self_obs.S) + (nc + 1.0) * nsq(ell, self_obs.ell)
+            (2.0 * nc + 3.0) * nsq(S, obs.y_S) + (nc + 1.0) * nsq(ell, obs.y_ell)
         )
-        val += inner(parent_obs.mu_S, S) + inner(parent_obs.mu_ell, ell)
-        val += 0.5 * rho * (nsq(S, parent_obs.S) + nsq(ell, parent_obs.ell))
-    for ob in child_obs:
+        val += inner(par.mu_S, S) + inner(par.mu_ell, ell)
+        val += 0.5 * rho * (nsq(S, par.S) + nsq(ell, par.ell))
+    for ob in obs.ycache_child.values():
         val += inner(ob.mu_v, v) + 0.5 * rho * nsq(v, ob.v)
     return val
 
 
 def completed_penalty(v, S, ell, s, hat, nc, rho):
     block = np.block([[v, S], [S.conj().T, ell]])
-    dist = np.linalg.norm(block - hat.block()) ** 2
-    return 0.5 * rho * (nc + 2.0) * dist + 0.5 * rho * np.linalg.norm(s - hat.s_hat) ** 2
+    target = np.block([[hat.v, hat.S], [hat.S.conj().T, hat.ell]])
+    dist = np.linalg.norm(block - target) ** 2
+    return 0.5 * rho * (nc + 2.0) * dist + 0.5 * rho * np.linalg.norm(s - hat.s) ** 2
 
 
 class TestSquareCompletionIdentity:
@@ -193,16 +197,11 @@ class TestSquareCompletionIdentity:
         for _ in range(25):
             m = int(rng.integers(1, 4))
             nc = int(rng.integers(0, 4))
-            self_obs = rand_self_obs(rng, m)
-            parent = FlowObservation(
-                rand_cmat(rng, m), rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
-            )
-            kids = [
-                VoltageObservation(rand_herm(rng, m), rand_herm(rng, m))
-                for _ in range(nc)
-            ]
             rho = float(rng.uniform(0.3, 3.0))
-            hat = complete_one(self_obs, parent, kids, rho)
+            state = one_bus_state(m, nc, rho)
+            obs = state.bus(1)
+            fill_observations(rng, obs)
+            hat = targets(state, rho)[1]
 
             def pt():
                 return (
@@ -214,13 +213,18 @@ class TestSquareCompletionIdentity:
 
             v1, S1, l1, s1 = pt()
             v2, S2, l2, s2 = pt()
-            d_direct = direct_penalty(
-                v1, S1, l1, s1, self_obs, parent, kids, rho
-            ) - direct_penalty(v2, S2, l2, s2, self_obs, parent, kids, rho)
+            d_direct = direct_penalty(v1, S1, l1, s1, obs, rho) - direct_penalty(
+                v2, S2, l2, s2, obs, rho
+            )
             d_completed = completed_penalty(v1, S1, l1, s1, hat, nc, rho) - (
                 completed_penalty(v2, S2, l2, s2, hat, nc, rho)
             )
             assert d_direct == pytest.approx(d_completed, abs=1e-8)
+
+
+def stack(*hats):
+    """Several buses' hat constants as one stack."""
+    return HatConstants(*(np.stack(col) for col in zip(*(vars(h).values() for h in hats))))
 
 
 class TestMatrixStep:
@@ -230,7 +234,7 @@ class TestMatrixStep:
         w = b @ b.conj().T
         m = 2
         hat_v, hat_S, hat_l = w[:m, :m], w[:m, m:], w[m:, m:]
-        hat = HatConstants(hat_v, np.zeros(m, dtype=complex), hat_S, hat_l)
+        hat = HatConstants(hat_v, hat_S, hat_l)
         v, S, ell = solve_x0_matrix(hat)
         assert np.allclose(v, hat_v, atol=1e-10)
         assert np.allclose(S, hat_S, atol=1e-10)
@@ -239,7 +243,6 @@ class TestMatrixStep:
     def test_diagonal_truncation(self):
         hat = HatConstants(
             np.array([[1.0 + 0j]]),
-            np.zeros(1, dtype=complex),
             np.array([[0.0 + 0j]]),
             np.array([[-1.0 + 0j]]),
         )
@@ -253,7 +256,7 @@ class TestMatrixStep:
         for _ in range(10):
             m = int(rng.integers(1, 4))
             hat = HatConstants(
-                rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+                rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
             w = hat.block()
             v, S, ell = solve_x0_matrix(hat)
@@ -269,7 +272,7 @@ class TestMatrixStep:
         for _ in range(50):
             m = int(rng.integers(1, 4))
             hat = HatConstants(
-                rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+                rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
             v, S, ell = solve_x0_matrix(hat)
             x = np.block([[v, S], [S.conj().T, ell]])
@@ -284,7 +287,7 @@ class TestMatrixStep:
         rng = np.random.default_rng(70 + m)
         for _ in range(50):
             hat = HatConstants(
-                rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+                rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
             w = hat.block()
             v, S, ell = solve_x0_matrix(hat)
@@ -300,7 +303,7 @@ class TestMatrixStep:
         rng = np.random.default_rng(80 + m)
         hats = [
             HatConstants(
-                rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+                rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
             for _ in range(6)
         ]
@@ -538,7 +541,7 @@ def random_system(rng, ctx, rho):
         S=None if ctx.is_root else rand_cmat(rng, m),
         ell=None if ctx.is_root else rand_herm(rng, m),
     )
-    mu_self = rand_self_obs(rng, m, root=ctx.is_root)
+    mu_self = rand_mults(rng, m, root=ctx.is_root)
     lam1 = rand_herm(rng, m)
     if ctx.is_root:
         mu_parent = x_parent = None
@@ -561,16 +564,19 @@ def random_system(rng, ctx, rho):
 
 def coefficients(solver, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, child_x):
     """c of a one-bus solver: its multiplier and primal blocks laid out as
-    y, v_self paired with mu_v + lam1 and 2 x_v + x1_v as the engine pairs them."""
-    mus = [mu.mu_v + lam1, mu.mu_s]
-    xs = [2.0 * x0.v + x1_v, x0.s]
+    y, each primal block times its weight and v_self paired with mu_v + lam1
+    and 2 x_v + x1_v, as the engine pairs them."""
+    mus = [mu.v + lam1, mu.s]
+    xs = [x0.v, x0.s]
     ctx = solver.ctxs[0]
     if not ctx.is_root:
-        mus += [mu.mu_S, mu.mu_ell, mu_parent]
+        mus += [mu.S, mu.ell, mu_parent]
         xs += [x0.S, x0.ell, x_parent]
     for cid, _, _ in ctx.children:
         mus += child_mults[cid]
         xs += child_x[cid]
+    xs = [w * x for w, x in zip(y_weights(ctx), xs, strict=True)]
+    xs[0] = xs[0] + x1_v
     return solver.assemble_c(solver.layout.join(mus), solver.layout.join(xs))[0]
 
 
@@ -628,15 +634,11 @@ class TestYSystem:
         rng = np.random.default_rng(21)
         ctx = make_context(rng, 2, 1, parent_m=3)
         m = len(ctx.phases)
-        zeros_obs = SelfObservation(
+        zeros_obs = XBlock(
             v=np.zeros((m, m), complex),
             s=np.zeros(m, complex),
             S=np.zeros((m, m), complex),
             ell=np.zeros((m, m), complex),
-            mu_v=np.zeros((m, m), complex),
-            mu_s=np.zeros(m, complex),
-            mu_S=np.zeros((m, m), complex),
-            mu_ell=np.zeros((m, m), complex),
         )
         cid, cph, _ = ctx.children[0]
         mc = len(cph)
@@ -665,7 +667,7 @@ class TestYSystem:
         # -<mu_b, Y_b> - rho w_b <x_b, Y_b> summed over the blocks b of any Y
         def x_step(m):
             hat = HatConstants(
-                rand_herm(rng, m), rand_cvec(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
+                rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
             return solve_x0_matrix(hat)
 
@@ -679,7 +681,7 @@ class TestYSystem:
             assert m == 1 or not S.flags.c_contiguous
             x0 = XBlock(v=v, s=rand_cvec(rng, m), S=S, ell=ell)
             x1_v = rand_herm(rng, m)
-            mu = rand_self_obs(rng, m)
+            mu = rand_mults(rng, m)
             lam1 = rand_herm(rng, m)
             mp = len(ctx.parent_phases)
             mu_parent, x_parent = rand_herm(rng, mp), rand_herm(rng, mp)
@@ -698,10 +700,10 @@ class TestYSystem:
             theta = rng.standard_normal(solver.layout.size)
             y = solver.layout.unpack(theta)
             terms = [
-                (mu.mu_v + lam1, 2.0 * v + x1_v, 1.0),
-                (mu.mu_s, x0.s, 1.0),
-                (mu.mu_S, S, 2.0 * nc + 3.0),
-                (mu.mu_ell, ell, nc + 1.0),
+                (mu.v + lam1, 2.0 * v + x1_v, 1.0),
+                (mu.s, x0.s, 1.0),
+                (mu.S, S, 2.0 * nc + 3.0),
+                (mu.ell, ell, nc + 1.0),
                 (mu_parent, x_parent, 1.0),
             ]
             for cid, _, _ in ctx.children:
