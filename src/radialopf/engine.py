@@ -8,14 +8,19 @@ every bus's own copies, the parent-voltage copy each child holds, and
 the (S, ell) copy each parent holds of each child; the pairing index
 ``pair`` maps every y entry to the x entry it observes. Within a buffer
 each variable kind is a contiguous (B, m, m) or (B, m) slab per group of
-buses, so every step works on reshaped views.
+buses with one phase count (the root on its own).
 
-Every y entry carries its penalty weight (``weight``, from
-``subproblems.y_weights``). The x-step completes the square for every bus
-in one weighted sum over y, projects the matrix targets once per group of
-buses with one phase count (the root on its own), and then projects every
-phase's injection at once; the y-step runs once per y-block signature
-through a prefactored ``YNodeSolver``; the multiplier update and the
+Every per-iteration index decision is a map that ``State`` builds once,
+so the work of a step does not branch on the feeder's shape. Every y
+entry carries its penalty weight (``weight``, from
+``subproblems.y_weights``). The x-step completes the square for every
+bus in one weighted sum over y, gathers the (2m, 2m) block targets of
+the non-root buses of each phase count and projects them in one batched
+call per phase count, scatters the projections back into x in one
+operation, clamps every voltage copy in one call, and then projects
+every phase's injection. The y-step is one ``YNodeSolver`` for all buses:
+one gather of the linear terms, one stacked matrix-vector product per
+y-block signature, one scatter into y. The multiplier update and the
 residuals are single operations on whole buffers. Data crosses a tree
 edge only where a step reads an entry that another bus owns; those
 entries are the messages, and the message audit is derived from them.
@@ -42,7 +47,6 @@ from .network import (
     validate_radial,
 )
 from .subproblems import (
-    HatConstants,
     XBlock,
     YContext,
     YNodeSolver,
@@ -158,27 +162,6 @@ class BusView:
         return self.line is None
 
 
-@dataclass
-class _Group:
-    """Buses of one phase count m, all non-root or the root alone.
-
-    ``targets`` holds the (start, shape) of the buses' v[, S, ell] slabs
-    in x, where the x-step's targets are laid out alike. ``x``, ``y_v``,
-    ``x1_v`` and ``lam1`` are views of the buffers: the buses' primal
-    copies, their own voltage observations, voltage copies and their
-    multipliers. ``v_lo``/``v_hi`` are the buses' voltage bounds, shape
-    (B, m).
-    """
-
-    targets: list
-    x: XBlock
-    y_v: np.ndarray
-    x1_v: np.ndarray
-    lam1: np.ndarray
-    v_lo: np.ndarray
-    v_hi: np.ndarray
-
-
 class _Injections:
     """Every phase's cost and injection region, in the order of the
     groups' s slabs: ``box`` holds the positions of the box phases and
@@ -198,7 +181,7 @@ class _Injections:
 
 
 class State:
-    """The buffers of one run, their index maps, and the bus groups.
+    """The buffers of one run and their index maps.
 
     ``pair[e]`` is the x entry that y entry e observes and ``weight[e]``
     its penalty weight; ``den`` sums the weights per x entry. ``v_index``
@@ -209,6 +192,15 @@ class State:
     of each child slot's slab. ``x_shares`` and ``y_shares`` are the
     directed (sender, receiver) bus pairs of the entries that the y-step
     and the x-step read across a tree edge.
+
+    The x-step's maps: ``blocks`` holds, per non-root phase count m, the
+    positions in [hat, conj(hat)] of every bus's (2m, 2m) block target
+    [[v, S], [S^H, ell]], shape (B, 2m, 2m); ``x_dst`` lists every v, S
+    and ell entry of x once and ``x_src`` the position of its value in
+    the projected blocks, raveled one class after another, followed by
+    the targets (where the root's v is read). ``v_diag`` are the
+    positions of the voltage diagonals in ``x1_v``, with their bounds
+    ``v_lo``/``v_hi``. ``ysolver`` solves every bus's y-step.
     """
 
     def __init__(self, model: FeederModel, config: SolverConfig):
@@ -260,33 +252,28 @@ class State:
         self.y_shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
         self.x_shares = {(b, a) for a, b in self.y_shares}
 
-        self.groups = [self._group(*args) for args in zip(rows, self._slabs, v_slabs)]
+        self._rows = rows
+        self._v_slabs = v_slabs
+        self.blocks, self.x_dst, self.x_src = _x_step_maps(keys, self._slabs, x_alloc.size)
+        diagonals = [np.diagonal(_entries(s).reshape(s[1]), axis1=1, axis2=2) for s in v_slabs]
+        self.v_diag = np.concatenate(diagonals, axis=None)
+        self.v_lo = np.array([lo for ids in rows for i in ids for lo in self._by_id[i].v_lo])
+        self.v_hi = np.array([hi for ids in rows for i in ids for hi in self._by_id[i].v_hi])
 
-        signatures: dict[tuple, tuple[list, list]] = {}
+        # buses of one y-block signature next to each other, so that they
+        # share one stacked operator
+        signatures: dict[tuple, list[YContext]] = {}
         for b in model.buses:
             ctx = self._context(b.id)
-            ctxs, index = signatures.setdefault(y_signature(ctx), ([], []))
-            ctxs.append(ctx)
-            index.append(self._y_entries(b.id))
-        self.ysolvers = [
-            YNodeSolver(ctxs, config.rho, np.array(index)) for ctxs, index in signatures.values()
-        ]
+            signatures.setdefault(y_signature(ctx), []).append(ctx)
+        ctxs = [ctx for group in signatures.values() for ctx in group]
+        index = [self._y_entries(ctx.bus_id) for ctx in ctxs]
+        self.ysolver = YNodeSolver(ctxs, config.rho, index)
         self.weight = np.empty(y_alloc.size)
-        for solver in self.ysolvers:
-            sizes = [end - start for start, end, _ in solver.layout.views]
-            self.weight[solver.index] = np.repeat(y_weights(solver.ctxs[0]), sizes)
+        for ctx, layout, entries in zip(ctxs, self.ysolver.layouts, index):
+            sizes = [end - start for start, end, _ in layout.views]
+            self.weight[entries] = np.repeat(y_weights(ctx), sizes)
         self.den = np.bincount(self.pair, self.weight)
-
-    def _group(self, ids, slabs: "_Slabs", v_slab) -> _Group:
-        return _Group(
-            targets=slabs.own[:1] + slabs.own[2:],
-            x=XBlock(*(_view(self.x, slab) for slab in slabs.own)),
-            y_v=_view(self.y, slabs.own[0]),
-            x1_v=_view(self.x1_v, v_slab),
-            lam1=_view(self.lam1, v_slab),
-            v_lo=np.array([self._by_id[i].v_lo for i in ids]),
-            v_hi=np.array([self._by_id[i].v_hi for i in ids]),
-        )
 
     def _context(self, i: int) -> YContext:
         bus = self._by_id[i]
@@ -312,6 +299,14 @@ class State:
             jg, jr = self._where[j]
             rows += [(slab, jr) for slab in self._slabs[jg].flow]
         return np.concatenate([_entries(slab, r) for slab, r in rows])
+
+    def solution(self) -> dict[int, XBlock]:
+        """Copies of every bus's primal blocks, by id in feeder order."""
+        blocks = {}
+        for ids, slabs in zip(self._rows, self._slabs):
+            own = [_view(self.x, slab).copy() for slab in slabs.own]
+            blocks.update((i, XBlock(*(a[r] for a in own))) for r, i in enumerate(ids))
+        return {b.id: blocks[b.id] for b in self.model.buses}
 
     def bus(self, i: int) -> BusView:
         """Bus i's views of the buffers."""
@@ -342,8 +337,8 @@ class State:
             line=line,
             children=kids,
             x0=XBlock(*own(self.x)),
-            x1_v=self.groups[g].x1_v[r],
-            lam1=self.groups[g].lam1[r],
+            x1_v=_view(self.x1_v, self._v_slabs[g])[r],
+            lam1=_view(self.lam1, self._v_slabs[g])[r],
             y_v=y[0],
             y_s=y[1],
             y_S=y[2],
@@ -410,6 +405,30 @@ def _entries(slab, row: int | None = None) -> np.ndarray:
     return np.arange(start + row * size, start + (row + 1) * size)
 
 
+def _x_step_maps(keys, slabs: list[_Slabs], size: int):
+    """The x-step's block gathers and its scatter into x (see ``State``);
+    ``size`` is the length of x, where the conjugated targets start."""
+    blocks, dst, src, root = [], [], [], []
+    done = 0  # entries of the projected blocks so far
+    for (branch, m), group in zip(keys, slabs):
+        v, _, *flow = (_entries(slab).reshape(slab[1]) for slab in group.own)
+        if not branch:
+            root.append(v)
+            continue
+        S, ell = flow
+        top = np.concatenate([v, S], axis=2)
+        bottom = np.concatenate([S.swapaxes(1, 2) + size, ell], axis=2)
+        gather = np.concatenate([top, bottom], axis=1)
+        blocks.append(gather)
+        at = done + np.arange(gather.size).reshape(gather.shape)
+        dst += [v, S, ell]
+        src += [at[:, :m, :m], at[:, :m, m:], at[:, m:, m:]]
+        done += gather.size
+    dst += root
+    src += [v + done for v in root]
+    return blocks, np.concatenate(dst, axis=None), np.concatenate(src, axis=None)
+
+
 def _flat_voltage(phases: PhaseSet) -> np.ndarray:
     return np.array([PHASE_REFERENCE[ch] for ch in phases], dtype=complex)
 
@@ -449,14 +468,15 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
             amps[idx] += current[j]
         current[i] = amps
 
-    for i in buses:
-        view = state.bus(i)
-        view.x0.v[...] = np.outer(volt[i], volt[i].conj())
-        view.x0.s[...] = inj[i]
-        if not view.is_root:
-            view.x0.S[...] = np.outer(volt[i], current[i].conj())
-            view.x0.ell[...] = np.outer(current[i], current[i].conj())
-        view.x1_v[...] = view.x0.v
+    for ids, slabs in zip(state._rows, state._slabs):
+        v, i_line, s = (np.array([arr[i] for i in ids]) for arr in (volt, current, inj))
+        x = [_view(state.x, slab) for slab in slabs.own]
+        x[0][...] = v[:, :, None] * v.conj()[:, None, :]
+        x[1][...] = s
+        if len(x) > 2:
+            x[2][...] = v[:, :, None] * i_line.conj()[:, None, :]
+            x[3][...] = i_line[:, :, None] * i_line.conj()[:, None, :]
+    state.x1_v[...] = state.x[state.v_index]
     state.y[...] = state.x[state.pair]
     state.y_prev[...] = state.y
     return state
@@ -474,18 +494,6 @@ def _surfaced(iteration: int):
         yield
     except ValueError as exc:
         raise SolverError(f"iteration {iteration}: {exc}") from exc
-
-
-def _x_update_group(group: _Group, hat: np.ndarray, rho: float) -> None:
-    """The group's matrix blocks from their targets in ``hat``, and its
-    voltage copies."""
-    x = group.x
-    v_hat, *branch = (_view(hat, slab) for slab in group.targets)
-    if branch:
-        x.v[...], x.S[...], x.ell[...] = solve_x0_matrix(HatConstants(v_hat, *branch))
-    else:
-        x.v[...] = v_hat
-    group.x1_v[...] = solve_x1_voltage(group.lam1, group.y_v, group.v_lo, group.v_hi, rho)
 
 
 def _project_injections(state: State, s_hat: np.ndarray, rho: float) -> None:
@@ -517,8 +525,12 @@ def x_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
         hat = complete_square_x0(
             state.y, state.mu, state.weight, state.pair, state.den, config.rho
         )
-        for group in state.groups:
-            _x_update_group(group, hat, config.rho)
+        targets = np.concatenate([hat, hat.conj()])
+        projected = [solve_x0_matrix(targets[index]) for index in state.blocks]
+        state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
+        state.x1_v[...] = solve_x1_voltage(
+            state.lam1, state.y[state.v_index], state.v_diag, state.v_lo, state.v_hi, config.rho
+        )
         _project_injections(state, hat[state.s_index], config.rho)
 
 
@@ -533,8 +545,7 @@ def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
     x[v] += state.x1_v
     np.copyto(state.y_prev, state.y)
     with _surfaced(iteration):
-        for solver in state.ysolvers:
-            solver.solve(solver.assemble_c(mu, x), state.y)
+        state.ysolver.solve(state.ysolver.assemble_c(mu, x), state.y)
 
 
 def multiplier_update_round(state: State, rho: float, iteration=0):
@@ -617,7 +628,7 @@ def run(
             status = "converged"
             break
     wall = time.perf_counter() - t_start
-    solution = {b.id: state.bus(b.id).x0.copy() for b in model.buses}
+    solution = state.solution()
     return RunResult(
         solution=solution,
         history=history,

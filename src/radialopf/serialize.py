@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import platform
 
 import numpy as np
 
@@ -110,6 +112,26 @@ def write_history_csv(path, history: list[IterationStats]) -> None:
             writer.writerow([row.k, repr(row.r), repr(row.s), repr(row.objective)])
 
 
+def _environment() -> dict:
+    """The interpreter, numpy, the BLAS and LAPACK numpy was built
+    against (name and version, None where numpy does not say), and the
+    CPU count."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):  # numpy without the dicts mode
+        deps = {}
+    libs = {
+        key: {field: deps.get(key, {}).get(field) for field in ("name", "version")}
+        for key in ("blas", "lapack")
+    }
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        **libs,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def build_manifest(
     model: FeederModel,
     config: SolverConfig,
@@ -137,6 +159,7 @@ def build_manifest(
             "threshold": exactness_threshold,
             "exact": exactness_max_ratio <= exactness_threshold,
         },
+        "environment": _environment(),
     }
 
 

@@ -14,12 +14,13 @@ Each bus alternates between two kinds of local problems:
   closed form.
 
 The penalty weights of the observations (``y_weights``) are defined once
-and read by both steps. The engine runs square completion once over every
-bus, as one weighted sum per primal entry; the matrix kernels take arrays
-with a leading bus axis, the box projection and the voltage clamp work
-elementwise, and one ``YNodeSolver`` holds the stacked operators of all
-buses with one neighborhood shape. Only the half-disk projection stays
-scalar; it runs once per DER phase.
+and read by both steps. The engine runs every kernel once per iteration
+over the whole feeder, except the PSD projection, which runs once per
+non-root phase count on a stack of (2m, 2m) blocks: square completion is
+one weighted sum per primal entry, the box projection and the voltage
+clamp work elementwise on flat arrays, and one ``YNodeSolver`` serves
+every bus, with one stacked operator per neighborhood shape. Only the
+half-disk projection stays scalar; it runs once per DER phase.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -80,7 +82,8 @@ class XBlock:
 class HatConstants:
     """Hermitian block target of the x-step's PSD projection, for one bus
     or a stack: ``v_hat``/``S_hat``/``ell_hat`` are the square-completion
-    targets of a non-root bus's v, S and ell."""
+    targets of a non-root bus's v, S and ell. ``block`` is the reference
+    for the engine, which gathers the same blocks through index maps."""
 
     v_hat: np.ndarray
     S_hat: np.ndarray
@@ -123,14 +126,14 @@ def complete_square_x0(
     return hat
 
 
-def solve_x0_matrix(hat: HatConstants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize the block distance over the PSD cone; returns (v, S, ell).
+def solve_x0_matrix(block: np.ndarray) -> np.ndarray:
+    """Minimize the distance to the target block [[v, S], [S^H, ell]] over
+    the PSD cone; returns the projected block, whose top-left, top-right
+    and bottom-right m x m parts are (v, S, ell).
 
     A stack of targets is projected in one batched call.
     """
-    m = hat.v_hat.shape[-1]
-    x = psd_project(hat.block())
-    return x[..., :m, :m], x[..., :m, m:], x[..., m:, m:]
+    return psd_project(block)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +243,7 @@ def project_injection_disk(
 def solve_x1_voltage(
     lam: np.ndarray,
     y_v: np.ndarray,
+    diag: np.ndarray,
     v_lo,
     v_hi,
     rho: float,
@@ -248,15 +252,15 @@ def solve_x1_voltage(
 
     Minimizes <lam, x> + rho/2 ||x - y_v||^2 with per-phase bounds on the
     diagonal, so the base point is y_v - lam/rho; diagonal entries clamp
-    into [v_lo, v_hi] and off-diagonal entries pass through. Takes one
-    matrix or a stack, with bounds of shape (..., m).
+    into [v_lo, v_hi] and off-diagonal entries pass through. ``lam`` and
+    ``y_v`` are flat buffers of any number of raveled voltage matrices,
+    ``diag`` the positions of their diagonal entries and ``v_lo``/``v_hi``
+    the bounds of those entries.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     out = y_v - lam / rho
-    m = out.shape[-1]
-    diag = out.reshape(out.shape[:-2] + (m * m,))[..., :: m + 1]
-    diag[...] = np.clip(diag.real, v_lo, v_hi)
+    out[diag] = np.clip(out[diag].real, v_lo, v_hi)
     return out
 
 
@@ -475,48 +479,77 @@ def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
 
 
 class YNodeSolver:
-    """Prefactored closed-form solver for the y-subproblems of buses of one shape.
+    """Prefactored closed-form solver for the y-subproblems of a feeder's buses.
 
     Each bus's y-subproblem is the real quadratic min 1/2 y^T M y + c^T y
-    subject to A y = 0 over the parameters of ``layout``. ``a_mat`` (one
-    per bus) has full row rank and ``m_diag`` is strictly positive; both
-    depend only on the network, so the full solution operator
-    P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is computed once and every
-    iteration reduces to one gather of c and one stacked matrix-vector
-    product for the whole group.
+    subject to A y = 0 over the parameters of its layout (``layouts[b]``,
+    from its block signature). ``a_mat[b]`` has full row rank and
+    ``m_diag[b]`` is strictly positive; both depend only on the network,
+    so the full solution operator
+    P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is computed once. Buses
+    next to each other in ``ctxs`` with one signature share one stacked
+    operator, so every iteration reduces to one gather of c over all
+    buses, one stacked matrix-vector product per signature, and one
+    scatter into y.
 
     ``index[b]`` lists the positions of bus b's y-blocks, in layout
     order, in the complex buffers that ``assemble_c`` reads and ``solve``
-    writes; by default the buses' blocks follow one another.
+    writes; by default the buses' blocks follow one another. c and the
+    parameters are laid out bus after bus, in ``ctxs`` order.
     """
 
-    def __init__(self, ctxs, rho: float, index: np.ndarray | None = None):
+    def __init__(self, ctxs, rho: float, index=None):
         if rho <= 0:
             raise ValueError("rho must be positive")
         self.ctxs = tuple(ctxs)
         self.rho = rho
-        blocks = y_signature(self.ctxs[0])
-        if any(y_signature(ctx) != blocks for ctx in self.ctxs):
-            raise ValueError("buses of one y-solver need one block signature")
-        self.layout = _layout(blocks)
-        n = self.layout.size
-        nb = len(self.ctxs)
+        signatures = [y_signature(ctx) for ctx in self.ctxs]
+        self.layouts = tuple(_layout(blocks) for blocks in signatures)
         if index is None:
-            index = np.arange(nb * self.layout.entries).reshape(nb, -1)
-        self.index = index
-        floats = (2 * index[..., None] + np.arange(2)).reshape(nb, -1)
-        self._gather = floats[:, self.layout.pos]
+            ends = np.cumsum([layout.entries for layout in self.layouts])
+            index = [np.arange(end - lay.entries, end) for end, lay in zip(ends, self.layouts)]
+        self.index = tuple(index)
 
+        self.a_mat, self.m_diag = [], []
+        self._stacks = []  # per run of one signature: its c slice, operator and theta view
+        gather, src = [], []
+        total = sum(layout.size for layout in self.layouts)
+        self._theta = np.zeros(total + 1)  # the parameters, and the zero slot
+        first = 0
+        for _, run in groupby(range(len(self.ctxs)), key=signatures.__getitem__):
+            run = list(run)
+            layout = self.layouts[run[0]]
+            nb, n = len(run), layout.size
+            a_mat, m_diag, operator = self._prefactor([self.ctxs[b] for b in run], layout)
+            self.a_mat += list(a_mat)
+            self.m_diag += [m_diag] * nb
+            end = first + nb * n
+            theta = self._theta[first:end].reshape(nb, n, 1)
+            self._stacks.append((slice(first, end), operator, theta))
+            rows = np.array([self.index[b] for b in run])
+            floats = (2 * rows[..., None] + np.arange(2)).reshape(nb, -1)
+            gather.append(floats[:, layout.pos])
+            params = first + n * np.arange(nb)[:, None] + layout.src
+            src.append(np.where(layout.src == n, total, params))
+            first = end
+        self._gather = np.concatenate(gather, axis=None)
+        self._scale = np.concatenate([layout.scale for layout in self.layouts])
+        self._src = np.concatenate(src, axis=None)
+        self._div = np.concatenate([layout.div for layout in self.layouts])
+        self._y_index = np.concatenate(self.index)
+
+    def _prefactor(self, ctxs, layout: _Layout):
+        """The constraint rows, M's diagonal and the solution operators of
+        buses of one signature, stacked."""
+        n = layout.size
         # the constraint rows at every unit parameter vector at once
-        ctx = self.ctxs[0]
+        ctx = ctxs[0]
         m = len(ctx.phases)
         drop = () if ctx.is_root else (("herm", m),)
         rows = _layout(drop + (("vec", m),))
-        unit = self.layout.unpack(np.eye(n))
-        a_mat = np.stack(
-            [rows.flat(_constraint_values(_local(unit, c), c)).T for c in self.ctxs]
-        )
-        for c, rank in zip(self.ctxs, np.linalg.matrix_rank(a_mat)):
+        unit = layout.unpack(np.eye(n))
+        a_mat = np.stack([rows.flat(_constraint_values(_local(unit, c), c)).T for c in ctxs])
+        for c, rank in zip(ctxs, np.linalg.matrix_rank(a_mat)):
             if rank != rows.size:
                 raise ValueError(
                     f"bus {c.bus_id}: rank-deficient constraint matrix "
@@ -526,31 +559,29 @@ class YNodeSolver:
         # the observation weights, and 1 more on v_self for the x1_v copy
         weights = np.array(y_weights(ctx))
         weights[0] += 1.0
-        m_diag = rho * np.repeat(weights, self.layout.counts)
+        m_diag = self.rho * np.repeat(weights, layout.counts)
 
-        self.a_mat = a_mat
-        self.m_diag = m_diag
         minv = 1.0 / m_diag
         gram = (a_mat * minv) @ a_mat.swapaxes(-1, -2)
         operator = (minv[:, None] * a_mat.swapaxes(-1, -2)) @ np.linalg.solve(
             gram, a_mat * minv
         )
         operator[:, np.arange(n), np.arange(n)] -= minv
-        self._operator = operator
+        return a_mat, m_diag, operator
 
     def assemble_c(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Linear coefficients -mu - rho * x of every bus, shape (B, size).
+        """Linear coefficients -mu - rho * x of every bus, one flat vector.
 
         ``mu`` and ``x`` are complex buffers laid out like y: the
         multiplier of each y-block (mu_v + lam1 for v) and the primal
         value it observes times the block's weight (2 x_v + x1_v for v).
         """
-        scale = self.layout.scale
         mu_flat = mu.view(float)[self._gather]
         x_flat = x.view(float)[self._gather]
-        return -(mu_flat * scale) - self.rho * (x_flat * scale)
+        return -(mu_flat * self._scale) - self.rho * (x_flat * self._scale)
 
     def solve(self, c: np.ndarray, y: np.ndarray) -> None:
         """Write every bus's minimizer P c into its blocks of ``y``."""
-        theta = (self._operator @ c[..., None])[..., 0]
-        y[self.index] = self.layout.scatter(theta)
+        for part, operator, theta in self._stacks:
+            np.matmul(operator, c[part].reshape(theta.shape), out=theta)
+        y[self._y_index] = (self._theta[self._src] / self._div).view(complex)

@@ -177,7 +177,7 @@ def pack_local(solver, local):
         blocks += [local.S_self, local.ell_self, local.v_parent]
     for cid, _, _ in ctx.children:
         blocks += local.child_flows[cid]
-    return solver.layout.pack(blocks)
+    return solver.layouts[0].pack(blocks)
 
 
 def test_criterion_3_y_update_closed_form():
@@ -185,15 +185,15 @@ def test_criterion_3_y_update_closed_form():
     for _ in range(500):
         ctx = random_context(rng)
         solver = YNodeSolver([ctx], rho=float(rng.uniform(0.4, 2.5)))
-        c = rng.standard_normal(solver.a_mat.shape[2])
-        y = np.zeros(solver.index.size, dtype=complex)
-        solver.solve(c[None], y)
-        theta = pack_local(solver, _local(solver.layout.split(y), ctx))
+        c = rng.standard_normal(solver.layouts[0].size)
+        y = np.zeros(solver.index[0].size, dtype=complex)
+        solver.solve(c, y)
+        theta = pack_local(solver, _local(solver.layouts[0].split(y), ctx))
 
         a = solver.a_mat[0]
         nrows, ncols = a.shape
         kkt = np.zeros((ncols + nrows, ncols + nrows))
-        kkt[:ncols, :ncols] = np.diag(solver.m_diag)
+        kkt[:ncols, :ncols] = np.diag(solver.m_diag[0])
         kkt[:ncols, ncols:] = a.T
         kkt[ncols:, :ncols] = a
         ref = np.linalg.solve(kkt, np.concatenate([-c, np.zeros(nrows)]))[:ncols]

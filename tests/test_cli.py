@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
+import platform
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from radialopf import cli
@@ -80,6 +83,21 @@ def test_solve_verify_pipeline(tmp_path):
     assert code == EXIT_OK
     doc = json.loads(report.read_text())
     assert doc["bfm"]["ok"] and doc["rank1"]["exact"]
+
+
+def test_manifest_records_environment(tmp_path):
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    out = tmp_path / "run"
+    assert main(["solve", "--network", str(net), "--out-dir", str(out)]) == EXIT_OK
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert set(env) == {"python", "numpy", "blas", "lapack", "cpu_count"}
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    for lib in ("blas", "lapack"):
+        assert env[lib] == {"name": deps[lib]["name"], "version": deps[lib]["version"]}
+    assert env["cpu_count"] == os.cpu_count()
 
 
 def test_solve_max_iters_exit_code(tmp_path):

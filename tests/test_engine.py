@@ -1,10 +1,12 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from radialopf import engine
 from radialopf.engine import (
     PHASE_REFERENCE,
     SolverConfig,
@@ -30,6 +32,7 @@ from radialopf.network import (
     phase_lift,
     phase_project,
 )
+from radialopf.subproblems import HatConstants, YNodeSolver, complete_square_x0, solve_x0_matrix
 
 INF = float("inf")
 
@@ -432,8 +435,113 @@ class TestWeights:
         # M = rho * weight on every y entry, with 1 more on v_self for x1_v
         rho = 1.7
         state = State(mixed_feeder(), SolverConfig(rho=rho))
-        for solver in state.ysolvers:
-            entries = solver.index[:, solver.layout.pos // 2]
-            extra = np.arange(solver.layout.size) < solver.layout.counts[0]
-            for row in entries:
-                assert np.array_equal(solver.m_diag, rho * (state.weight[row] + extra))
+        solver = state.ysolver
+        for index, layout, m_diag in zip(solver.index, solver.layouts, solver.m_diag, strict=True):
+            extra = np.arange(layout.size) < layout.counts[0]
+            assert np.array_equal(m_diag, rho * (state.weight[index[layout.pos // 2]] + extra))
+
+
+def three_class_feeder():
+    """Non-root buses with three, two and one phases, two or more of each."""
+    tree = ((0, "abc", None), (1, "abc", 0), (2, "ab", 1), (3, "a", 2), (4, "c", 1),
+            (5, "ab", 0), (6, "b", 5), (7, "abc", 0), (8, "a", 7))
+    buses, lines = [], []
+    for i, letters, parent in tree:
+        m = len(letters)
+        load = Box(-0.02, -0.01, -0.005, 0.0)
+        buses.append(BusSpec(i, PhaseSet(letters), (0.9,) * m, (1.1,) * m, (load,) * m, loss(m)))
+        if parent is not None:
+            lines.append(LineSpec(i, parent, (0.01 + 0.02j) * np.eye(m)))
+    return FeederModel(tuple(buses), tuple(lines))
+
+
+def random_buffers(rng, state):
+    for buf in (state.y, state.mu):
+        buf[...] = rng.standard_normal(len(buf)) + 1j * rng.standard_normal(len(buf))
+
+
+@pytest.mark.parametrize("model", [three_class_feeder(), mixed_feeder()])
+class TestXStepMaps:
+    def test_gather_builds_each_block_target(self, model):
+        # row r of a class's gather index, applied to [hat, conj(hat)], is
+        # exactly HatConstants.block() of the bus whose v[0, 0] it reads
+        state = State(model, SolverConfig())
+        for i, agent in views(state).items():
+            agent.x0.v[...] = i
+        owners = [state.x[index[:, 0, 0]].real.astype(int) for index in state.blocks]
+        assert sorted(np.concatenate(owners)) == sorted(ln.bus for ln in model.lines)
+        phase_counts = {len(model.bus(ln.bus).phases) for ln in model.lines}
+        assert [index.shape[-1] // 2 for index in state.blocks] == sorted(phase_counts)
+
+        rng = np.random.default_rng(41)
+        hat = rng.standard_normal(len(state.x)) + 1j * rng.standard_normal(len(state.x))
+        state.x[...] = hat
+        agents = views(state)
+        targets = np.concatenate([hat, hat.conj()])
+        for index, ids in zip(state.blocks, owners):
+            for row, i in zip(index, ids):
+                t = agents[i].x0
+                assert np.array_equal(targets[row], HatConstants(t.v, t.S, t.ell).block())
+
+    def test_scatter_writes_every_matrix_entry_once(self, model):
+        state = State(model, SolverConfig())
+        writes = np.bincount(state.x_dst, minlength=len(state.x))
+        expected = np.ones(len(state.x), dtype=int)
+        expected[state.s_index] = 0
+        assert np.array_equal(writes, expected)
+
+    def test_x_step_projects_each_block(self, model):
+        # after the x round every non-root bus holds the projection of its
+        # own target block and the root its voltage target, bit for bit
+        config = SolverConfig(rho=0.9)
+        state = initialize(model, config)
+        random_buffers(np.random.default_rng(42), state)
+        hat = State(model, config)
+        hat.x[...] = complete_square_x0(
+            state.y, state.mu, state.weight, state.pair, state.den, config.rho
+        )
+        x_update_round(state, config)
+        for i, agent in views(state).items():
+            t = hat.bus(i).x0
+            if agent.is_root:
+                assert np.array_equal(agent.x0.v, t.v)
+                continue
+            m = len(agent.bus.phases)
+            w = solve_x0_matrix(HatConstants(t.v, t.S, t.ell).block())
+            assert np.array_equal(agent.x0.v, w[:m, :m])
+            assert np.array_equal(agent.x0.S, w[:m, m:])
+            assert np.array_equal(agent.x0.ell, w[m:, m:])
+
+    def test_one_kernel_call_per_layer(self, model, monkeypatch):
+        # the PSD projection runs once per non-root phase count, the voltage
+        # clamp and the y-step once per iteration, whatever the signatures
+        calls = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in (
+            (engine, "solve_x0_matrix"),
+            (engine, "solve_x1_voltage"),
+            (YNodeSolver, "assemble_c"),
+            (YNodeSolver, "solve"),
+        ):
+            count(owner, name)
+        config = SolverConfig()
+        state = initialize(model, config)
+        x_update_round(state, config)
+        y_update_round(state, config)
+        multiplier_update_round(state, config.rho)
+        phase_counts = {len(model.bus(ln.bus).phases) for ln in model.lines}
+        assert calls == {
+            "solve_x0_matrix": len(phase_counts),
+            "solve_x1_voltage": 1,
+            "assemble_c": 1,
+            "solve": 1,
+        }

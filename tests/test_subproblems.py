@@ -1,11 +1,21 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radialopf.engine import SolverConfig, State
 from radialopf.hermitian import inner
-from radialopf.network import Box, BusSpec, FeederModel, LineSpec, ObjectiveCoeffs, PhaseSet
+from radialopf.network import (
+    Box,
+    BusSpec,
+    FeederModel,
+    LineSpec,
+    ObjectiveCoeffs,
+    PhaseSet,
+    loads_feeder,
+)
 from radialopf.subproblems import (
     HatConstants,
     XBlock,
@@ -19,8 +29,15 @@ from radialopf.subproblems import (
     solve_disk_multiplier,
     solve_x0_matrix,
     solve_x1_voltage,
+    y_signature,
     y_weights,
 )
+
+
+def equivalence_feeder(name):
+    """A feeder of the engine equivalence records."""
+    doc = json.loads((Path(__file__).parent / "data" / "engine_equivalence.json").read_text())
+    return loads_feeder(json.dumps(doc[name]["feeder"]))
 
 
 def rand_herm(rng, n, scale=1.0):
@@ -227,6 +244,13 @@ def stack(*hats):
     return HatConstants(*(np.stack(col) for col in zip(*(vars(h).values() for h in hats))))
 
 
+def x_step(hat):
+    """The x-step's projection of the hat constants' block, split into (v, S, ell)."""
+    m = hat.v_hat.shape[-1]
+    x = solve_x0_matrix(hat.block())
+    return x[..., :m, :m], x[..., :m, m:], x[..., m:, m:]
+
+
 class TestMatrixStep:
     def test_psd_hat_passthrough(self):
         rng = np.random.default_rng(4)
@@ -235,7 +259,7 @@ class TestMatrixStep:
         m = 2
         hat_v, hat_S, hat_l = w[:m, :m], w[:m, m:], w[m:, m:]
         hat = HatConstants(hat_v, hat_S, hat_l)
-        v, S, ell = solve_x0_matrix(hat)
+        v, S, ell = x_step(hat)
         assert np.allclose(v, hat_v, atol=1e-10)
         assert np.allclose(S, hat_S, atol=1e-10)
         assert np.allclose(ell, hat_l, atol=1e-10)
@@ -246,7 +270,7 @@ class TestMatrixStep:
             np.array([[0.0 + 0j]]),
             np.array([[-1.0 + 0j]]),
         )
-        v, S, ell = solve_x0_matrix(hat)
+        v, S, ell = x_step(hat)
         assert v[0, 0] == pytest.approx(1.0)
         assert abs(S[0, 0]) <= 1e-14
         assert abs(ell[0, 0]) <= 1e-14
@@ -259,7 +283,7 @@ class TestMatrixStep:
                 rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
             w = hat.block()
-            v, S, ell = solve_x0_matrix(hat)
+            v, S, ell = x_step(hat)
             x = np.block([[v, S], [S.conj().T, ell]])
             best = np.linalg.norm(x - w)
             for _ in range(500):
@@ -274,7 +298,7 @@ class TestMatrixStep:
             hat = HatConstants(
                 rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
-            v, S, ell = solve_x0_matrix(hat)
+            v, S, ell = x_step(hat)
             x = np.block([[v, S], [S.conj().T, ell]])
             assert np.linalg.eigvalsh(x).min() >= -1e-9
 
@@ -290,7 +314,7 @@ class TestMatrixStep:
                 rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
             w = hat.block()
-            v, S, ell = solve_x0_matrix(hat)
+            v, S, ell = x_step(hat)
             x = np.block([[v, S], [S.conj().T, ell]])
             assert np.array_equal(x, x.conj().T)
             assert np.linalg.eigvalsh(x).min() >= -1e-10
@@ -307,9 +331,9 @@ class TestMatrixStep:
             )
             for _ in range(6)
         ]
-        v, S, ell = solve_x0_matrix(stack(*hats))
+        v, S, ell = x_step(stack(*hats))
         for r, hat in enumerate(hats):
-            for got, want in zip((v[r], S[r], ell[r]), solve_x0_matrix(hat)):
+            for got, want in zip((v[r], S[r], ell[r]), x_step(hat)):
                 assert np.array_equal(got, want)
 
 
@@ -457,22 +481,30 @@ class TestDiskProjection:
             assert obj <= disk_grid_best(a1, b1, a2, b2, c) + 1e-5
 
 
+def clamp(lam, y, lo, hi, rho):
+    """solve_x1_voltage on one matrix or a stack, raveled as the engine
+    passes its voltage copies, and reshaped back."""
+    diag = np.diagonal(np.arange(y.size).reshape(y.shape), axis1=-2, axis2=-1).ravel()
+    out = solve_x1_voltage(lam.ravel(), y.ravel(), diag, np.ravel(lo), np.ravel(hi), rho)
+    return out.reshape(y.shape)
+
+
 class TestVoltageClamp:
     def test_no_pull_inside_bounds(self):
         y = np.array([[1.0 + 0j, 0.1 + 0.2j], [0.1 - 0.2j, 0.98]])
-        out = solve_x1_voltage(np.zeros((2, 2), dtype=complex), y, [0.9, 0.9], [1.1, 1.1], 1.0)
+        out = clamp(np.zeros((2, 2), dtype=complex), y, [0.9, 0.9], [1.1, 1.1], 1.0)
         assert np.allclose(out, y)
 
     def test_upper_clamp(self):
         y = np.array([[1.2 + 0j]])
-        out = solve_x1_voltage(np.zeros((1, 1), dtype=complex), y, [0.9025], [1.1025], 1.0)
+        out = clamp(np.zeros((1, 1), dtype=complex), y, [0.9025], [1.1025], 1.0)
         assert out[0, 0] == pytest.approx(1.1025)
 
     def test_degenerate_interval_pins(self):
         rng = np.random.default_rng(11)
         y = rand_herm(rng, 3)
         lam = rand_herm(rng, 3)
-        out = solve_x1_voltage(lam, y, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 2.0)
+        out = clamp(lam, y, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 2.0)
         assert np.allclose(out.diagonal(), 1.0)
         off = ~np.eye(3, dtype=bool)
         assert np.allclose(out[off], (y - lam / 2.0)[off])
@@ -487,7 +519,7 @@ class TestVoltageClamp:
             rho = float(rng.uniform(0.5, 2.0))
             lo = np.full(m, 0.8)
             hi = np.full(m, 1.2)
-            x = solve_x1_voltage(lam, y, lo, hi, rho)
+            x = clamp(lam, y, lo, hi, rho)
 
             def h(cand):
                 return inner(lam, cand) + 0.5 * rho * np.linalg.norm(cand - y) ** 2
@@ -505,9 +537,9 @@ class TestVoltageClamp:
         y = np.stack([rand_herm(rng, 3) for _ in range(4)])
         lo = rng.uniform(0.8, 1.0, (4, 3))
         hi = lo + rng.uniform(0.0, 0.3, (4, 3))
-        out = solve_x1_voltage(lam, y, lo, hi, 1.5)
+        out = clamp(lam, y, lo, hi, 1.5)
         for r in range(4):
-            assert np.array_equal(out[r], solve_x1_voltage(lam[r], y[r], lo[r], hi[r], 1.5))
+            assert np.array_equal(out[r], clamp(lam[r], y[r], lo[r], hi[r], 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +609,14 @@ def coefficients(solver, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, c
         xs += child_x[cid]
     xs = [w * x for w, x in zip(y_weights(ctx), xs, strict=True)]
     xs[0] = xs[0] + x1_v
-    return solver.assemble_c(solver.layout.join(mus), solver.layout.join(xs))[0]
+    return solver.assemble_c(solver.layouts[0].join(mus), solver.layouts[0].join(xs))
 
 
 def solve_local(solver, c):
     """The one-bus solver's minimizer, unpacked into named blocks."""
-    y = np.zeros(solver.index.size, dtype=complex)
-    solver.solve(c[None], y)
-    return _local(solver.layout.split(y), solver.ctxs[0])
+    y = np.zeros(solver.index[0].size, dtype=complex)
+    solver.solve(c, y)
+    return _local(solver.layouts[0].split(y), solver.ctxs[0])
 
 
 def pack_solution(solver, local):
@@ -594,14 +626,14 @@ def pack_solution(solver, local):
         blocks += [local.S_self, local.ell_self, local.v_parent]
     for cid, _, _ in ctx.children:
         blocks += local.child_flows[cid]
-    return solver.layout.pack(blocks)
+    return solver.layouts[0].pack(blocks)
 
 
 def kkt_reference(solver, c) -> np.ndarray:
     a = solver.a_mat[0]
     nrows, ncols = a.shape
     kkt = np.zeros((ncols + nrows, ncols + nrows))
-    kkt[:ncols, :ncols] = np.diag(solver.m_diag)
+    kkt[:ncols, :ncols] = np.diag(solver.m_diag[0])
     kkt[:ncols, ncols:] = a.T
     kkt[ncols:, :ncols] = a
     rhs = np.concatenate([-c, np.zeros(nrows)])
@@ -665,11 +697,11 @@ class TestYSystem:
         # the x-step hands over S = x[:m, m:] and ell = x[m:, m:], views that
         # are not contiguous; c must equal the penalty's linear term
         # -<mu_b, Y_b> - rho w_b <x_b, Y_b> summed over the blocks b of any Y
-        def x_step(m):
+        def projected(m):
             hat = HatConstants(
                 rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
             )
-            return solve_x0_matrix(hat)
+            return x_step(hat)
 
         rng = np.random.default_rng(22)
         for _ in range(20):
@@ -677,7 +709,7 @@ class TestYSystem:
             nc = int(rng.integers(0, 3))
             ctx = make_context(rng, m, nc)
             rho = float(rng.uniform(0.5, 2.0))
-            v, S, ell = x_step(m)
+            v, S, ell = projected(m)
             assert m == 1 or not S.flags.c_contiguous
             x0 = XBlock(v=v, s=rand_cvec(rng, m), S=S, ell=ell)
             x1_v = rand_herm(rng, m)
@@ -689,7 +721,7 @@ class TestYSystem:
             for cid, cph, _ in ctx.children:
                 mc = len(cph)
                 child_mults[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
-                child_x[cid] = x_step(mc)[1:]
+                child_x[cid] = projected(mc)[1:]
             solver = YNodeSolver([ctx], rho)
             args = (x1_v, mu, lam1, mu_parent, x_parent, child_mults)
             c = coefficients(solver, x0, *args, child_x)
@@ -697,8 +729,8 @@ class TestYSystem:
             contiguous = XBlock(v.copy(), x0.s, S.copy(), ell.copy())
             assert np.array_equal(c, coefficients(solver, contiguous, *args, copies))
 
-            theta = rng.standard_normal(solver.layout.size)
-            y = solver.layout.unpack(theta)
+            theta = rng.standard_normal(solver.layouts[0].size)
+            y = solver.layouts[0].unpack(theta)
             terms = [
                 (mu.v + lam1, 2.0 * v + x1_v, 1.0),
                 (mu.s, x0.s, 1.0),
@@ -719,7 +751,7 @@ class TestYSystem:
         rng = np.random.default_rng(16)
         ctx = make_context(rng, 2, 1, parent_m=3)
         solver = YNodeSolver([ctx], 1.0)
-        local = solve_local(solver, np.zeros(solver.a_mat.shape[2]))
+        local = solve_local(solver, np.zeros(solver.layouts[0].size))
         assert np.allclose(local.v_self, 0) and np.allclose(local.s_self, 0)
         assert np.allclose(local.v_parent, 0)
 
@@ -788,35 +820,29 @@ class TestYSystem:
         assert solver.a_mat[0].shape[0] == 4 + 4
 
     def test_group_matches_each_bus_alone(self):
-        # one solver over buses of one signature, with the blocks of each
-        # bus scattered through shared buffers, equals a solver per bus
+        # the engine's one solver over every bus, with several signatures
+        # (every bus its own on the mixed-phase feeder, runs of leaves on
+        # the fat-tree) and each bus's blocks scattered through y, equals a
+        # solver per bus
         rng = np.random.default_rng(23)
-        ctxs = []
-        for bus_id in (4, 7, 9):
-            kids = tuple(
-                (cid, PhaseSet(ph), rand_cmat(rng, len(ph), scale=0.05))
-                for cid, ph in ((20 + bus_id, "ab"), (30 + bus_id, "a"))
-            )
-            z = rand_cmat(rng, 2, scale=0.05)
-            ctxs.append(YContext(bus_id, PhaseSet("ab"), z, PhaseSet("abc"), kids))
-        entries = YNodeSolver(ctxs, 1.3).layout.entries
-        index = rng.permutation(3 * entries + 5)[: 3 * entries].reshape(3, entries)
-        group = YNodeSolver(ctxs, 1.3, index)
-        mu = rand_cvec(rng, 3 * entries + 5)
-        x = rand_cvec(rng, 3 * entries + 5)
-        c = group.assemble_c(mu, x)
-        y = np.zeros_like(mu)
-        group.solve(c, y)
-        for b, ctx in enumerate(ctxs):
-            alone = YNodeSolver([ctx], 1.3)
-            assert np.array_equal(alone.a_mat[0], group.a_mat[b])
-            c_b = alone.assemble_c(mu[index[b]], x[index[b]])
-            assert np.array_equal(c_b[0], c[b])
-            y_b = np.zeros(entries, dtype=complex)
-            alone.solve(c_b, y_b)
-            assert np.array_equal(y_b, y[index[b]])
-
-    def test_group_needs_one_signature(self):
-        rng = np.random.default_rng(29)
-        with pytest.raises(ValueError, match="signature"):
-            YNodeSolver([make_context(rng, 2, 0), make_context(rng, 2, 1)], 1.0)
+        for name in ("mixed-7-unsorted", "fat-tree-7-ab"):
+            solver = State(equivalence_feeder(name), SolverConfig(rho=1.3)).ysolver
+            size = sum(len(index) for index in solver.index)
+            mu = rand_cvec(rng, size)
+            x = rand_cvec(rng, size)
+            c = solver.assemble_c(mu, x)
+            y = np.zeros_like(mu)
+            solver.solve(c, y)
+            assert len({y_signature(ctx) for ctx in solver.ctxs}) > 1
+            first = 0
+            for b, (ctx, index) in enumerate(zip(solver.ctxs, solver.index, strict=True)):
+                alone = YNodeSolver([ctx], 1.3)
+                n = alone.layouts[0].size
+                assert np.array_equal(alone.a_mat[0], solver.a_mat[b])
+                c_b = alone.assemble_c(mu[index], x[index])
+                assert np.array_equal(c_b, c[first : first + n])
+                y_b = np.zeros(len(index), dtype=complex)
+                alone.solve(c_b, y_b)
+                assert np.array_equal(y_b, y[index])
+                first += n
+            assert first == len(c)
