@@ -3,12 +3,14 @@
 Each bus owns its primal copies x = (v, s, S, ell), a voltage copy x1_v
 with its multiplier lam1, the observations y that its y-step re-solves,
 and one multiplier per observation. The state of a whole run lives in a
-few flat buffers: x, x1_v, lam1, y, and mu (laid out like y). y holds
-every bus's own copies, the parent-voltage copy each child holds, and
-the (S, ell) copy each parent holds of each child; the pairing index
-``pair`` maps every y entry to the x entry it observes. Within a buffer
+few flat buffers: x, x1_v, lam1, y, and mu (laid out like y). Within x
 each variable kind is a contiguous (B, m, m) or (B, m) slab per group of
-buses with one phase count (the root on its own).
+buses with one phase count (the root on its own), and x1_v and lam1
+hold the v slabs one after another. y runs bus after bus in the order of
+the y-solver: each bus's own copies, its copy of its parent's v, then its
+copies of each child's (S, ell). The pairing index ``pair`` maps every y
+entry to the x entry it observes, and ``y_v`` picks each bus's own copy
+of v out of y in the order of x1_v.
 
 Every per-iteration index decision is a map that ``State`` builds once,
 so the work of a step does not branch on the feeder's shape. Every y
@@ -20,7 +22,7 @@ call per phase count, scatters the projections back into x in one
 operation, clamps every voltage copy in one call, and then projects
 every phase's injection. The y-step is one ``YNodeSolver`` for all buses:
 one gather of the linear terms, one stacked matrix-vector product per
-y-block signature, one scatter into y. The multiplier update and the
+y-block signature, one write of all of y. The multiplier update and the
 residuals are single operations on whole buffers. Data crosses a tree
 edge only where a step reads an entry that another bus owns; those
 entries are the messages, and the message audit is derived from them.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .network import (
     BusSpec,
     Disk,
     FeederModel,
-    LineSpec,
+    FeederValidationError,
     PhaseSet,
     validate_radial,
 )
@@ -63,7 +65,6 @@ __all__ = [
     "SolverConfig",
     "IterationStats",
     "State",
-    "BusView",
     "RunResult",
     "SolverError",
     "initialize",
@@ -110,58 +111,6 @@ class IterationStats:
     objective: float
 
 
-@dataclass
-class FlowObservation:
-    """Branch-flow observation a parent holds about one of its children."""
-
-    S: np.ndarray
-    ell: np.ndarray
-    mu_S: np.ndarray
-    mu_ell: np.ndarray
-
-
-@dataclass
-class VoltageObservation:
-    """Voltage observation a child holds about its parent."""
-
-    v: np.ndarray
-    mu_v: np.ndarray
-
-
-@dataclass
-class BusView:
-    """Bus i's share of the run's buffers under per-agent names.
-
-    Every array is a view, so writing into one writes the run's state.
-    ``y_child`` and ``ycache_child`` are keyed by child id;
-    ``ycache_parent`` is the parent's copy of this bus's (S, ell).
-    """
-
-    bus: BusSpec
-    line: LineSpec | None
-    children: tuple[int, ...]
-    x0: XBlock
-    x1_v: np.ndarray
-    lam1: np.ndarray
-    y_v: np.ndarray
-    y_s: np.ndarray
-    y_S: np.ndarray | None
-    y_ell: np.ndarray | None
-    y_parent_v: np.ndarray | None
-    y_child: dict[int, tuple[np.ndarray, np.ndarray]]
-    mu_v: np.ndarray
-    mu_s: np.ndarray
-    mu_S: np.ndarray | None
-    mu_ell: np.ndarray | None
-    mu_parent_v: np.ndarray | None
-    ycache_parent: FlowObservation | None
-    ycache_child: dict[int, VoltageObservation]
-
-    @property
-    def is_root(self) -> bool:
-        return self.line is None
-
-
 class _Injections:
     """Every phase's cost and injection region, in the order of the
     groups' s slabs: ``box`` holds the positions of the box phases and
@@ -183,15 +132,18 @@ class _Injections:
 class State:
     """The buffers of one run and their index maps.
 
-    ``pair[e]`` is the x entry that y entry e observes and ``weight[e]``
-    its penalty weight; ``den`` sums the weights per x entry. ``v_index``
-    lists the entries of the buses' own v in x (and y), in the order of
-    ``x1_v`` and ``lam1``, and ``s_index`` those of s, in the order of
-    ``injections``. Rows of a group are ordered by descending child
-    count, then id, so the buses with a k-th child are a leading prefix
-    of each child slot's slab. ``x_shares`` and ``y_shares`` are the
-    directed (sender, receiver) bus pairs of the entries that the y-step
-    and the x-step read across a tree edge.
+    ``x_entries[i]`` holds the positions in x of bus i's v, s[, S, ell];
+    the rows of a group's slabs follow the feeder's bus order. y holds
+    one segment per bus, laid out as the bus's y-blocks
+    (``subproblems.y_signature``), in the order of ``ysolver.ctxs`` and
+    from the offsets ``ysolver.offsets``. ``pair[e]`` is the x entry that
+    y entry e observes and ``weight[e]`` its penalty weight; ``den`` sums
+    the weights per x entry. ``v_index`` lists the entries of the buses'
+    own v in x, in the order of ``x1_v`` and ``lam1``, ``y_v`` those of
+    each bus's own copy of v in y, in the same order, and ``s_index`` the
+    entries of s in x, in the order of ``injections``. ``x_shares`` and
+    ``y_shares`` are the directed (sender, receiver) bus pairs of the
+    entries that the y-step and the x-step read across a tree edge.
 
     The x-step's maps: ``blocks`` holds, per non-root phase count m, the
     positions in [hat, conj(hat)] of every bus's (2m, 2m) block target
@@ -207,73 +159,72 @@ class State:
         self.model = model
         self._by_id = {b.id: b for b in model.buses}
         self._lines = {ln.bus: ln for ln in model.lines}
-        kids = self._kids = model.children
+        self._kids = model.children
 
         members: dict[tuple[bool, int], list[int]] = {}
         for b in model.buses:
             members.setdefault((b.id in self._lines, len(b.phases)), []).append(b.id)
         keys = sorted(members)
-        rows = [tuple(sorted(members[key], key=lambda i: (-len(kids[i]), i))) for key in keys]
-        self._where = {i: (g, r) for g, ids in enumerate(rows) for r, i in enumerate(ids)}
 
-        # x: per group the slabs of v, s and, off the root, S and ell
-        x_alloc = _Alloc()
-        self._slabs = []
-        for (branch, m), ids in zip(keys, rows):
-            shapes = [(len(ids), m, m), (len(ids), m)] + [(len(ids), m, m)] * (2 * branch)
-            self._slabs.append(_Slabs([x_alloc.take(shape, ids) for shape in shapes]))
-        # y: the own copies laid out as x, then per group the parents' copies
-        # of (S, ell) and, per child slot, the children's copies of v
-        y_alloc = _Alloc(x_alloc)
-        for (branch, m), ids, slabs in zip(keys, rows, self._slabs):
-            if branch:
-                parents = [model.parent[i] for i in ids]
-                slabs.flow = [y_alloc.take(slab[1], parents, slab[0]) for slab in slabs.own[2:]]
-            for k in range(max(len(kids[i]) for i in ids)):
-                holders = [kids[i][k] for i in ids if len(kids[i]) > k]
-                slabs.kids.append(y_alloc.take((len(holders), m, m), holders, slabs.own[0][0]))
-        v_alloc = _Alloc()
-        v_slabs = [v_alloc.take(slabs.own[0][1], ids) for ids, slabs in zip(rows, self._slabs)]
+        # x: per group the slabs of v, s and, off the root, S and ell, each
+        # as the (B, ...) array of its entry positions
+        self._groups = []
+        size = 0
+        owners = []
+        for branch, m in keys:
+            ids = members[branch, m]
+            slabs = []
+            for shape in [(m, m), (m,)] + [(m, m)] * (2 * branch):
+                count = len(ids) * math.prod(shape)
+                slabs.append(np.arange(size, size + count).reshape((len(ids),) + shape))
+                owners.append(np.repeat(ids, count // len(ids)))
+                size += count
+            self._groups.append((ids, slabs))
+        self.x_entries = {
+            i: [slab[r] for slab in slabs] for ids, slabs in self._groups for r, i in enumerate(ids)
+        }
+        self.v_index = np.concatenate([slabs[0] for _, slabs in self._groups], axis=None)
+        self.s_index = np.concatenate([slabs[1] for _, slabs in self._groups], axis=None)
+        in_order = [self._by_id[i] for ids, _ in self._groups for i in ids]
+        self.injections = _Injections(in_order)
+        self.blocks, self.x_dst, self.x_src = _x_step_maps(keys, self._groups, size)
+        diagonals = [np.diagonal(slabs[0], axis1=1, axis2=2) for _, slabs in self._groups]
+        # x1_v follows v_index, which ascends
+        self.v_diag = np.searchsorted(self.v_index, np.concatenate(diagonals, axis=None))
+        self.v_lo = np.array([lo for b in in_order for lo in b.v_lo])
+        self.v_hi = np.array([hi for b in in_order for hi in b.v_hi])
 
-        self.pair = np.concatenate(y_alloc.observes)
-        self.v_index = np.concatenate([_entries(slabs.own[0]) for slabs in self._slabs])
-        self.s_index = np.concatenate([_entries(slabs.own[1]) for slabs in self._slabs])
-        self.injections = _Injections([self._by_id[i] for ids in rows for i in ids])
-        self.x = np.zeros(x_alloc.size, dtype=complex)
-        self.y = np.zeros(y_alloc.size, dtype=complex)
-        self.y_prev = np.zeros(y_alloc.size, dtype=complex)
-        self.mu = np.zeros(y_alloc.size, dtype=complex)
-        self.x1_v = np.zeros(v_alloc.size, dtype=complex)
-        self.lam1 = np.zeros(v_alloc.size, dtype=complex)
-
-        owner_y = np.concatenate(y_alloc.owners)
-        owner_x = owner_y[self.pair]
-        cross = owner_y != owner_x
-        self.y_shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
-        self.x_shares = {(b, a) for a, b in self.y_shares}
-
-        self._rows = rows
-        self._v_slabs = v_slabs
-        self.blocks, self.x_dst, self.x_src = _x_step_maps(keys, self._slabs, x_alloc.size)
-        diagonals = [np.diagonal(_entries(s).reshape(s[1]), axis1=1, axis2=2) for s in v_slabs]
-        self.v_diag = np.concatenate(diagonals, axis=None)
-        self.v_lo = np.array([lo for ids in rows for i in ids for lo in self._by_id[i].v_lo])
-        self.v_hi = np.array([hi for ids in rows for i in ids for hi in self._by_id[i].v_hi])
-
-        # buses of one y-block signature next to each other, so that they
+        # y: buses of one y-block signature next to each other, so that they
         # share one stacked operator
         signatures: dict[tuple, list[YContext]] = {}
         for b in model.buses:
             ctx = self._context(b.id)
             signatures.setdefault(y_signature(ctx), []).append(ctx)
         ctxs = [ctx for group in signatures.values() for ctx in group]
-        index = [self._y_entries(ctx.bus_id) for ctx in ctxs]
-        self.ysolver = YNodeSolver(ctxs, config.rho, index)
-        self.weight = np.empty(y_alloc.size)
-        for ctx, layout, entries in zip(ctxs, self.ysolver.layouts, index):
-            sizes = [end - start for start, end, _ in layout.views]
-            self.weight[entries] = np.repeat(y_weights(ctx), sizes)
+        self.ysolver = YNodeSolver(ctxs, config.rho)
+        layouts, offsets = self.ysolver.layouts, self.ysolver.offsets
+        self.pair = np.concatenate([self._observed(ctx.bus_id) for ctx in ctxs])
+        self.weight = np.concatenate([
+            np.repeat(y_weights(ctx), [end - start for start, end, _ in layout.views])
+            for ctx, layout in zip(ctxs, layouts)
+        ])
         self.den = np.bincount(self.pair, self.weight)
+        # every segment opens with the bus's own copy of v
+        start = {ctx.bus_id: offset for ctx, offset in zip(ctxs, offsets)}
+        self.y_v = np.concatenate([start[b.id] + np.arange(len(b.phases) ** 2) for b in in_order])
+
+        self.x = np.zeros(size, dtype=complex)
+        self.y = np.zeros(offsets[-1], dtype=complex)
+        self.y_prev = np.zeros(offsets[-1], dtype=complex)
+        self.mu = np.zeros(offsets[-1], dtype=complex)
+        self.x1_v = np.zeros(len(self.v_index), dtype=complex)
+        self.lam1 = np.zeros(len(self.v_index), dtype=complex)
+
+        owner_y = np.repeat([ctx.bus_id for ctx in ctxs], np.diff(offsets))
+        owner_x = np.concatenate(owners)[self.pair]
+        cross = owner_y != owner_x
+        self.y_shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
+        self.x_shares = {(b, a) for a, b in self.y_shares}
 
     def _context(self, i: int) -> YContext:
         bus = self._by_id[i]
@@ -286,132 +237,27 @@ class State:
             children=tuple((j, self._by_id[j].phases, self._lines[j].z) for j in self._kids[i]),
         )
 
-    def _y_entries(self, i: int) -> np.ndarray:
-        """Positions in y of bus i's y-blocks, in its y-solver's layout order:
-        v, s, [S, ell, parent v], then (S, ell) of each child."""
-        g, r = self._where[i]
-        rows = [(slab, r) for slab in self._slabs[g].own]
+    def _observed(self, i: int) -> np.ndarray:
+        """The x entries that bus i's y-blocks observe, in its layout order:
+        its own v, s[, S, ell], [the parent's v], then each child's S and ell."""
+        seen = list(self.x_entries[i])
         if i in self._lines:
-            parent = self.model.parent[i]
-            par_g, par_r = self._where[parent]
-            rows.append((self._slabs[par_g].kids[self._kids[parent].index(i)], par_r))
+            seen.append(self.x_entries[self.model.parent[i]][0])
         for j in self._kids[i]:
-            jg, jr = self._where[j]
-            rows += [(slab, jr) for slab in self._slabs[jg].flow]
-        return np.concatenate([_entries(slab, r) for slab, r in rows])
+            seen += self.x_entries[j][2:]
+        return np.concatenate(seen, axis=None)
 
     def solution(self) -> dict[int, XBlock]:
         """Copies of every bus's primal blocks, by id in feeder order."""
-        blocks = {}
-        for ids, slabs in zip(self._rows, self._slabs):
-            own = [_view(self.x, slab).copy() for slab in slabs.own]
-            blocks.update((i, XBlock(*(a[r] for a in own))) for r, i in enumerate(ids))
-        return {b.id: blocks[b.id] for b in self.model.buses}
-
-    def bus(self, i: int) -> BusView:
-        """Bus i's views of the buffers."""
-        g, r = self._where[i]
-        slabs = self._slabs[g]
-        line = self._lines.get(i)
-        kids = self._kids[i]
-
-        def own(buf):
-            rows = [_view(buf, slab)[r] for slab in slabs.own]
-            return rows + [None] * (4 - len(rows))
-
-        y, mu = own(self.y), own(self.mu)
-        y_parent_v = mu_parent_v = ycache_parent = None
-        if line is not None:
-            par_g, par_r = self._where[line.parent]
-            held = self._slabs[par_g].kids[self._kids[line.parent].index(i)]
-            y_parent_v, mu_parent_v = (_view(buf, held)[par_r] for buf in (self.y, self.mu))
-            ycache_parent = FlowObservation(
-                *(_view(buf, slab)[r] for buf in (self.y, self.mu) for slab in slabs.flow)
-            )
-        y_child = {}
-        for j in kids:
-            jg, jr = self._where[j]
-            y_child[j] = tuple(_view(self.y, slab)[jr] for slab in self._slabs[jg].flow)
-        return BusView(
-            bus=self._by_id[i],
-            line=line,
-            children=kids,
-            x0=XBlock(*own(self.x)),
-            x1_v=_view(self.x1_v, self._v_slabs[g])[r],
-            lam1=_view(self.lam1, self._v_slabs[g])[r],
-            y_v=y[0],
-            y_s=y[1],
-            y_S=y[2],
-            y_ell=y[3],
-            y_parent_v=y_parent_v,
-            y_child=y_child,
-            mu_v=mu[0],
-            mu_s=mu[1],
-            mu_S=mu[2],
-            mu_ell=mu[3],
-            mu_parent_v=mu_parent_v,
-            ycache_parent=ycache_parent,
-            ycache_child={
-                j: VoltageObservation(_view(self.y, slab)[r], _view(self.mu, slab)[r])
-                for j, slab in zip(kids, slabs.kids)
-            },
-        )
+        return {b.id: XBlock(*(self.x[e] for e in self.x_entries[b.id])) for b in self.model.buses}
 
 
-@dataclass
-class _Slabs:
-    """One group's slabs, as (start, shape): its own v, s[, S, ell] in x
-    and y, the parents' copies of (S, ell), and per child slot the
-    children's copies of v."""
-
-    own: list
-    flow: list = field(default_factory=list)
-    kids: list = field(default_factory=list)
-
-
-class _Alloc:
-    """Hands out consecutive slabs of one flat buffer.
-
-    Records the bus that owns each entry and, for y, the x entry it
-    observes; a y allocator starts after the own copies, laid out as x.
-    """
-
-    def __init__(self, own: "_Alloc | None" = None):
-        self.size = 0 if own is None else own.size
-        self.owners = [] if own is None else list(own.owners)
-        self.observes = [] if own is None else [np.arange(own.size)]
-
-    def take(self, shape: tuple[int, ...], owners, observed: int | None = None):
-        start = self.size
-        count = math.prod(shape)
-        self.size += count
-        self.owners.append(np.repeat(np.asarray(owners, dtype=int), count // shape[0]))
-        if observed is not None:
-            self.observes.append(np.arange(observed, observed + count))
-        return start, shape
-
-
-def _view(buf: np.ndarray, slab) -> np.ndarray:
-    start, shape = slab
-    return buf[start : start + math.prod(shape)].reshape(shape)
-
-
-def _entries(slab, row: int | None = None) -> np.ndarray:
-    """Entry positions of a slab, or of one of its rows."""
-    start, shape = slab
-    if row is None:
-        return np.arange(start, start + math.prod(shape))
-    size = math.prod(shape[1:])
-    return np.arange(start + row * size, start + (row + 1) * size)
-
-
-def _x_step_maps(keys, slabs: list[_Slabs], size: int):
+def _x_step_maps(keys, groups, size: int):
     """The x-step's block gathers and its scatter into x (see ``State``);
     ``size`` is the length of x, where the conjugated targets start."""
     blocks, dst, src, root = [], [], [], []
     done = 0  # entries of the projected blocks so far
-    for (branch, m), group in zip(keys, slabs):
-        v, _, *flow = (_entries(slab).reshape(slab[1]) for slab in group.own)
+    for (branch, m), (_, (v, _, *flow)) in zip(keys, groups):
         if not branch:
             root.append(v)
             continue
@@ -468,14 +314,14 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
             amps[idx] += current[j]
         current[i] = amps
 
-    for ids, slabs in zip(state._rows, state._slabs):
+    x = state.x
+    for ids, slabs in state._groups:
         v, i_line, s = (np.array([arr[i] for i in ids]) for arr in (volt, current, inj))
-        x = [_view(state.x, slab) for slab in slabs.own]
-        x[0][...] = v[:, :, None] * v.conj()[:, None, :]
-        x[1][...] = s
-        if len(x) > 2:
-            x[2][...] = v[:, :, None] * i_line.conj()[:, None, :]
-            x[3][...] = i_line[:, :, None] * i_line.conj()[:, None, :]
+        x[slabs[0]] = v[:, :, None] * v.conj()[:, None, :]
+        x[slabs[1]] = s
+        if len(slabs) > 2:
+            x[slabs[2]] = v[:, :, None] * i_line.conj()[:, None, :]
+            x[slabs[3]] = i_line[:, :, None] * i_line.conj()[:, None, :]
     state.x1_v[...] = state.x[state.v_index]
     state.y[...] = state.x[state.pair]
     state.y_prev[...] = state.y
@@ -529,7 +375,7 @@ def x_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
         projected = [solve_x0_matrix(targets[index]) for index in state.blocks]
         state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
         state.x1_v[...] = solve_x1_voltage(
-            state.lam1, state.y[state.v_index], state.v_diag, state.v_lo, state.v_hi, config.rho
+            state.lam1, state.y[state.y_v], state.v_diag, state.v_lo, state.v_hi, config.rho
         )
         _project_injections(state, hat[state.s_index], config.rho)
 
@@ -538,11 +384,10 @@ def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
     """Deliver the primal shares, then re-solve every neighborhood observation set."""
     if audit is not None:
         audit.update(state.x_shares)
-    v = state.v_index
     mu = state.mu.copy()
-    mu[v] += state.lam1
+    mu[state.y_v] += state.lam1
     x = state.weight * state.x[state.pair]
-    x[v] += state.x1_v
+    x[state.y_v] += state.x1_v
     np.copyto(state.y_prev, state.y)
     with _surfaced(iteration):
         state.ysolver.solve(state.ysolver.assemble_c(mu, x), state.y)
@@ -550,7 +395,7 @@ def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
 
 def multiplier_update_round(state: State, rho: float, iteration=0):
     """Dual ascent: every multiplier moves by rho times its consensus gap."""
-    state.lam1 += rho * (state.x1_v - state.y[state.v_index])
+    state.lam1 += rho * (state.x1_v - state.y[state.y_v])
     state.mu += rho * (state.x[state.pair] - state.y)
 
 
@@ -560,7 +405,7 @@ def _sq(a: np.ndarray) -> float:
 
 def compute_residuals(state: State, rho: float) -> tuple[float, float]:
     """Primal gap norm ||x - y|| and scaled dual change rho * ||y - y_prev||."""
-    r_sq = _sq(state.x1_v - state.y[state.v_index]) + _sq(state.x[state.pair] - state.y)
+    r_sq = _sq(state.x1_v - state.y[state.y_v]) + _sq(state.x[state.pair] - state.y)
     return math.sqrt(r_sq), rho * math.sqrt(_sq(state.y - state.y_prev))
 
 
@@ -602,8 +447,6 @@ def run(
         config = SolverConfig()
     violations = validate_radial(model)
     if violations:
-        from .network import FeederValidationError
-
         raise FeederValidationError(violations)
 
     state = initialize(model, config)

@@ -243,12 +243,6 @@ class FeederModel:
                 return b
         raise KeyError(i)
 
-    def line(self, i: int) -> LineSpec:
-        for ln in self.lines:
-            if ln.bus == i:
-                return ln
-        raise KeyError(i)
-
 
 def validate_radial(model: FeederModel) -> list[str]:
     """Check tree structure, phase nesting, and impedance dimensions.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 
@@ -50,12 +51,30 @@ def _cmat(a: np.ndarray) -> list:
     return [[_c(z) for z in row] for row in a.tolist()]
 
 
-def _parse_c(obj) -> complex:
-    return complex(float(obj["re"]), float(obj["im"]))
+def _parse_c(obj, context: str) -> complex:
+    """One {"re": x, "im": y} entry; NaN, infinities, integers beyond the
+    float range, strings and booleans raise ValueError naming ``context``."""
+    parts = []
+    for key in ("re", "im"):
+        value = obj[key]
+        try:
+            finite = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{context}.{key}: {value!r} is not a finite number")
+        parts.append(float(value))
+    return complex(*parts)
 
 
-def _parse_cmat(rows) -> np.ndarray:
-    return np.array([[_parse_c(e) for e in row] for row in rows], dtype=complex)
+def _parse_cmat(rows, context: str) -> np.ndarray:
+    return np.array(
+        [
+            [_parse_c(e, f"{context}[{r}][{c}]") for c, e in enumerate(row)]
+            for r, row in enumerate(rows)
+        ],
+        dtype=complex,
+    )
 
 
 def solution_to_dict(
@@ -83,13 +102,17 @@ def solution_to_dict(
 
 
 def solution_from_dict(doc: dict) -> dict[int, XBlock]:
+    """Every bus's blocks; a malformed document raises KeyError, TypeError
+    or ValueError, the last naming the bus and field of a bad number."""
     solution: dict[int, XBlock] = {}
     for entry in doc["buses"]:
-        v = _parse_cmat(entry["v"])
-        s = np.array([_parse_c(e) for e in entry["s"]], dtype=complex)
-        S = None if entry.get("S") is None else _parse_cmat(entry["S"])
-        ell = None if entry.get("l") is None else _parse_cmat(entry["l"])
-        solution[int(entry["id"])] = XBlock(v=v, s=s, S=S, ell=ell)
+        i = int(entry["id"])
+        at = f"bus {i}"
+        v = _parse_cmat(entry["v"], f"{at} v")
+        s = [_parse_c(e, f"{at} s[{t}]") for t, e in enumerate(entry["s"])]
+        S = None if entry.get("S") is None else _parse_cmat(entry["S"], f"{at} S")
+        ell = None if entry.get("l") is None else _parse_cmat(entry["l"], f"{at} l")
+        solution[i] = XBlock(v=v, s=np.array(s, dtype=complex), S=S, ell=ell)
     return solution
 
 

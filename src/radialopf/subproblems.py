@@ -490,25 +490,22 @@ class YNodeSolver:
     next to each other in ``ctxs`` with one signature share one stacked
     operator, so every iteration reduces to one gather of c over all
     buses, one stacked matrix-vector product per signature, and one
-    scatter into y.
+    write of all of y.
 
-    ``index[b]`` lists the positions of bus b's y-blocks, in layout
-    order, in the complex buffers that ``assemble_c`` reads and ``solve``
-    writes; by default the buses' blocks follow one another. c and the
-    parameters are laid out bus after bus, in ``ctxs`` order.
+    The complex buffers that ``assemble_c`` reads and ``solve`` writes
+    hold every bus's blocks in layout order, bus after bus in ``ctxs``
+    order; bus b's segment starts at ``offsets[b]``. c and the parameters
+    are laid out the same way.
     """
 
-    def __init__(self, ctxs, rho: float, index=None):
+    def __init__(self, ctxs, rho: float):
         if rho <= 0:
             raise ValueError("rho must be positive")
         self.ctxs = tuple(ctxs)
         self.rho = rho
         signatures = [y_signature(ctx) for ctx in self.ctxs]
         self.layouts = tuple(_layout(blocks) for blocks in signatures)
-        if index is None:
-            ends = np.cumsum([layout.entries for layout in self.layouts])
-            index = [np.arange(end - lay.entries, end) for end, lay in zip(ends, self.layouts)]
-        self.index = tuple(index)
+        self.offsets = np.cumsum([0] + [layout.entries for layout in self.layouts])
 
         self.a_mat, self.m_diag = [], []
         self._stacks = []  # per run of one signature: its c slice, operator and theta view
@@ -526,9 +523,7 @@ class YNodeSolver:
             end = first + nb * n
             theta = self._theta[first:end].reshape(nb, n, 1)
             self._stacks.append((slice(first, end), operator, theta))
-            rows = np.array([self.index[b] for b in run])
-            floats = (2 * rows[..., None] + np.arange(2)).reshape(nb, -1)
-            gather.append(floats[:, layout.pos])
+            gather.append(2 * self.offsets[run, None] + layout.pos)
             params = first + n * np.arange(nb)[:, None] + layout.src
             src.append(np.where(layout.src == n, total, params))
             first = end
@@ -536,7 +531,6 @@ class YNodeSolver:
         self._scale = np.concatenate([layout.scale for layout in self.layouts])
         self._src = np.concatenate(src, axis=None)
         self._div = np.concatenate([layout.div for layout in self.layouts])
-        self._y_index = np.concatenate(self.index)
 
     def _prefactor(self, ctxs, layout: _Layout):
         """The constraint rows, M's diagonal and the solution operators of
@@ -581,7 +575,7 @@ class YNodeSolver:
         return -(mu_flat * self._scale) - self.rho * (x_flat * self._scale)
 
     def solve(self, c: np.ndarray, y: np.ndarray) -> None:
-        """Write every bus's minimizer P c into its blocks of ``y``."""
+        """Write every bus's minimizer P c into its segment of ``y``."""
         for part, operator, theta in self._stacks:
             np.matmul(operator, c[part].reshape(theta.shape), out=theta)
-        y[self._y_index] = (self._theta[self._src] / self._div).view(complex)
+        y[...] = (self._theta[self._src] / self._div).view(complex)

@@ -1,0 +1,103 @@
+"""Helpers the test files share: one bus's named blocks of a run's buffers,
+the packed parameters of a one-bus y-solution, and the x-step penalty
+written out term by term."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from radialopf.hermitian import inner
+from radialopf.network import BusSpec
+from radialopf.subproblems import XBlock, YLocal, _local
+
+
+@dataclass
+class BusBlocks:
+    """Bus i's named views of a ``State``'s buffers; writing into one
+    writes the state.
+
+    ``x0``, ``x1_v`` and ``lam1`` are the bus's primal copies and voltage
+    multiplier. ``y`` and ``mu`` name the blocks of its y segment: its own
+    copies, its copy of its parent's v (``v_parent``) and its copies of
+    each child's (S, ell) (``child_flows``). So the parent's copy of bus
+    i's (S, ell) is ``bus_blocks(state, parent).y.child_flows[i]`` and
+    child j's copy of bus i's v is ``bus_blocks(state, j).y.v_parent``.
+    """
+
+    bus: BusSpec
+    parent: int | None
+    children: tuple[int, ...]
+    x0: XBlock
+    x1_v: np.ndarray
+    lam1: np.ndarray
+    y: YLocal
+    mu: YLocal
+
+    @property
+    def is_root(self) -> bool:
+        return self.parent is None
+
+
+def _live(buf, entries):
+    """The view of ``buf`` at the contiguous positions ``entries``."""
+    first = entries.flat[0]
+    return buf[first : first + entries.size].reshape(entries.shape)
+
+
+def bus_blocks(state, i) -> BusBlocks:
+    own = state.x_entries[i]
+    # x1_v and lam1 hold the own v copies in the order of v_index
+    at = np.flatnonzero(state.v_index == own[0].flat[0])[0] + np.arange(own[0].size)
+    solver = state.ysolver
+    b = [ctx.bus_id for ctx in solver.ctxs].index(i)
+    ctx, layout, start = solver.ctxs[b], solver.layouts[b], solver.offsets[b]
+    segment = slice(start, start + layout.entries)
+    return BusBlocks(
+        bus=state.model.bus(i),
+        parent=None if ctx.is_root else state.model.parent[i],
+        children=tuple(j for j, _, _ in ctx.children),
+        x0=XBlock(*(_live(state.x, e) for e in own)),
+        x1_v=_live(state.x1_v, at.reshape(own[0].shape)),
+        lam1=_live(state.lam1, at.reshape(own[0].shape)),
+        y=_local(layout.split(state.y[segment]), ctx),
+        mu=_local(layout.split(state.mu[segment]), ctx),
+    )
+
+
+def pack_local(solver, local):
+    """The parameters of a one-bus solver's named blocks, in its layout."""
+    ctx = solver.ctxs[0]
+    blocks = [local.v_self, local.s_self]
+    if not ctx.is_root:
+        blocks += [local.S_self, local.ell_self, local.v_parent]
+    for cid, _, _ in ctx.children:
+        blocks += local.child_flows[cid]
+    return solver.layouts[0].pack(blocks)
+
+
+def direct_penalty(v, S, ell, s, state, i, rho):
+    """Multiplier and penalty terms of bus i's x-step objective at
+    (v, S, ell, s), written directly from the weighted observations of its
+    x entries in ``state`` (independent of the square completion)."""
+    me = bus_blocks(state, i)
+    nc = len(me.children)
+
+    def nsq(a, b):
+        return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** 2)
+
+    y, mu = me.y, me.mu
+    val = inner(mu.v_self, v) + inner(mu.s_self, s)
+    val += 0.5 * rho * (2.0 * nsq(v, y.v_self) + nsq(s, y.s_self))
+    if not me.is_root:
+        par = bus_blocks(state, me.parent)
+        (par_S, par_ell), (par_mu_S, par_mu_ell) = par.y.child_flows[i], par.mu.child_flows[i]
+        val += inner(mu.S_self, S) + inner(mu.ell_self, ell)
+        val += 0.5 * rho * (
+            (2.0 * nc + 3.0) * nsq(S, y.S_self) + (nc + 1.0) * nsq(ell, y.ell_self)
+        )
+        val += inner(par_mu_S, S) + inner(par_mu_ell, ell)
+        val += 0.5 * rho * (nsq(S, par_S) + nsq(ell, par_ell))
+    for j in me.children:
+        kid = bus_blocks(state, j)
+        val += inner(kid.mu.v_parent, v) + 0.5 * rho * nsq(v, kid.y.v_parent)
+    return val

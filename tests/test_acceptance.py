@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from conftest import bus_blocks, direct_penalty, pack_local
 
 from radialopf.engine import SolverConfig, State, run
 from radialopf.hermitian import inner, psd_project
@@ -170,23 +171,13 @@ def random_context(rng):
     return YContext(bus_id=1, phases=phases, z=z, parent_phases=parent_phases, children=children)
 
 
-def pack_local(solver, local):
-    ctx = solver.ctxs[0]
-    blocks = [local.v_self, local.s_self]
-    if not ctx.is_root:
-        blocks += [local.S_self, local.ell_self, local.v_parent]
-    for cid, _, _ in ctx.children:
-        blocks += local.child_flows[cid]
-    return solver.layouts[0].pack(blocks)
-
-
 def test_criterion_3_y_update_closed_form():
     rng = np.random.default_rng(103)
     for _ in range(500):
         ctx = random_context(rng)
         solver = YNodeSolver([ctx], rho=float(rng.uniform(0.4, 2.5)))
         c = rng.standard_normal(solver.layouts[0].size)
-        y = np.zeros(solver.index[0].size, dtype=complex)
+        y = np.zeros(solver.layouts[0].entries, dtype=complex)
         solver.solve(c, y)
         theta = pack_local(solver, _local(solver.layouts[0].split(y), ctx))
 
@@ -243,7 +234,7 @@ def cvec_directions(m):
 def observed_bus(rng, m, nc, rho):
     """A small state whose bus 1 hangs under the root and has nc leaf
     children, all with m phases, with random observations and multipliers
-    of bus 1's x entries; returns the state and bus 1's view."""
+    of bus 1's x entries; returns the state."""
     ph = PhaseSet("abc"[:m])
     free = tuple(Box(-INF, INF, -INF, INF) for _ in range(m))
     buses = tuple(
@@ -252,37 +243,20 @@ def observed_bus(rng, m, nc, rho):
     z = (0.01 + 0.02j) * np.eye(m)
     lines = tuple(LineSpec(i, 0 if i == 1 else 1, z) for i in range(1, nc + 2))
     state = State(FeederModel(buses, lines), SolverConfig(rho=rho))
-    obs = state.bus(1)
-    par = obs.ycache_parent
-    for a in (obs.y_v, obs.mu_v, obs.y_ell, obs.mu_ell, par.ell, par.mu_ell):
+    me = bus_blocks(state, 1)
+    y, mu = me.y, me.mu
+    par = bus_blocks(state, 0)
+    (par_S, par_ell), (par_mu_S, par_mu_ell) = par.y.child_flows[1], par.mu.child_flows[1]
+    for a in (y.v_self, mu.v_self, y.ell_self, mu.ell_self, par_ell, par_mu_ell):
         a[...] = rand_herm(rng, m)
-    for a in (obs.y_s, obs.mu_s):
+    for a in (y.s_self, mu.s_self):
         a[...] = rand_cvec(rng, m)
-    for a in (obs.y_S, obs.mu_S, par.S, par.mu_S):
+    for a in (y.S_self, mu.S_self, par_S, par_mu_S):
         a[...] = rand_cmat(rng, m)
-    for ob in obs.ycache_child.values():
-        ob.v[...], ob.mu_v[...] = rand_herm(rng, m), rand_herm(rng, m)
-    return state, obs
-
-
-def direct_penalty(v, S, ell, s, obs, rho):
-    nc = len(obs.children)
-    par = obs.ycache_parent
-
-    def nsq(a, b):
-        return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** 2)
-
-    val = inner(obs.mu_v, v) + inner(obs.mu_s, s)
-    val += 0.5 * rho * (2.0 * nsq(v, obs.y_v) + nsq(s, obs.y_s))
-    val += inner(obs.mu_S, S) + inner(obs.mu_ell, ell)
-    val += 0.5 * rho * (
-        (2.0 * nc + 3.0) * nsq(S, obs.y_S) + (nc + 1.0) * nsq(ell, obs.y_ell)
-    )
-    val += inner(par.mu_S, S) + inner(par.mu_ell, ell)
-    val += 0.5 * rho * (nsq(S, par.S) + nsq(ell, par.ell))
-    for ob in obs.ycache_child.values():
-        val += inner(ob.mu_v, v) + 0.5 * rho * nsq(v, ob.v)
-    return val
+    for j in range(2, nc + 2):
+        kid = bus_blocks(state, j)
+        kid.y.v_parent[...], kid.mu.v_parent[...] = rand_herm(rng, m), rand_herm(rng, m)
+    return state
 
 
 def test_criterion_4_square_completion_gradient():
@@ -293,11 +267,11 @@ def test_criterion_4_square_completion_gradient():
         m = int(rng.integers(1, 4))
         nc = int(rng.integers(0, 4))
         rho = float(rng.uniform(0.4, 2.5))
-        state, obs = observed_bus(rng, m, nc, rho)
+        state = observed_bus(rng, m, nc, rho)
         state.x[...] = complete_square_x0(
             state.y, state.mu, state.weight, state.pair, state.den, rho
         )
-        hat = state.bus(1).x0
+        hat = bus_blocks(state, 1).x0
 
         v = rand_herm(rng, m)
         S = rand_cmat(rng, m)
@@ -312,7 +286,8 @@ def test_criterion_4_square_completion_gradient():
                     S + t * dS if dS is not None else S,
                     ell + t * dell if dell is not None else ell,
                     s + t * ds if ds is not None else s,
-                    obs,
+                    state,
+                    1,
                     rho,
                 )
 

@@ -304,3 +304,22 @@ def test_verify_malformed_solution_document(tmp_path, capsys, doc):
     code = main(["verify", "--solution", str(sol), "--network", str(net)])
     assert code == EXIT_VALIDATION
     assert "malformed solution document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "0.5"])
+def test_verify_rejects_non_finite_solution_entry(tmp_path, capfd, bad):
+    # rejected at load time, before the rank check's SVD can see it
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    out = tmp_path / "run"
+    main(["solve", "--network", str(net), "--out-dir", str(out)])
+    capfd.readouterr()
+    doc = json.loads((out / "solution.json").read_text())
+    doc["buses"][1]["S"][0][0]["im"] = bad
+    (out / "solution.json").write_text(json.dumps(doc))
+    code = main(["verify", "--solution", str(out / "solution.json"), "--network", str(net)])
+    assert code == EXIT_VALIDATION
+    err = capfd.readouterr().err
+    assert err.splitlines() == [
+        f"error: malformed solution document: bus 1 S[0][0].im: {bad!r} is not a finite number"
+    ]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import bus_blocks, direct_penalty
 
 from radialopf import engine
 from radialopf.engine import (
@@ -74,9 +75,15 @@ def chain_model(injections, z=0.01 + 0.02j, beta=1.0):
 TWO_BUS = chain_model([-0.1 - 0.05j])
 
 
+def mixed_feeder():
+    """Seven buses with one, two and three phases and ids out of child-count order."""
+    doc = json.loads((Path(__file__).parent / "data" / "engine_equivalence.json").read_text())
+    return loads_feeder(json.dumps(doc["mixed-7-unsorted"]["feeder"]))
+
+
 def views(state):
-    """Every bus's view of the run's buffers, by id; views stay live."""
-    return {b.id: state.bus(b.id) for b in state.model.buses}
+    """Every bus's named blocks of the run's buffers, by id; views stay live."""
+    return {b.id: bus_blocks(state, b.id) for b in state.model.buses}
 
 
 class TestInitialize:
@@ -115,14 +122,14 @@ class TestInitialize:
     def test_multipliers_start_at_zero(self):
         agents = views(initialize(TWO_BUS))
         assert np.all(agents[1].lam1 == 0)
-        assert np.all(agents[1].mu_S == 0)
-        assert np.all(agents[1].mu_parent_v == 0)
+        assert np.all(agents[1].mu.S_self == 0)
+        assert np.all(agents[1].mu.v_parent == 0)
 
     def test_observations_match_primal(self):
         agents = views(initialize(TWO_BUS))
         root, leaf = agents[0], agents[1]
-        assert np.array_equal(leaf.y_parent_v, root.x0.v)
-        assert np.array_equal(root.y_child[1][0], leaf.x0.S)
+        assert np.array_equal(leaf.y.v_parent, root.x0.v)
+        assert np.array_equal(root.y.child_flows[1][0], leaf.x0.S)
 
 
 class TestRounds:
@@ -151,16 +158,16 @@ class TestRounds:
 
     def test_multiplier_scalar_step(self):
         state = initialize(TWO_BUS)
-        agent = state.bus(0)
-        agent.x0.s[...] = agent.y_s + 2.0
+        agent = bus_blocks(state, 0)
+        agent.x0.s[...] = agent.y.s_self + 2.0
         multiplier_update_round(state, rho=0.5)
-        assert agent.mu_s[0] == pytest.approx(1.0)
+        assert agent.mu.s_self[0] == pytest.approx(1.0)
 
     def test_multiplier_stationary_at_consensus(self):
         state = initialize(TWO_BUS)
         multiplier_update_round(state, rho=1.0)
         for agent in views(state).values():
-            assert np.allclose(agent.mu_v, 0) and np.allclose(agent.mu_s, 0)
+            assert np.allclose(agent.mu.v_self, 0) and np.allclose(agent.mu.s_self, 0)
 
     def test_multiplier_shapes_preserved(self):
         model = generate_topology("fat-tree", 5, TopologyTemplate(phases="ab"))
@@ -172,15 +179,15 @@ class TestRounds:
         for agent in views(state).values():
             n = len(agent.bus.phases)
             assert agent.lam1.shape == (n, n)
-            assert agent.mu_s.shape == (n,)
+            assert agent.mu.s_self.shape == (n,)
             if not agent.is_root:
-                assert agent.mu_parent_v.shape == agent.y_parent_v.shape
+                assert agent.mu.v_parent.shape == agent.y.v_parent.shape
 
     def test_residual_is_euclidean(self):
         state = initialize(chain_model([0j], z=0j))
-        root = state.bus(0)
-        root.x0.s[...] = root.y_s + 3.0
-        root.x1_v[...] = root.y_v + 4.0
+        root = bus_blocks(state, 0)
+        root.x0.s[...] = root.y.s_self + 3.0
+        root.x1_v[...] = root.y.v_self + 4.0
         r, s = compute_residuals(state, rho=1.0)
         assert r == pytest.approx(5.0)
         assert s == 0.0
@@ -188,15 +195,16 @@ class TestRounds:
     def test_one_iteration_messages_every_tree_edge(self):
         # the cross-bus reads of the x- and y-steps are the messages: each
         # round sends both ways along every line and nowhere else
-        model = generate_topology("fat-tree", 7, TopologyTemplate(phases="abc"))
         config = SolverConfig()
-        state = initialize(model, config)
-        edges = {(ln.bus, ln.parent) for ln in model.lines}
-        edges |= {(b, a) for a, b in edges}
-        for step in (x_update_round, y_update_round):
-            audit = set()
-            step(state, config, audit)
-            assert audit == edges
+        fat_tree = generate_topology("fat-tree", 7, TopologyTemplate(phases="abc"))
+        for model in (fat_tree, mixed_feeder()):
+            state = initialize(model, config)
+            edges = {(ln.bus, ln.parent) for ln in model.lines}
+            edges |= {(b, a) for a, b in edges}
+            for step in (x_update_round, y_update_round):
+                audit = set()
+                step(state, config, audit)
+                assert audit == edges
 
     def test_x_outputs_stay_psd(self):
         model = generate_topology("fat-tree", 7, TopologyTemplate(phases="abc"))
@@ -217,35 +225,12 @@ class TestRounds:
     def test_x_update_decreases_its_objective(self):
         # prox optimality: the x step minimizes its own objective, so it can
         # never be worse than the previous iterate under the same shares
-        from radialopf.hermitian import inner
-
-        def h_value(agent, rho, x):
+        def h_value(state, agent, rho, x):
             bus = agent.bus
-            nc = len(agent.children)
             val = sum(
                 bus.cost[t].value(float(x.s[t].real)) for t in range(len(bus.phases))
             )
-            val += inner(agent.mu_v, x.v) + inner(agent.mu_s, x.s)
-            val += 0.5 * rho * (
-                2.0 * np.linalg.norm(x.v - agent.y_v) ** 2
-                + np.linalg.norm(x.s - agent.y_s) ** 2
-            )
-            if not agent.is_root:
-                par = agent.ycache_parent
-                val += inner(agent.mu_S, x.S) + inner(agent.mu_ell, x.ell)
-                val += 0.5 * rho * (
-                    (2.0 * nc + 3.0) * np.linalg.norm(x.S - agent.y_S) ** 2
-                    + (nc + 1.0) * np.linalg.norm(x.ell - agent.y_ell) ** 2
-                )
-                val += inner(par.mu_S, x.S) + inner(par.mu_ell, x.ell)
-                val += 0.5 * rho * (
-                    np.linalg.norm(x.S - par.S) ** 2
-                    + np.linalg.norm(x.ell - par.ell) ** 2
-                )
-            for ob in agent.ycache_child.values():
-                val += inner(ob.mu_v, x.v)
-                val += 0.5 * rho * np.linalg.norm(x.v - ob.v) ** 2
-            return val
+            return val + direct_penalty(x.v, x.S, x.ell, x.s, state, bus.id, rho)
 
         model = generate_topology("fat-tree", 7, TopologyTemplate(phases="ab"))
         config = SolverConfig()
@@ -258,8 +243,8 @@ class TestRounds:
         before = {i: agents[i].x0.copy() for i in agents}
         x_update_round(state, config)
         for i, agent in agents.items():
-            h_new = h_value(agent, config.rho, agent.x0)
-            h_old = h_value(agent, config.rho, before[i])
+            h_new = h_value(state, agent, config.rho, agent.x0)
+            h_old = h_value(state, agent, config.rho, before[i])
             assert h_new <= h_old + 1e-10
 
     def test_converged_solution_is_bfm_feasible(self):
@@ -282,28 +267,28 @@ class TestRounds:
             y_update_round(state, config)
             multiplier_update_round(state, config.rho)
         for i, agent in views(state).items():
-            bus = agent.bus
+            bus, y = agent.bus, agent.y
             if not agent.is_root:
-                z = agent.line.z
-                parent_phases = by_id[agent.line.parent].phases
+                z = lines[i].z
+                parent_phases = by_id[agent.parent].phases
                 drop = (
-                    phase_project(agent.y_parent_v, parent_phases, bus.phases)
-                    - agent.y_v
-                    + z @ agent.y_S.conj().T
-                    + agent.y_S @ z.conj().T
-                    - z @ agent.y_ell @ z.conj().T
+                    phase_project(y.v_parent, parent_phases, bus.phases)
+                    - y.v_self
+                    + z @ y.S_self.conj().T
+                    + y.S_self @ z.conj().T
+                    - z @ y.ell_self @ z.conj().T
                 )
                 assert np.max(np.abs(drop)) <= 1e-10
             acc = np.zeros(len(bus.phases), dtype=complex)
             for j in agent.children:
-                S_j, ell_j = agent.y_child[j]
+                S_j, ell_j = y.child_flows[j]
                 zc = lines[j].z
                 acc += phase_lift(
                     S_j - zc @ ell_j, by_id[j].phases, bus.phases
                 ).diagonal()
             if not agent.is_root:
-                acc -= agent.y_S.diagonal()
-            assert np.max(np.abs(agent.y_s + acc)) <= 1e-10
+                acc -= y.S_self.diagonal()
+            assert np.max(np.abs(y.s_self + acc)) <= 1e-10
 
 
 class TestRun:
@@ -408,12 +393,6 @@ class TestConfig:
                 SolverConfig(tol_scale=bad)
 
 
-def mixed_feeder():
-    """Seven buses with one, two and three phases and ids out of child-count order."""
-    doc = json.loads((Path(__file__).parent / "data" / "engine_equivalence.json").read_text())
-    return loads_feeder(json.dumps(doc["mixed-7-unsorted"]["feeder"]))
-
-
 class TestWeights:
     @pytest.mark.parametrize(
         "model", [mixed_feeder(), generate_topology("fat-tree", 7, TopologyTemplate(phases="ab"))]
@@ -436,9 +415,10 @@ class TestWeights:
         rho = 1.7
         state = State(mixed_feeder(), SolverConfig(rho=rho))
         solver = state.ysolver
-        for index, layout, m_diag in zip(solver.index, solver.layouts, solver.m_diag, strict=True):
+        starts = solver.offsets[:-1]
+        for start, layout, m_diag in zip(starts, solver.layouts, solver.m_diag, strict=True):
             extra = np.arange(layout.size) < layout.counts[0]
-            assert np.array_equal(m_diag, rho * (state.weight[index[layout.pos // 2]] + extra))
+            assert np.array_equal(m_diag, rho * (state.weight[start + layout.pos // 2] + extra))
 
 
 def three_class_feeder():
@@ -502,7 +482,7 @@ class TestXStepMaps:
         )
         x_update_round(state, config)
         for i, agent in views(state).items():
-            t = hat.bus(i).x0
+            t = bus_blocks(hat, i).x0
             if agent.is_root:
                 assert np.array_equal(agent.x0.v, t.v)
                 continue
@@ -545,3 +525,32 @@ class TestXStepMaps:
             "assemble_c": 1,
             "solve": 1,
         }
+
+
+@pytest.mark.parametrize("model", [three_class_feeder(), mixed_feeder()])
+class TestYLayout:
+    def test_segments_observe_the_neighborhood(self, model):
+        # with every x entry distinct, each bus's y segment reads exactly its
+        # own v, s[, S, ell], its parent's v and each child's S and ell
+        state = State(model, SolverConfig())
+        state.x[...] = np.arange(len(state.x))
+        state.y[...] = state.x[state.pair]
+        agents = views(state)
+        for i, agent in agents.items():
+            y, x = agent.y, agent.x0
+            assert np.array_equal(y.v_self, x.v) and np.array_equal(y.s_self, x.s)
+            if agent.is_root:
+                assert y.S_self is None and y.v_parent is None
+            else:
+                assert np.array_equal(y.S_self, x.S) and np.array_equal(y.ell_self, x.ell)
+                assert np.array_equal(y.v_parent, agents[agent.parent].x0.v)
+            assert sorted(y.child_flows) == sorted(model.children[i])
+            for j, (S, ell) in y.child_flows.items():
+                assert np.array_equal(S, agents[j].x0.S) and np.array_equal(ell, agents[j].x0.ell)
+        assert state.ysolver.offsets[-1] == len(state.y)
+
+    def test_own_voltage_copies_start_at_x1_v(self, model):
+        state = initialize(model)
+        assert np.array_equal(state.y[state.y_v], state.x1_v)
+        for agent in views(state).values():
+            assert np.array_equal(agent.y.v_self, agent.x1_v)

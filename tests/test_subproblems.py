@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import bus_blocks, direct_penalty, pack_local
 
 from radialopf.engine import SolverConfig, State
 from radialopf.hermitian import inner
@@ -80,31 +81,36 @@ def one_bus_state(m, nc, rho=1.0):
     return State(feeder([0] + [1] * nc, "abc"[:m]), SolverConfig(rho=rho))
 
 
-def observations(view):
-    """The observations of bus ``view``'s x entries and their multipliers:
-    its own copies, the parent's copy of its (S, ell), then each child's
-    copy of its v."""
-    arrays = [view.y_v, view.y_s, view.mu_v, view.mu_s]
-    par = view.ycache_parent
-    if par is not None:
-        arrays += [view.y_S, view.y_ell, view.mu_S, view.mu_ell]
-        arrays += [par.S, par.ell, par.mu_S, par.mu_ell]
-    for ob in view.ycache_child.values():
-        arrays += [ob.v, ob.mu_v]
+def observations(state, i):
+    """The observations of bus i's x entries and their multipliers: its
+    own copies, the parent's copy of its (S, ell), then each child's copy
+    of its v."""
+    me = bus_blocks(state, i)
+    y, mu = me.y, me.mu
+    arrays = [y.v_self, y.s_self, mu.v_self, mu.s_self]
+    if not me.is_root:
+        par = bus_blocks(state, me.parent)
+        (par_S, par_ell), (par_mu_S, par_mu_ell) = par.y.child_flows[i], par.mu.child_flows[i]
+        arrays += [y.S_self, y.ell_self, mu.S_self, mu.ell_self]
+        arrays += [par_S, par_ell, par_mu_S, par_mu_ell]
+    for j in me.children:
+        kid = bus_blocks(state, j)
+        arrays += [kid.y.v_parent, kid.mu.v_parent]
     return arrays
 
 
-def fill_observations(rng, view):
-    """Random observations and multipliers of bus ``view``'s x entries."""
-    m = len(view.bus.phases)
-    for a in observations(view):
+def fill_observations(rng, state, i):
+    """Random observations and multipliers of bus i's x entries."""
+    me = bus_blocks(state, i)
+    m = len(me.bus.phases)
+    for a in observations(state, i):
         if a.ndim == 1:
             a[...] = rand_cvec(rng, m)
         else:
             a[...] = rand_herm(rng, m)
-    par = view.ycache_parent
-    if par is not None:
-        for a in (view.y_S, view.mu_S, par.S, par.mu_S):
+    if not me.is_root:
+        par = bus_blocks(state, me.parent)
+        for a in (me.y.S_self, me.mu.S_self, par.y.child_flows[i][0], par.mu.child_flows[i][0]):
             a[...] = rand_cmat(rng, m)
 
 
@@ -113,7 +119,7 @@ def targets(state, rho):
     (v, s[, S, ell]) read through its views."""
     hat = complete_square_x0(state.y, state.mu, state.weight, state.pair, state.den, rho)
     state.x[...] = hat
-    return {b.id: state.bus(b.id).x0.copy() for b in state.model.buses}
+    return {b.id: bus_blocks(state, b.id).x0.copy() for b in state.model.buses}
 
 
 class TestCompleteSquare:
@@ -122,12 +128,12 @@ class TestCompleteSquare:
         state = one_bus_state(2, nc=2)
         state.y[...] = 0.7
         state.mu[...] = 0.0
-        obs = state.bus(1)
+        obs = bus_blocks(state, 1).y
         hat = targets(state, rho=1.3)[1]
-        assert np.allclose(hat.v, obs.y_v)
-        assert np.allclose(hat.S, obs.y_S)
-        assert np.allclose(hat.ell, obs.y_ell)
-        assert np.allclose(hat.s, obs.y_s)
+        assert np.allclose(hat.v, obs.v_self)
+        assert np.allclose(hat.S, obs.S_self)
+        assert np.allclose(hat.ell, obs.ell_self)
+        assert np.allclose(hat.s, obs.s_self)
 
     def test_leaf_voltage_target(self):
         # leaf: only the own observation (weight 2) sees v, so the target
@@ -135,24 +141,24 @@ class TestCompleteSquare:
         rng = np.random.default_rng(0)
         rho = 0.8
         state = one_bus_state(2, nc=0)
-        obs = state.bus(1)
-        fill_observations(rng, obs)
+        fill_observations(rng, state, 1)
+        obs = bus_blocks(state, 1)
         hat = targets(state, rho)[1]
-        assert np.allclose(hat.v, obs.y_v - obs.mu_v / (2 * rho))
+        assert np.allclose(hat.v, obs.y.v_self - obs.mu.v_self / (2 * rho))
 
     def test_injection_target(self):
         rng = np.random.default_rng(1)
         rho = 2.0
         state = one_bus_state(3, nc=0)
-        obs = state.bus(1)
-        fill_observations(rng, obs)
+        fill_observations(rng, state, 1)
+        obs = bus_blocks(state, 1)
         hat = targets(state, rho)[1]
-        assert np.allclose(hat.s, obs.y_s - obs.mu_s / rho)
+        assert np.allclose(hat.s, obs.y.s_self - obs.mu.s_self / rho)
 
     def test_hat_targets_are_hermitian(self):
         rng = np.random.default_rng(2)
         state = one_bus_state(3, nc=1)
-        fill_observations(rng, state.bus(1))
+        fill_observations(rng, state, 1)
         hat = targets(state, 1.0)[1]
         assert np.array_equal(hat.v, hat.v.conj().T)
         assert np.array_equal(hat.ell, hat.ell.conj().T)
@@ -164,40 +170,15 @@ class TestCompleteSquare:
         m, rho = 2, 0.7
         state = State(feeder([0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3], "ab"), SolverConfig(rho=rho))
         for i in (1, 2, 3, 4):
-            fill_observations(rng, state.bus(i))
+            fill_observations(rng, state, i)
         hat = targets(state, rho)
         for i in (1, 2, 3, 4):
-            view = state.bus(i)
-            alone = one_bus_state(m, len(view.children), rho)
-            for src, dst in zip(observations(view), observations(alone.bus(1)), strict=True):
+            alone = one_bus_state(m, len(state.model.children[i]), rho)
+            for src, dst in zip(observations(state, i), observations(alone, 1), strict=True):
                 dst[...] = src
             one = targets(alone, rho)[1]
             for name in ("v", "s", "S", "ell"):
                 assert np.array_equal(getattr(hat[i], name), getattr(one, name))
-
-
-def direct_penalty(v, S, ell, s, obs, rho):
-    """Multiplier and penalty terms of the x-step objective, written directly
-    from the weighted observation sums of bus view ``obs`` (independent of
-    the hat derivation)."""
-    nc = len(obs.children)
-
-    def nsq(a, b):
-        return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** 2)
-
-    val = inner(obs.mu_v, v) + inner(obs.mu_s, s)
-    val += 0.5 * rho * (2.0 * nsq(v, obs.y_v) + nsq(s, obs.y_s))
-    par = obs.ycache_parent
-    if par is not None:
-        val += inner(obs.mu_S, S) + inner(obs.mu_ell, ell)
-        val += 0.5 * rho * (
-            (2.0 * nc + 3.0) * nsq(S, obs.y_S) + (nc + 1.0) * nsq(ell, obs.y_ell)
-        )
-        val += inner(par.mu_S, S) + inner(par.mu_ell, ell)
-        val += 0.5 * rho * (nsq(S, par.S) + nsq(ell, par.ell))
-    for ob in obs.ycache_child.values():
-        val += inner(ob.mu_v, v) + 0.5 * rho * nsq(v, ob.v)
-    return val
 
 
 def completed_penalty(v, S, ell, s, hat, nc, rho):
@@ -216,8 +197,7 @@ class TestSquareCompletionIdentity:
             nc = int(rng.integers(0, 4))
             rho = float(rng.uniform(0.3, 3.0))
             state = one_bus_state(m, nc, rho)
-            obs = state.bus(1)
-            fill_observations(rng, obs)
+            fill_observations(rng, state, 1)
             hat = targets(state, rho)[1]
 
             def pt():
@@ -230,8 +210,8 @@ class TestSquareCompletionIdentity:
 
             v1, S1, l1, s1 = pt()
             v2, S2, l2, s2 = pt()
-            d_direct = direct_penalty(v1, S1, l1, s1, obs, rho) - direct_penalty(
-                v2, S2, l2, s2, obs, rho
+            d_direct = direct_penalty(v1, S1, l1, s1, state, 1, rho) - direct_penalty(
+                v2, S2, l2, s2, state, 1, rho
             )
             d_completed = completed_penalty(v1, S1, l1, s1, hat, nc, rho) - (
                 completed_penalty(v2, S2, l2, s2, hat, nc, rho)
@@ -614,19 +594,9 @@ def coefficients(solver, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, c
 
 def solve_local(solver, c):
     """The one-bus solver's minimizer, unpacked into named blocks."""
-    y = np.zeros(solver.index[0].size, dtype=complex)
+    y = np.zeros(solver.layouts[0].entries, dtype=complex)
     solver.solve(c, y)
     return _local(solver.layouts[0].split(y), solver.ctxs[0])
-
-
-def pack_solution(solver, local):
-    ctx = solver.ctxs[0]
-    blocks = [local.v_self, local.s_self]
-    if not ctx.is_root:
-        blocks += [local.S_self, local.ell_self, local.v_parent]
-    for cid, _, _ in ctx.children:
-        blocks += local.child_flows[cid]
-    return solver.layouts[0].pack(blocks)
 
 
 def kkt_reference(solver, c) -> np.ndarray:
@@ -764,7 +734,7 @@ class TestYSystem:
             ctx = make_context(rng, m, nc, root=root)
             solver, c = random_system(rng, ctx, rho=float(rng.uniform(0.5, 2.0)))
             local = solve_local(solver, c)
-            theta = pack_solution(solver, local)
+            theta = pack_local(solver, local)
             ref = kkt_reference(solver, c)
             assert np.max(np.abs(theta - ref)) <= 1e-8
 
@@ -776,7 +746,7 @@ class TestYSystem:
             ctx = make_context(rng, m, nc)
             solver, c = random_system(rng, ctx, 1.0)
             local = solve_local(solver, c)
-            theta = pack_solution(solver, local)
+            theta = pack_local(solver, local)
             assert np.max(np.abs(solver.a_mat[0] @ theta)) <= 1e-10
 
     def test_bfm_equations_hold_in_complex_form(self):
@@ -822,12 +792,12 @@ class TestYSystem:
     def test_group_matches_each_bus_alone(self):
         # the engine's one solver over every bus, with several signatures
         # (every bus its own on the mixed-phase feeder, runs of leaves on
-        # the fat-tree) and each bus's blocks scattered through y, equals a
+        # the fat-tree) and each bus's blocks in its segment of y, equals a
         # solver per bus
         rng = np.random.default_rng(23)
         for name in ("mixed-7-unsorted", "fat-tree-7-ab"):
             solver = State(equivalence_feeder(name), SolverConfig(rho=1.3)).ysolver
-            size = sum(len(index) for index in solver.index)
+            size = solver.offsets[-1]
             mu = rand_cvec(rng, size)
             x = rand_cvec(rng, size)
             c = solver.assemble_c(mu, x)
@@ -835,14 +805,15 @@ class TestYSystem:
             solver.solve(c, y)
             assert len({y_signature(ctx) for ctx in solver.ctxs}) > 1
             first = 0
-            for b, (ctx, index) in enumerate(zip(solver.ctxs, solver.index, strict=True)):
+            segments = zip(solver.offsets[:-1], solver.offsets[1:])
+            for b, (ctx, (start, end)) in enumerate(zip(solver.ctxs, segments, strict=True)):
                 alone = YNodeSolver([ctx], 1.3)
                 n = alone.layouts[0].size
                 assert np.array_equal(alone.a_mat[0], solver.a_mat[b])
-                c_b = alone.assemble_c(mu[index], x[index])
+                c_b = alone.assemble_c(mu[start:end], x[start:end])
                 assert np.array_equal(c_b, c[first : first + n])
-                y_b = np.zeros(len(index), dtype=complex)
+                y_b = np.zeros(end - start, dtype=complex)
                 alone.solve(c_b, y_b)
-                assert np.array_equal(y_b, y[index])
+                assert np.array_equal(y_b, y[start:end])
                 first += n
             assert first == len(c)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import bus_blocks
 
 from radialopf.network import (
     Box,
@@ -204,20 +205,18 @@ class TestOracleConsistency:
             x_update_round(state, config)
             y_update_round(state, config)
             multiplier_update_round(state, config.rho)
-        agents = {i: state.bus(i) for i in (0, 1)}
-        leaf = agents[1]
+        root, leaf = (bus_blocks(state, i).y for i in (0, 1))
         solution = {
-            0: XBlock(v=leaf.y_parent_v.copy(), s=agents[0].y_s.copy()),
+            0: XBlock(v=leaf.v_parent.copy(), s=root.s_self.copy()),
             1: XBlock(
-                v=leaf.y_v.copy(),
-                s=leaf.y_s.copy(),
-                S=leaf.y_S.copy(),
-                ell=leaf.y_ell.copy(),
+                v=leaf.v_self.copy(),
+                s=leaf.s_self.copy(),
+                S=leaf.S_self.copy(),
+                ell=leaf.ell_self.copy(),
             ),
         }
         # patch the root balance using the root's own observation of the leaf
-        root = agents[0]
-        s0 = -(root.y_child[1][0] - model.lines[0].z @ root.y_child[1][1]).diagonal()
+        s0 = -(root.child_flows[1][0] - model.lines[0].z @ root.child_flows[1][1]).diagonal()
         solution[0].s = s0
         report = check_bfm_feasibility(
             {
