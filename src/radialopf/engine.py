@@ -1,33 +1,36 @@
 """Bulk-synchronous ADMM iteration over one agent per bus, run as array operations.
 
-Each bus owns its primal copies x = (v, s, S, ell), a voltage copy x1_v
-with its multiplier lam1, the observations y that its y-step re-solves,
-and one multiplier per observation. The state of a whole run lives in a
-few flat buffers: x, x1_v, lam1, y, and mu (laid out like y). Within x
-each variable kind is a contiguous (B, m, m) or (B, m) slab per group of
-buses with one phase count (the root on its own), and x1_v and lam1
-hold the v slabs one after another. y runs bus after bus in the order of
-the y-solver: each bus's own copies, its copy of its parent's v, then its
-copies of each child's (S, ell). The pairing index ``pair`` maps every y
-entry to the x entry it observes, and ``y_v`` picks each bus's own copy
-of v out of y in the order of x1_v.
+Each bus owns its primal copies x0 = (v, s, S, ell) and x1, a copy of
+its v that carries the voltage limits, the observations y that its
+y-step re-solves, and the multipliers of its consensus constraints. The
+state of a whole run lives in a few flat buffers: x, y and mu. Within x
+each variable kind of x0 is a contiguous (B, m, m) or (B, m) slab per
+group of buses with one phase count (the root on its own), and the
+voltage copies end x. y runs bus after bus in the order of the
+y-solver: each bus's own copies, its copy of its parent's v, then its
+copies of each child's (S, ell).
 
-Every per-iteration index decision is a map that ``State`` builds once,
-so the work of a step does not branch on the feeder's shape. Every y
-entry carries its penalty weight (``weight``, from
-``subproblems.y_weights``). The x-step completes the square for every
-bus in one weighted sum over y, gathers the (2m, 2m) block targets of
-the non-root buses of each phase count and projects them in one batched
-call per phase count, scatters the projections back into x in one
-operation, clamps every voltage copy in one call, and then projects
-every phase's injection. The y-step is one ``YNodeSolver`` for all buses:
-one gather of the linear terms, one stacked matrix-vector product per
-y-block signature, one write of all of y. The multiplier update and the
-residuals are single operations on whole buffers. Data crosses a tree
-edge only where a step reads an entry that another bus owns; those
-entries are the messages, and the message audit is derived from them.
-Every step applies the per-bus arithmetic elementwise and reduces in a
-fixed order, so runs are deterministic bit for bit.
+Every consensus constraint is one row of one table, as in general-form
+consensus ADMM: row e ties x entry ``pair[e]`` to y entry ``obs[e]``
+with penalty weight ``weight[e]`` and multiplier ``mu[e]``. The first
+rows are the identity on y, each y entry observing one x0 entry; after
+them comes one row per entry of each bus's own v, held by its voltage
+copy. Every per-iteration index decision is a map that ``State`` builds
+once, so the work of a step does not branch on the feeder's shape. The
+x-step completes the square for every copy in one weighted sum over the
+rows, clamps the voltage copies in one call, gathers the (2m, 2m) block
+targets of the non-root buses of each phase count and projects them in
+one batched call per phase count, scatters the projections and the
+voltage copies back into x in one operation, and then projects every
+phase's injection. The y-step sums the rows into y in one weighted
+scatter-add and runs one ``YNodeSolver`` for all buses: one gather of
+the linear terms, one stacked matrix-vector product per y-block
+signature, one write of all of y. The multiplier update and the
+residuals are single operations over the rows. Data crosses a tree edge
+only where a step reads an entry that another bus owns; those entries
+are the messages, and the message audit is derived from them. Every
+step applies the per-bus arithmetic elementwise and reduces in a fixed
+order, so runs are deterministic bit for bit.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ from .subproblems import (
     complete_square_x0,
     project_injection_box,
     project_injection_disk,
+    scatter_add,
     solve_x0_matrix,
     solve_x1_voltage,
     y_signature,
-    y_weights,
 )
 
 __all__ = [
@@ -99,8 +102,9 @@ class SolverConfig:
             raise ValueError("rho must be positive and finite")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
             raise ValueError("tol_scale must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        count = self.max_iters
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError("max_iters must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -133,26 +137,28 @@ class State:
     """The buffers of one run and their index maps.
 
     ``x_entries[i]`` holds the positions in x of bus i's v, s[, S, ell];
-    the rows of a group's slabs follow the feeder's bus order. y holds
-    one segment per bus, laid out as the bus's y-blocks
-    (``subproblems.y_signature``), in the order of ``ysolver.ctxs`` and
-    from the offsets ``ysolver.offsets``. ``pair[e]`` is the x entry that
-    y entry e observes and ``weight[e]`` its penalty weight; ``den`` sums
-    the weights per x entry. ``v_index`` lists the entries of the buses'
-    own v in x, in the order of ``x1_v`` and ``lam1``, ``y_v`` those of
-    each bus's own copy of v in y, in the same order, and ``s_index`` the
-    entries of s in x, in the order of ``injections``. ``x_shares`` and
-    ``y_shares`` are the directed (sender, receiver) bus pairs of the
-    entries that the y-step and the x-step read across a tree edge.
+    the rows of a group's slabs follow the feeder's bus order. After
+    them x holds the voltage copies, one per own v entry, in the order
+    of those entries. y holds one segment per bus, laid out as the bus's
+    y-blocks (``subproblems.y_signature``), in the order of
+    ``ysolver.ctxs`` and from the offsets ``ysolver.offsets``. Row e of
+    the consensus table ties x entry ``pair[e]`` to y entry ``obs[e]``
+    with weight ``weight[e]`` and multiplier ``mu[e]`` (``obs`` and
+    ``weight`` come from ``ysolver``); ``den`` sums the weights per x
+    entry. ``s_index`` lists the entries of s in x, in the order of
+    ``injections``. ``x_shares`` and ``y_shares`` are the directed
+    (sender, receiver) bus pairs of the entries that the y-step and the
+    x-step read across a tree edge.
 
     The x-step's maps: ``blocks`` holds, per non-root phase count m, the
     positions in [hat, conj(hat)] of every bus's (2m, 2m) block target
-    [[v, S], [S^H, ell]], shape (B, 2m, 2m); ``x_dst`` lists every v, S
-    and ell entry of x once and ``x_src`` the position of its value in
-    the projected blocks, raveled one class after another, followed by
-    the targets (where the root's v is read). ``v_diag`` are the
-    positions of the voltage diagonals in ``x1_v``, with their bounds
-    ``v_lo``/``v_hi``. ``ysolver`` solves every bus's y-step.
+    [[v, S], [S^H, ell]], shape (B, 2m, 2m); ``x_dst`` lists every entry
+    of x but s once and ``x_src`` the position of its value in the
+    projected blocks, raveled one class after another, followed by the
+    targets (where the voltage copies and the root's v are read).
+    ``v_diag`` are the positions in x of the voltage copies' diagonals,
+    with their bounds ``v_lo``/``v_hi``. ``ysolver`` solves every bus's
+    y-step.
     """
 
     def __init__(self, model: FeederModel, config: SolverConfig):
@@ -183,14 +189,15 @@ class State:
         self.x_entries = {
             i: [slab[r] for slab in slabs] for ids, slabs in self._groups for r, i in enumerate(ids)
         }
-        self.v_index = np.concatenate([slabs[0] for _, slabs in self._groups], axis=None)
+        v_index = np.concatenate([slabs[0] for _, slabs in self._groups], axis=None)
         self.s_index = np.concatenate([slabs[1] for _, slabs in self._groups], axis=None)
         in_order = [self._by_id[i] for ids, _ in self._groups for i in ids]
         self.injections = _Injections(in_order)
-        self.blocks, self.x_dst, self.x_src = _x_step_maps(keys, self._groups, size)
+        # the voltage copy of x entry v_index[k] is x[size + k]; v_index ascends
+        copies = size + np.arange(len(v_index))
+        self.blocks, self.x_dst, self.x_src = _x_step_maps(keys, self._groups, copies)
         diagonals = [np.diagonal(slabs[0], axis1=1, axis2=2) for _, slabs in self._groups]
-        # x1_v follows v_index, which ascends
-        self.v_diag = np.searchsorted(self.v_index, np.concatenate(diagonals, axis=None))
+        self.v_diag = size + np.searchsorted(v_index, np.concatenate(diagonals, axis=None))
         self.v_lo = np.array([lo for b in in_order for lo in b.v_lo])
         self.v_hi = np.array([hi for b in in_order for hi in b.v_hi])
 
@@ -202,26 +209,23 @@ class State:
             signatures.setdefault(y_signature(ctx), []).append(ctx)
         ctxs = [ctx for group in signatures.values() for ctx in group]
         self.ysolver = YNodeSolver(ctxs, config.rho)
-        layouts, offsets = self.ysolver.layouts, self.ysolver.offsets
-        self.pair = np.concatenate([self._observed(ctx.bus_id) for ctx in ctxs])
-        self.weight = np.concatenate([
-            np.repeat(y_weights(ctx), [end - start for start, end, _ in layout.views])
-            for ctx, layout in zip(ctxs, layouts)
-        ])
+        self.obs, self.weight = self.ysolver.obs, self.ysolver.weight
+        offsets = self.ysolver.offsets
+        ny = offsets[-1]
+        pair = np.concatenate([self._observed(ctx.bus_id) for ctx in ctxs])
+        # a voltage copy's row holds the copy of the v entry its y entry observes
+        held = size + np.searchsorted(v_index, pair[self.obs[ny:]])
+        self.pair = np.concatenate([pair, held])
         self.den = np.bincount(self.pair, self.weight)
-        # every segment opens with the bus's own copy of v
-        start = {ctx.bus_id: offset for ctx, offset in zip(ctxs, offsets)}
-        self.y_v = np.concatenate([start[b.id] + np.arange(len(b.phases) ** 2) for b in in_order])
 
-        self.x = np.zeros(size, dtype=complex)
-        self.y = np.zeros(offsets[-1], dtype=complex)
-        self.y_prev = np.zeros(offsets[-1], dtype=complex)
-        self.mu = np.zeros(offsets[-1], dtype=complex)
-        self.x1_v = np.zeros(len(self.v_index), dtype=complex)
-        self.lam1 = np.zeros(len(self.v_index), dtype=complex)
+        self.x = np.zeros(size + len(v_index), dtype=complex)
+        self.y = np.zeros(ny, dtype=complex)
+        self.y_prev = np.zeros(ny, dtype=complex)
+        self.mu = np.zeros(len(self.obs), dtype=complex)
 
+        # the voltage copies' rows stay within their bus
         owner_y = np.repeat([ctx.bus_id for ctx in ctxs], np.diff(offsets))
-        owner_x = np.concatenate(owners)[self.pair]
+        owner_x = np.concatenate(owners)[pair]
         cross = owner_y != owner_x
         self.y_shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
         self.x_shares = {(b, a) for a, b in self.y_shares}
@@ -252,14 +256,16 @@ class State:
         return {b.id: XBlock(*(self.x[e] for e in self.x_entries[b.id])) for b in self.model.buses}
 
 
-def _x_step_maps(keys, groups, size: int):
+def _x_step_maps(keys, groups, copies: np.ndarray):
     """The x-step's block gathers and its scatter into x (see ``State``);
-    ``size`` is the length of x, where the conjugated targets start."""
-    blocks, dst, src, root = [], [], [], []
+    ``copies`` are the positions of the voltage copies, which end x, so
+    the conjugated targets start after the last of them."""
+    size = copies[-1] + 1
+    blocks, dst, src, direct = [], [], [], [copies]
     done = 0  # entries of the projected blocks so far
     for (branch, m), (_, (v, _, *flow)) in zip(keys, groups):
         if not branch:
-            root.append(v)
+            direct.append(v)
             continue
         S, ell = flow
         top = np.concatenate([v, S], axis=2)
@@ -270,8 +276,8 @@ def _x_step_maps(keys, groups, size: int):
         dst += [v, S, ell]
         src += [at[:, :m, :m], at[:, :m, m:], at[:, m:, m:]]
         done += gather.size
-    dst += root
-    src += [v + done for v in root]
+    dst += direct
+    src += [entries + done for entries in direct]
     return blocks, np.concatenate(dst, axis=None), np.concatenate(src, axis=None)
 
 
@@ -322,8 +328,9 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
         if len(slabs) > 2:
             x[slabs[2]] = v[:, :, None] * i_line.conj()[:, None, :]
             x[slabs[3]] = i_line[:, :, None] * i_line.conj()[:, None, :]
-    state.x1_v[...] = state.x[state.v_index]
-    state.y[...] = state.x[state.pair]
+    ny = len(state.y)
+    state.y[...] = state.x[state.pair[:ny]]
+    state.x[state.pair[ny:]] = state.y[state.obs[ny:]]
     state.y_prev[...] = state.y
     return state
 
@@ -369,14 +376,12 @@ def x_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
         audit.update(state.y_shares)
     with _surfaced(iteration):
         hat = complete_square_x0(
-            state.y, state.mu, state.weight, state.pair, state.den, config.rho
+            state.y[state.obs], state.mu, state.weight, state.pair, state.den, config.rho
         )
+        solve_x1_voltage(hat, state.v_diag, state.v_lo, state.v_hi)
         targets = np.concatenate([hat, hat.conj()])
         projected = [solve_x0_matrix(targets[index]) for index in state.blocks]
         state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
-        state.x1_v[...] = solve_x1_voltage(
-            state.lam1, state.y[state.y_v], state.v_diag, state.v_lo, state.v_hi, config.rho
-        )
         _project_injections(state, hat[state.s_index], config.rho)
 
 
@@ -384,10 +389,9 @@ def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
     """Deliver the primal shares, then re-solve every neighborhood observation set."""
     if audit is not None:
         audit.update(state.x_shares)
-    mu = state.mu.copy()
-    mu[state.y_v] += state.lam1
-    x = state.weight * state.x[state.pair]
-    x[state.y_v] += state.x1_v
+    ny = len(state.y)
+    mu = scatter_add(state.obs, state.mu, ny)
+    x = scatter_add(state.obs, state.weight * state.x[state.pair], ny)
     np.copyto(state.y_prev, state.y)
     with _surfaced(iteration):
         state.ysolver.solve(state.ysolver.assemble_c(mu, x), state.y)
@@ -395,8 +399,7 @@ def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
 
 def multiplier_update_round(state: State, rho: float, iteration=0):
     """Dual ascent: every multiplier moves by rho times its consensus gap."""
-    state.lam1 += rho * (state.x1_v - state.y[state.y_v])
-    state.mu += rho * (state.x[state.pair] - state.y)
+    state.mu += rho * (state.x[state.pair] - state.y[state.obs])
 
 
 def _sq(a: np.ndarray) -> float:
@@ -405,8 +408,8 @@ def _sq(a: np.ndarray) -> float:
 
 def compute_residuals(state: State, rho: float) -> tuple[float, float]:
     """Primal gap norm ||x - y|| and scaled dual change rho * ||y - y_prev||."""
-    r_sq = _sq(state.x1_v - state.y[state.y_v]) + _sq(state.x[state.pair] - state.y)
-    return math.sqrt(r_sq), rho * math.sqrt(_sq(state.y - state.y_prev))
+    gap = state.x[state.pair] - state.y[state.obs]
+    return math.sqrt(_sq(gap)), rho * math.sqrt(_sq(state.y - state.y_prev))
 
 
 def compute_objective(state: State) -> float:

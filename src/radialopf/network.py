@@ -311,9 +311,10 @@ def validate_radial(model: FeederModel) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _finite(value, context: str) -> float:
+def _finite(value, context: str, error: type[Exception] = FeederParseError) -> float:
     """``float(value)`` of a JSON number; NaN, infinities, integers beyond
-    the float range, strings and booleans raise with the field's context."""
+    the float range, strings and booleans raise ``error`` with the field's
+    context."""
     if type(value) in (int, float):
         try:
             number = float(value)
@@ -321,7 +322,7 @@ def _finite(value, context: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise FeederParseError(f"{context}: {value!r} is not a finite number")
+    raise error(f"{context}: {value!r} is not a finite number")
 
 
 def _bound(value, context: str) -> float:

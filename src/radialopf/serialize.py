@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 
 import numpy as np
 
 from .engine import IterationStats, RunResult, SolverConfig
-from .network import FeederModel, feeder_to_dict
+from .network import FeederModel, _finite, feeder_to_dict
 from .subproblems import XBlock
 
 __all__ = [
@@ -54,17 +53,7 @@ def _cmat(a: np.ndarray) -> list:
 def _parse_c(obj, context: str) -> complex:
     """One {"re": x, "im": y} entry; NaN, infinities, integers beyond the
     float range, strings and booleans raise ValueError naming ``context``."""
-    parts = []
-    for key in ("re", "im"):
-        value = obj[key]
-        try:
-            finite = type(value) in (int, float) and math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"{context}.{key}: {value!r} is not a finite number")
-        parts.append(float(value))
-    return complex(*parts)
+    return complex(*(_finite(obj[key], f"{context}.{key}", ValueError) for key in ("re", "im")))
 
 
 def _parse_cmat(rows, context: str) -> np.ndarray:

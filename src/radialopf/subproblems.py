@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .network import PhaseSet
 __all__ = [
     "XBlock",
     "HatConstants",
+    "scatter_add",
     "complete_square_x0",
     "solve_x0_matrix",
     "project_injection_box",
@@ -99,6 +100,15 @@ class HatConstants:
         return w
 
 
+def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The complex sums of ``values`` by ``index`` into ``size`` bins, each
+    bin summed in the order of ``values``."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(index, values.real, size)
+    out.imag = np.bincount(index, values.imag, size)
+    return out
+
+
 def complete_square_x0(
     y: np.ndarray,
     mu: np.ndarray,
@@ -109,20 +119,19 @@ def complete_square_x0(
 ) -> np.ndarray:
     """Collapse the weighted observation penalties into prox targets.
 
-    Each observation e of x entry i = ``pair[e]`` adds
-    <mu_e, x_i> + w_e/2 * rho * |x_i - y_e|^2 to the x-step objective;
-    completing the square gives the target
+    Each row e of the consensus table ties x entry i = ``pair[e]`` to an
+    observation ``y[e]`` and adds <mu_e, x_i> + w_e/2 * rho * |x_i - y_e|^2
+    to the x-step objective; completing the square gives the target
     sum_e (w_e y_e - mu_e / rho) / sum_e w_e. ``y``, ``mu`` and ``weight``
-    are laid out alike and ``den`` holds sum_e w_e per x entry. The sums
-    run over the observations of every bus at once, in y order; returns
-    the targets laid out like x.
+    are laid out by row and ``den`` holds sum_e w_e per x entry. The sums
+    run over the rows of every bus at once, in row order; returns the
+    targets laid out like x.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    terms = weight * y - mu / rho
-    hat = np.empty(len(den), dtype=complex)
-    hat.real = np.bincount(pair, terms.real, len(den)) / den
-    hat.imag = np.bincount(pair, terms.imag, len(den)) / den
+    hat = scatter_add(pair, weight * y - mu / rho, len(den))
+    hat.real /= den
+    hat.imag /= den
     return hat
 
 
@@ -240,28 +249,16 @@ def project_injection_disk(
 # ---------------------------------------------------------------------------
 
 
-def solve_x1_voltage(
-    lam: np.ndarray,
-    y_v: np.ndarray,
-    diag: np.ndarray,
-    v_lo,
-    v_hi,
-    rho: float,
-) -> np.ndarray:
-    """Prox of the voltage-limit indicator around the consensus pull.
+def solve_x1_voltage(target: np.ndarray, diag: np.ndarray, v_lo, v_hi) -> None:
+    """Prox of the voltage-limit indicator, in place on its square-completion target.
 
-    Minimizes <lam, x> + rho/2 ||x - y_v||^2 with per-phase bounds on the
-    diagonal, so the base point is y_v - lam/rho; diagonal entries clamp
-    into [v_lo, v_hi] and off-diagonal entries pass through. ``lam`` and
-    ``y_v`` are flat buffers of any number of raveled voltage matrices,
-    ``diag`` the positions of their diagonal entries and ``v_lo``/``v_hi``
-    the bounds of those entries.
+    Minimizing the voltage copy's consensus terms plus the indicator of
+    the per-phase bounds clamps the diagonal entries of the target
+    (``complete_square_x0``) into [v_lo, v_hi]; off-diagonal entries pass
+    through. ``diag`` holds the positions of the diagonal entries in the
+    flat ``target`` and ``v_lo``/``v_hi`` their bounds.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    out = y_v - lam / rho
-    out[diag] = np.clip(out[diag].real, v_lo, v_hi)
-    return out
+    target[diag] = np.clip(target[diag].real, v_lo, v_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +297,7 @@ class YLocal:
     child_flows: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
+@lru_cache(maxsize=None)
 def _block_maps(kind: str, n: int):
     """Gather and scatter maps of one complex block, in its own coordinates.
 
@@ -344,28 +342,20 @@ class _Layout:
     """
 
     def __init__(self, blocks: tuple[tuple[str, int], ...]):
-        pos, scale, src, div, counts, views = [], [], [], [], [], []
-        entries = size = 0  # complex entries and parameters so far
-        for kind, n in blocks:
-            p, s, sc, d = _block_maps(kind, n)
-            shape = (n,) if kind == "vec" else (n, n)
-            pos.append(p + 2 * entries)
-            scale.append(s)
-            src.append(np.where(sc < 0, -1, sc + size))
-            div.append(d)
-            counts.append(len(p))
-            views.append((entries, entries + len(sc) // 2, shape))
-            entries += len(sc) // 2
-            size += len(p)
-        self.size = size
-        self.entries = entries
-        self.counts = tuple(counts)
-        self.views = tuple(views)
-        self.pos = np.concatenate(pos)
-        self.scale = np.concatenate(scale)
-        self.src = np.concatenate(src)
-        self.src[self.src < 0] = size
-        self.div = np.concatenate(div)
+        maps = [_block_maps(kind, n) for kind, n in blocks]
+        counts = [len(pos) for pos, _, _, _ in maps]  # parameters per block
+        slots = [len(src) for _, _, src, _ in maps]  # float slots: re, im per entry
+        starts = list(accumulate(slots, initial=0))
+        self.size = sum(counts)
+        self.entries = starts[-1] // 2
+        self.views = tuple(
+            (a // 2, b // 2, (n,) if kind == "vec" else (n, n))
+            for (kind, n), a, b in zip(blocks, starts, starts[1:])
+        )
+        pos, self.scale, src, self.div = (np.concatenate(part) for part in zip(*maps))
+        self.pos = pos + np.repeat(starts[:-1], counts)
+        first = np.repeat(list(accumulate(counts[:-1], initial=0)), slots)
+        self.src = np.where(src < 0, self.size, src + first)
         for arr in (self.pos, self.scale, self.src, self.div):
             arr.flags.writeable = False  # shared between buses by _layout
 
@@ -496,6 +486,13 @@ class YNodeSolver:
     hold every bus's blocks in layout order, bus after bus in ``ctxs``
     order; bus b's segment starts at ``offsets[b]``. c and the parameters
     are laid out the same way.
+
+    The solver also holds the y side of the consensus table: row e
+    observes y entry ``obs[e]`` with penalty weight ``weight[e]``. The
+    first rows are the identity, one per y entry, weighted by
+    ``y_weights``; after them comes one row of weight 1 per entry of each
+    bus's own v, for the voltage-limit copy x1. M is rho times the
+    weight sum of the rows on each y entry.
     """
 
     def __init__(self, ctxs, rho: float):
@@ -506,35 +503,40 @@ class YNodeSolver:
         signatures = [y_signature(ctx) for ctx in self.ctxs]
         self.layouts = tuple(_layout(blocks) for blocks in signatures)
         self.offsets = np.cumsum([0] + [layout.entries for layout in self.layouts])
+        whole = _Layout(tuple(block for blocks in signatures for block in blocks))
+
+        # the table's rows: the identity, then the voltage copy's, weight 1
+        own_v = [b + np.arange(len(c.phases) ** 2) for c, b in zip(self.ctxs, self.offsets)]
+        self.obs = np.concatenate([np.arange(whole.entries)] + own_v)
+        weights = [w for ctx in self.ctxs for w in y_weights(ctx)]
+        sizes = [end - start for start, end, _ in whole.views]
+        self.weight = np.concatenate(
+            [np.repeat(weights, sizes), np.ones(len(self.obs) - whole.entries)]
+        )
+        mass = self.rho * np.bincount(self.obs, self.weight)
 
         self.a_mat, self.m_diag = [], []
         self._stacks = []  # per run of one signature: its c slice, operator and theta view
-        gather, src = [], []
-        total = sum(layout.size for layout in self.layouts)
-        self._theta = np.zeros(total + 1)  # the parameters, and the zero slot
+        self._theta = np.zeros(whole.size + 1)  # the parameters, and the zero slot
         first = 0
         for _, run in groupby(range(len(self.ctxs)), key=signatures.__getitem__):
             run = list(run)
             layout = self.layouts[run[0]]
             nb, n = len(run), layout.size
-            a_mat, m_diag, operator = self._prefactor([self.ctxs[b] for b in run], layout)
+            m_diag = mass[self.offsets[run[0]] + layout.pos // 2]
+            a_mat, operator = self._prefactor([self.ctxs[b] for b in run], layout, m_diag)
             self.a_mat += list(a_mat)
             self.m_diag += [m_diag] * nb
             end = first + nb * n
             theta = self._theta[first:end].reshape(nb, n, 1)
             self._stacks.append((slice(first, end), operator, theta))
-            gather.append(2 * self.offsets[run, None] + layout.pos)
-            params = first + n * np.arange(nb)[:, None] + layout.src
-            src.append(np.where(layout.src == n, total, params))
             first = end
-        self._gather = np.concatenate(gather, axis=None)
-        self._scale = np.concatenate([layout.scale for layout in self.layouts])
-        self._src = np.concatenate(src, axis=None)
-        self._div = np.concatenate([layout.div for layout in self.layouts])
+        self._gather, self._scale = whole.pos, whole.scale
+        self._src, self._div = whole.src, whole.div
 
-    def _prefactor(self, ctxs, layout: _Layout):
-        """The constraint rows, M's diagonal and the solution operators of
-        buses of one signature, stacked."""
+    def _prefactor(self, ctxs, layout: _Layout, m_diag: np.ndarray):
+        """The constraint rows and the solution operators of buses of one
+        signature, stacked, for the diagonal ``m_diag`` of M."""
         n = layout.size
         # the constraint rows at every unit parameter vector at once
         ctx = ctxs[0]
@@ -550,25 +552,20 @@ class YNodeSolver:
                     "(malformed phase data)"
                 )
 
-        # the observation weights, and 1 more on v_self for the x1_v copy
-        weights = np.array(y_weights(ctx))
-        weights[0] += 1.0
-        m_diag = self.rho * np.repeat(weights, layout.counts)
-
         minv = 1.0 / m_diag
         gram = (a_mat * minv) @ a_mat.swapaxes(-1, -2)
         operator = (minv[:, None] * a_mat.swapaxes(-1, -2)) @ np.linalg.solve(
             gram, a_mat * minv
         )
         operator[:, np.arange(n), np.arange(n)] -= minv
-        return a_mat, m_diag, operator
+        return a_mat, operator
 
     def assemble_c(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Linear coefficients -mu - rho * x of every bus, one flat vector.
 
-        ``mu`` and ``x`` are complex buffers laid out like y: the
-        multiplier of each y-block (mu_v + lam1 for v) and the primal
-        value it observes times the block's weight (2 x_v + x1_v for v).
+        ``mu`` and ``x`` are complex buffers laid out like y: per y entry,
+        the sum of the multipliers of the table rows that observe it and
+        the sum of their primal values times their weights.
         """
         mu_flat = mu.view(float)[self._gather]
         x_flat = x.view(float)[self._gather]

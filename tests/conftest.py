@@ -16,12 +16,14 @@ class BusBlocks:
     """Bus i's named views of a ``State``'s buffers; writing into one
     writes the state.
 
-    ``x0``, ``x1_v`` and ``lam1`` are the bus's primal copies and voltage
-    multiplier. ``y`` and ``mu`` name the blocks of its y segment: its own
-    copies, its copy of its parent's v (``v_parent``) and its copies of
-    each child's (S, ell) (``child_flows``). So the parent's copy of bus
-    i's (S, ell) is ``bus_blocks(state, parent).y.child_flows[i]`` and
-    child j's copy of bus i's v is ``bus_blocks(state, j).y.v_parent``.
+    ``x0`` are the bus's primal copies, ``x1_v`` its voltage copy (in x)
+    and ``lam1`` the multipliers of the voltage copy's table rows (in mu).
+    ``y`` and ``mu`` name the blocks of its y segment and the multipliers
+    of their identity rows: its own copies, its copy of its parent's v
+    (``v_parent``) and its copies of each child's (S, ell)
+    (``child_flows``). So the parent's copy of bus i's (S, ell) is
+    ``bus_blocks(state, parent).y.child_flows[i]`` and child j's copy of
+    bus i's v is ``bus_blocks(state, j).y.v_parent``.
     """
 
     bus: BusSpec
@@ -46,19 +48,22 @@ def _live(buf, entries):
 
 def bus_blocks(state, i) -> BusBlocks:
     own = state.x_entries[i]
-    # x1_v and lam1 hold the own v copies in the order of v_index
-    at = np.flatnonzero(state.v_index == own[0].flat[0])[0] + np.arange(own[0].size)
     solver = state.ysolver
     b = [ctx.bus_id for ctx in solver.ctxs].index(i)
     ctx, layout, start = solver.ctxs[b], solver.layouts[b], solver.offsets[b]
     segment = slice(start, start + layout.entries)
+    # the voltage copy's rows: past the identity rows, those that observe
+    # the bus's own v, which opens its segment
+    ny = len(state.y)
+    rows = ny + np.flatnonzero((state.obs[ny:] >= start) & (state.obs[ny:] < start + own[0].size))
+    rows = rows.reshape(own[0].shape)
     return BusBlocks(
         bus=state.model.bus(i),
         parent=None if ctx.is_root else state.model.parent[i],
         children=tuple(j for j, _, _ in ctx.children),
         x0=XBlock(*(_live(state.x, e) for e in own)),
-        x1_v=_live(state.x1_v, at.reshape(own[0].shape)),
-        lam1=_live(state.lam1, at.reshape(own[0].shape)),
+        x1_v=_live(state.x, state.pair[rows]),
+        lam1=_live(state.mu, rows),
         y=_local(layout.split(state.y[segment]), ctx),
         mu=_local(layout.split(state.mu[segment]), ctx),
     )

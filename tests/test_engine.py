@@ -384,8 +384,9 @@ class TestConfig:
             SolverConfig(rho=0.0)
         with pytest.raises(ValueError):
             SolverConfig(tol_scale=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iters=0)
+        for bad in (0, -3, 2.5, math.nan, "10", True, None):
+            with pytest.raises(ValueError):
+                SolverConfig(max_iters=bad)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 SolverConfig(rho=bad)
@@ -411,14 +412,14 @@ class TestWeights:
                 assert np.all(agent.x0.ell == nc + 2)
 
     def test_y_step_reads_the_x_step_weights(self):
-        # M = rho * weight on every y entry, with 1 more on v_self for x1_v
+        # M = rho * the weight of the table's rows on every y entry
         rho = 1.7
         state = State(mixed_feeder(), SolverConfig(rho=rho))
         solver = state.ysolver
+        mass = np.bincount(state.obs, state.weight)
         starts = solver.offsets[:-1]
         for start, layout, m_diag in zip(starts, solver.layouts, solver.m_diag, strict=True):
-            extra = np.arange(layout.size) < layout.counts[0]
-            assert np.array_equal(m_diag, rho * (state.weight[start + layout.pos // 2] + extra))
+            assert np.array_equal(m_diag, rho * mass[start + layout.pos // 2])
 
 
 def three_class_feeder():
@@ -478,7 +479,7 @@ class TestXStepMaps:
         random_buffers(np.random.default_rng(42), state)
         hat = State(model, config)
         hat.x[...] = complete_square_x0(
-            state.y, state.mu, state.weight, state.pair, state.den, config.rho
+            state.y[state.obs], state.mu, state.weight, state.pair, state.den, config.rho
         )
         x_update_round(state, config)
         for i, agent in views(state).items():
@@ -534,7 +535,7 @@ class TestYLayout:
         # own v, s[, S, ell], its parent's v and each child's S and ell
         state = State(model, SolverConfig())
         state.x[...] = np.arange(len(state.x))
-        state.y[...] = state.x[state.pair]
+        state.y[...] = state.x[state.pair[: len(state.y)]]
         agents = views(state)
         for i, agent in agents.items():
             y, x = agent.y, agent.x0
@@ -551,6 +552,33 @@ class TestYLayout:
 
     def test_own_voltage_copies_start_at_x1_v(self, model):
         state = initialize(model)
-        assert np.array_equal(state.y[state.y_v], state.x1_v)
+        copies = slice(len(state.y), None)
+        assert np.array_equal(state.y[state.obs[copies]], state.x[state.pair[copies]])
         for agent in views(state).values():
             assert np.array_equal(agent.y.v_self, agent.x1_v)
+
+    def test_one_table_ties_every_copy(self, model):
+        # every y entry is observed by one identity row, and each bus's own
+        # v entries once more, by the voltage copy; the x-step's den and the
+        # y-step's M are the table's weight sums per x and per y entry
+        rho = 0.8
+        state = State(model, SolverConfig(rho=rho))
+        ny = len(state.y)
+        assert len(state.pair) == len(state.obs) == len(state.weight) == len(state.mu)
+        assert np.array_equal(state.obs[:ny], np.arange(ny))
+        rows = np.bincount(state.obs, minlength=ny)
+        assert rows.min() == 1 and rows.max() == 2
+        own_v = np.zeros(ny, dtype=bool)
+        for start, ctx in zip(state.ysolver.offsets, state.ysolver.ctxs):
+            own_v[start : start + len(ctx.phases) ** 2] = True
+        assert np.array_equal(rows == 2, own_v)
+        assert np.all(state.weight[:ny][own_v] == 2) and np.all(state.weight[ny:] == 1)
+        # the voltage copies' rows hold the end of x, one entry each
+        end = len(state.x)
+        assert np.array_equal(np.sort(state.pair[ny:]), np.arange(end - own_v.sum(), end))
+        assert np.array_equal(state.den, np.bincount(state.pair, state.weight, len(state.x)))
+        mass = np.bincount(state.obs, state.weight, ny)
+        for start, layout, m_diag in zip(
+            state.ysolver.offsets, state.ysolver.layouts, state.ysolver.m_diag
+        ):
+            assert np.array_equal(m_diag, rho * mass[start + layout.pos // 2])

@@ -117,7 +117,9 @@ def fill_observations(rng, state, i):
 def targets(state, rho):
     """complete_square_x0 over the state's buffers, each bus's targets
     (v, s[, S, ell]) read through its views."""
-    hat = complete_square_x0(state.y, state.mu, state.weight, state.pair, state.den, rho)
+    hat = complete_square_x0(
+        state.y[state.obs], state.mu, state.weight, state.pair, state.den, rho
+    )
     state.x[...] = hat
     return {b.id: bus_blocks(state, b.id).x0.copy() for b in state.model.buses}
 
@@ -462,10 +464,15 @@ class TestDiskProjection:
 
 
 def clamp(lam, y, lo, hi, rho):
-    """solve_x1_voltage on one matrix or a stack, raveled as the engine
-    passes its voltage copies, and reshaped back."""
-    diag = np.diagonal(np.arange(y.size).reshape(y.shape), axis1=-2, axis2=-1).ravel()
-    out = solve_x1_voltage(lam.ravel(), y.ravel(), diag, np.ravel(lo), np.ravel(hi), rho)
+    """The voltage copy's x-step on one matrix or a stack, raveled, as the
+    engine runs it: square completion over a table with one row of
+    weight 1 per entry (observation y, multiplier lam), then
+    solve_x1_voltage on the target; reshaped back."""
+    rows = np.arange(y.size)
+    one = np.ones(y.size)
+    out = complete_square_x0(y.ravel(), lam.ravel(), one, rows, one, rho)
+    diag = np.diagonal(rows.reshape(y.shape), axis1=-2, axis2=-1).ravel()
+    solve_x1_voltage(out, diag, np.ravel(lo), np.ravel(hi))
     return out.reshape(y.shape)
 
 
