@@ -36,6 +36,7 @@ order, so runs are deterministic bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ from .subproblems import (
     YContext,
     YNodeSolver,
     complete_square_x0,
+    interleave,
     project_injection_box,
     project_injection_disk,
     scatter_add,
@@ -98,10 +100,11 @@ class SolverConfig:
     max_iters: int = 20000
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError("rho must be positive and finite")
-        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
-            raise ValueError("tol_scale must be positive and finite")
+        for name in ("rho", "tol_scale"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         count = self.max_iters
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ValueError("max_iters must be a positive integer")
@@ -145,8 +148,9 @@ class State:
     the consensus table ties x entry ``pair[e]`` to y entry ``obs[e]``
     with weight ``weight[e]`` and multiplier ``mu[e]`` (``obs`` and
     ``weight`` come from ``ysolver``); ``den`` sums the weights per x
-    entry. ``s_index`` lists the entries of s in x, in the order of
-    ``injections``. ``x_shares`` and ``y_shares`` are the directed
+    entry; ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for
+    the scatter-adds. ``s_index`` lists the entries of s in x, in the
+    order of ``injections``. ``x_shares`` and ``y_shares`` are the directed
     (sender, receiver) bus pairs of the entries that the y-step and the
     x-step read across a tree edge.
 
@@ -217,6 +221,7 @@ class State:
         held = size + np.searchsorted(v_index, pair[self.obs[ny:]])
         self.pair = np.concatenate([pair, held])
         self.den = np.bincount(self.pair, self.weight)
+        self.pair_slots, self.obs_slots = interleave(self.pair), interleave(self.obs)
 
         self.x = np.zeros(size + len(v_index), dtype=complex)
         self.y = np.zeros(ny, dtype=complex)
@@ -376,7 +381,7 @@ def x_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
         audit.update(state.y_shares)
     with _surfaced(iteration):
         hat = complete_square_x0(
-            state.y[state.obs], state.mu, state.weight, state.pair, state.den, config.rho
+            state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, config.rho
         )
         solve_x1_voltage(hat, state.v_diag, state.v_lo, state.v_hi)
         targets = np.concatenate([hat, hat.conj()])
@@ -390,8 +395,8 @@ def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
     if audit is not None:
         audit.update(state.x_shares)
     ny = len(state.y)
-    mu = scatter_add(state.obs, state.mu, ny)
-    x = scatter_add(state.obs, state.weight * state.x[state.pair], ny)
+    mu = scatter_add(state.obs_slots, state.mu, ny)
+    x = scatter_add(state.obs_slots, state.weight * state.x[state.pair], ny)
     np.copyto(state.y_prev, state.y)
     with _surfaced(iteration):
         state.ysolver.solve(state.ysolver.assemble_c(mu, x), state.y)

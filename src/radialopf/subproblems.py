@@ -16,11 +16,11 @@ Each bus alternates between two kinds of local problems:
 The penalty weights of the observations (``y_weights``) are defined once
 and read by both steps. The engine runs every kernel once per iteration
 over the whole feeder, except the PSD projection, which runs once per
-non-root phase count on a stack of (2m, 2m) blocks: square completion is
-one weighted sum per primal entry, the box projection and the voltage
-clamp work elementwise on flat arrays, and one ``YNodeSolver`` serves
-every bus, with one stacked operator per neighborhood shape. Only the
-half-disk projection stays scalar; it runs once per DER phase.
+non-root phase count on a stack of (2m, 2m) blocks, in closed form for
+m = 1: square completion is one weighted sum per primal entry, the box
+projection and the voltage clamp work elementwise on flat arrays, and
+one ``YNodeSolver`` serves every bus, with one stacked operator per
+neighborhood shape. The half-disk projection alone runs per DER phase.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .network import PhaseSet
 __all__ = [
     "XBlock",
     "HatConstants",
+    "interleave",
     "scatter_add",
     "complete_square_x0",
     "solve_x0_matrix",
@@ -100,20 +101,24 @@ class HatConstants:
         return w
 
 
-def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """The complex sums of ``values`` by ``index`` into ``size`` bins, each
-    bin summed in the order of ``values``."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(index, values.real, size)
-    out.imag = np.bincount(index, values.imag, size)
-    return out
+def interleave(index: np.ndarray) -> np.ndarray:
+    """The float-view positions 2i and 2i + 1 of the real and imaginary
+    parts of each complex entry i of ``index``, in order."""
+    return (2 * index[:, None] + np.arange(2)).ravel()
+
+
+def scatter_add(slots: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The complex sums of ``values`` by ``index`` into ``size`` bins, as one
+    ``bincount`` of their float view by ``slots = interleave(index)``; each
+    bin is summed in the order of ``values``."""
+    return np.bincount(slots, values.view(float), 2 * size).view(complex)
 
 
 def complete_square_x0(
     y: np.ndarray,
     mu: np.ndarray,
     weight: np.ndarray,
-    pair: np.ndarray,
+    slots: np.ndarray,
     den: np.ndarray,
     rho: float,
 ) -> np.ndarray:
@@ -123,13 +128,13 @@ def complete_square_x0(
     observation ``y[e]`` and adds <mu_e, x_i> + w_e/2 * rho * |x_i - y_e|^2
     to the x-step objective; completing the square gives the target
     sum_e (w_e y_e - mu_e / rho) / sum_e w_e. ``y``, ``mu`` and ``weight``
-    are laid out by row and ``den`` holds sum_e w_e per x entry. The sums
-    run over the rows of every bus at once, in row order; returns the
-    targets laid out like x.
+    are laid out by row, ``slots`` is ``interleave(pair)`` and ``den``
+    holds sum_e w_e per x entry. The sums run over the rows of every bus
+    at once, in row order; returns the targets laid out like x.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    hat = scatter_add(pair, weight * y - mu / rho, len(den))
+    hat = scatter_add(slots, weight * y - mu / rho, len(den))
     hat.real /= den
     hat.imag /= den
     return hat
@@ -140,7 +145,8 @@ def solve_x0_matrix(block: np.ndarray) -> np.ndarray:
     the PSD cone; returns the projected block, whose top-left, top-right
     and bottom-right m x m parts are (v, S, ell).
 
-    A stack of targets is projected in one batched call.
+    A stack of targets is projected in one batched call: in closed form
+    for 2 x 2 blocks (m = 1), by one ``eigh`` for larger ones.
     """
     return psd_project(block)
 
@@ -258,7 +264,7 @@ def solve_x1_voltage(target: np.ndarray, diag: np.ndarray, v_lo, v_hi) -> None:
     through. ``diag`` holds the positions of the diagonal entries in the
     flat ``target`` and ``v_lo``/``v_hi`` their bounds.
     """
-    target[diag] = np.clip(target[diag].real, v_lo, v_hi)
+    target[diag] = np.minimum(np.maximum(target[diag].real, v_lo), v_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ def test_criterion_4_square_completion_gradient():
         rho = float(rng.uniform(0.4, 2.5))
         state = observed_bus(rng, m, nc, rho)
         state.x[...] = complete_square_x0(
-            state.y[state.obs], state.mu, state.weight, state.pair, state.den, rho
+            state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, rho
         )
         hat = bus_blocks(state, 1).x0
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import bus_blocks, direct_penalty
 
-from radialopf import engine
+from radialopf import engine, hermitian
 from radialopf.engine import (
     PHASE_REFERENCE,
     SolverConfig,
@@ -387,10 +387,10 @@ class TestConfig:
         for bad in (0, -3, 2.5, math.nan, "10", True, None):
             with pytest.raises(ValueError):
                 SolverConfig(max_iters=bad)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
+        for bad in (math.nan, math.inf, -math.inf, True, False, "1", "1e-4", None, 1j):
+            with pytest.raises(ValueError, match="rho"):
                 SolverConfig(rho=bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="tol_scale"):
                 SolverConfig(tol_scale=bad)
 
 
@@ -441,7 +441,9 @@ def random_buffers(rng, state):
         buf[...] = rng.standard_normal(len(buf)) + 1j * rng.standard_normal(len(buf))
 
 
-@pytest.mark.parametrize("model", [three_class_feeder(), mixed_feeder()])
+@pytest.mark.parametrize(
+    "model", [three_class_feeder(), mixed_feeder(), generate_topology("line", 5)]
+)
 class TestXStepMaps:
     def test_gather_builds_each_block_target(self, model):
         # row r of a class's gather index, applied to [hat, conj(hat)], is
@@ -479,7 +481,7 @@ class TestXStepMaps:
         random_buffers(np.random.default_rng(42), state)
         hat = State(model, config)
         hat.x[...] = complete_square_x0(
-            state.y[state.obs], state.mu, state.weight, state.pair, state.den, config.rho
+            state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, config.rho
         )
         x_update_round(state, config)
         for i, agent in views(state).items():
@@ -495,7 +497,9 @@ class TestXStepMaps:
 
     def test_one_kernel_call_per_layer(self, model, monkeypatch):
         # the PSD projection runs once per non-root phase count, the voltage
-        # clamp and the y-step once per iteration, whatever the signatures
+        # clamp and the y-step once per iteration, whatever the signatures;
+        # only the 4 x 4 and 6 x 6 blocks are decomposed, one eigh call per
+        # phase count, and the 2 x 2 blocks of one phase take the closed form
         calls = Counter()
 
         def count(owner, name):
@@ -508,6 +512,7 @@ class TestXStepMaps:
             monkeypatch.setattr(owner, name, counted)
 
         for owner, name in (
+            (hermitian, "eigh"),
             (engine, "solve_x0_matrix"),
             (engine, "solve_x1_voltage"),
             (YNodeSolver, "assemble_c"),
@@ -520,12 +525,13 @@ class TestXStepMaps:
         y_update_round(state, config)
         multiplier_update_round(state, config.rho)
         phase_counts = {len(model.bus(ln.bus).phases) for ln in model.lines}
-        assert calls == {
-            "solve_x0_matrix": len(phase_counts),
-            "solve_x1_voltage": 1,
-            "assemble_c": 1,
-            "solve": 1,
-        }
+        assert calls == Counter(
+            eigh=len(phase_counts - {1}),
+            solve_x0_matrix=len(phase_counts),
+            solve_x1_voltage=1,
+            assemble_c=1,
+            solve=1,
+        )
 
 
 @pytest.mark.parametrize("model", [three_class_feeder(), mixed_feeder()])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from radialopf.hermitian import eigh, inner, psd_project
-from radialopf.subproblems import _Layout
+from radialopf.hermitian import _psd_project_eigh, eigh, inner, psd_project
+from radialopf.subproblems import _Layout, solve_x0_matrix
 
 
 def random_hermitian(rng, n):
@@ -208,3 +208,94 @@ def test_psd_project_output_is_psd():
         w = random_hermitian(rng, n)
         x = psd_project(w)
         assert np.linalg.eigvalsh(x).min() >= -1e-10
+
+
+# The 2 x 2 closed form, run as the engine runs it (solve_x0_matrix on a
+# stack), against the eigh path that larger blocks take and eigvalsh.
+
+
+def random_stack(rng, count, scale):
+    return scale * (
+        rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    )
+
+
+def assert_exactly_hermitian(x):
+    assert np.array_equal(x, x.conj().swapaxes(-1, -2))
+    assert np.all(np.diagonal(x, axis1=-2, axis2=-1).imag == 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e2])
+def test_psd_2x2_matches_eigh_path(scale):
+    rng = np.random.default_rng(53)
+    w = random_stack(rng, 500, scale)
+    x = solve_x0_matrix(w)
+    assert_exactly_hermitian(x)
+    norm = np.linalg.norm(w, axis=(-2, -1))
+    gap = np.linalg.norm(x - _psd_project_eigh(w), axis=(-2, -1))
+    assert np.all(gap <= 1e-14 * norm)
+    # the eigenvalues of X are those of the Hermitian part, clipped at 0
+    lams = np.linalg.eigvalsh(0.5 * (w + w.conj().swapaxes(-1, -2)))
+    kept = np.linalg.eigvalsh(x)
+    assert np.all(np.abs(kept - np.maximum(lams, 0.0)) <= 1e-14 * norm[:, None])
+
+
+def test_psd_2x2_scalar_blocks():
+    # r = 0: c * I is kept for c >= 0 and projects to exactly 0 for c < 0
+    c = np.array([2.5, 1e-300, 0.0, -0.0, -1e-300, -3.0])
+    w = c[:, None, None] * np.eye(2, dtype=complex)
+    x = solve_x0_matrix(w)
+    expected = np.maximum(c, 0.0)[:, None, None] * np.eye(2)
+    assert np.array_equal(x, expected)
+    assert np.allclose(x, _psd_project_eigh(w), rtol=1e-14, atol=0.0)
+
+
+def test_psd_2x2_rank_one_kept():
+    # u u^H with u = (3, 4j) has the exact eigenvalues 25 and 0: returned as is
+    u = np.array([3.0, 4.0j])
+    w = np.outer(u, u.conj())
+    assert np.array_equal(solve_x0_matrix(w), w)
+    rng = np.random.default_rng(59)
+    for scale in (1e-6, 1.0, 1e3):
+        u = scale * (rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2)))
+        w = u[:, :, None] * u.conj()[:, None, :]
+        x = solve_x0_matrix(w)
+        norm = np.linalg.norm(w, axis=(-2, -1))
+        assert np.all(np.linalg.norm(x - w, axis=(-2, -1)) <= 1e-14 * norm)
+        assert np.all(np.linalg.norm(x - _psd_project_eigh(w), axis=(-2, -1)) <= 1e-14 * norm)
+
+
+def test_psd_2x2_negative_definite_is_zero():
+    rng = np.random.default_rng(61)
+    w = -np.array([random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(100)])
+    assert np.all(np.linalg.eigvalsh(w) < 0.0)
+    assert np.array_equal(solve_x0_matrix(w), np.zeros_like(w))
+
+
+def test_psd_2x2_dust_reads_the_hermitian_part():
+    # triangles that differ by ~1e-14: the projection of (W + W^H)/2, bit for bit
+    rng = np.random.default_rng(67)
+    w = random_stack(rng, 200, 1.0)
+    w = 0.5 * (w + w.conj().swapaxes(-1, -2)) + 1e-14 * random_stack(rng, 200, 1.0)
+    assert not np.array_equal(w, w.conj().swapaxes(-1, -2))
+    x = solve_x0_matrix(w)
+    assert_exactly_hermitian(x)
+    assert np.array_equal(x, solve_x0_matrix(0.5 * (w + w.conj().swapaxes(-1, -2))))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, complex(0.0, math.nan)], [0.0, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[-math.inf, 0.0], [0.0, 1.0]],
+    ],
+)
+def test_psd_2x2_non_finite_stays_non_finite(bad):
+    # no eigenvalue masking turns a NaN or an infinity into a finite block
+    w = np.array([np.eye(2), bad], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        x = solve_x0_matrix(w)
+    assert np.array_equal(x[0], np.eye(2))
+    assert not np.all(np.isfinite(x[1]))

@@ -25,6 +25,7 @@ from radialopf.subproblems import (
     _local,
     complete_square_x0,
     disk_case,
+    interleave,
     project_injection_box,
     project_injection_disk,
     solve_disk_multiplier,
@@ -118,7 +119,7 @@ def targets(state, rho):
     """complete_square_x0 over the state's buffers, each bus's targets
     (v, s[, S, ell]) read through its views."""
     hat = complete_square_x0(
-        state.y[state.obs], state.mu, state.weight, state.pair, state.den, rho
+        state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, rho
     )
     state.x[...] = hat
     return {b.id: bus_blocks(state, b.id).x0.copy() for b in state.model.buses}
@@ -470,7 +471,7 @@ def clamp(lam, y, lo, hi, rho):
     solve_x1_voltage on the target; reshaped back."""
     rows = np.arange(y.size)
     one = np.ones(y.size)
-    out = complete_square_x0(y.ravel(), lam.ravel(), one, rows, one, rho)
+    out = complete_square_x0(y.ravel(), lam.ravel(), one, interleave(rows), one, rho)
     diag = np.diagonal(rows.reshape(y.shape), axis1=-2, axis2=-1).ravel()
     solve_x1_voltage(out, diag, np.ravel(lo), np.ravel(hi))
     return out.reshape(y.shape)
