@@ -23,12 +23,12 @@ targets of the non-root buses of each phase count and projects them in
 one batched call per phase count, scatters the projections and the
 voltage copies back into x in one operation, and then projects every
 phase's injection. The y-step sums the rows into y in one weighted
-scatter-add and runs one ``YNodeSolver`` for all buses: one gather of
-the linear terms, one stacked matrix-vector product per y-block
-signature, one write of all of y. The multiplier update and the
-residuals are single operations over the rows. Data crosses a tree edge
-only where a step reads an entry that another bus owns; those entries
-are the messages, and the message audit is derived from them. Every
+scatter-add and runs one ``YNodeSolver`` for all buses, on y's float
+view: one stacked matrix-vector product per y-block signature, from the
+linear terms straight into y. The multiplier update and the residuals
+are single operations over the rows. Data crosses a tree edge only
+where a step reads an entry that another bus owns; those entries are
+the messages, and ``State.messages`` is derived from them once. Every
 step applies the per-bus arithmetic elementwise and reduces in a fixed
 order, so runs are deterministic bit for bit.
 """
@@ -150,9 +150,9 @@ class State:
     ``weight`` come from ``ysolver``); ``den`` sums the weights per x
     entry; ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for
     the scatter-adds. ``s_index`` lists the entries of s in x, in the
-    order of ``injections``. ``x_shares`` and ``y_shares`` are the directed
-    (sender, receiver) bus pairs of the entries that the y-step and the
-    x-step read across a tree edge.
+    order of ``injections``. ``messages`` holds the directed (sender,
+    receiver) bus pairs of the entries that a step reads across a tree
+    edge; every iteration sends the same ones.
 
     The x-step's maps: ``blocks`` holds, per non-root phase count m, the
     positions in [hat, conj(hat)] of every bus's (2m, 2m) block target
@@ -232,8 +232,8 @@ class State:
         owner_y = np.repeat([ctx.bus_id for ctx in ctxs], np.diff(offsets))
         owner_x = np.concatenate(owners)[pair]
         cross = owner_y != owner_x
-        self.y_shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
-        self.x_shares = {(b, a) for a, b in self.y_shares}
+        shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
+        self.messages = frozenset(shares | {(b, a) for a, b in shares})
 
     def _context(self, i: int) -> YContext:
         bus = self._by_id[i]
@@ -375,10 +375,8 @@ def _project_injections(state: State, s_hat: np.ndarray, rho: float) -> None:
     state.x[state.s_index] = s
 
 
-def x_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
-    """Deliver the observation shares, then update every x_{i0} and x_{i1}."""
-    if audit is not None:
-        audit.update(state.y_shares)
+def x_update_round(state: State, config: SolverConfig, iteration=0):
+    """Update every x_{i0} and x_{i1} from the observations."""
     with _surfaced(iteration):
         hat = complete_square_x0(
             state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, config.rho
@@ -390,10 +388,8 @@ def x_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
         _project_injections(state, hat[state.s_index], config.rho)
 
 
-def y_update_round(state: State, config: SolverConfig, audit=None, iteration=0):
-    """Deliver the primal shares, then re-solve every neighborhood observation set."""
-    if audit is not None:
-        audit.update(state.x_shares)
+def y_update_round(state: State, config: SolverConfig, iteration=0):
+    """Re-solve every neighborhood observation set from the primal copies."""
     ny = len(state.y)
     mu = scatter_add(state.obs_slots, state.mu, ny)
     x = scatter_add(state.obs_slots, state.weight * state.x[state.pair], ny)
@@ -459,16 +455,15 @@ def run(
 
     state = initialize(model, config)
     tol = config.tol_scale * math.sqrt(len(model))
-    audit: set[tuple[int, int]] | None = set() if record_messages else None
     history: list[IterationStats] = []
     x_time = 0.0
     status = "max-iters"
     t_start = time.perf_counter()
     for k in range(1, config.max_iters + 1):
         t0 = time.perf_counter()
-        x_update_round(state, config, audit, k)
+        x_update_round(state, config, k)
         x_time += time.perf_counter() - t0
-        y_update_round(state, config, audit, k)
+        y_update_round(state, config, k)
         multiplier_update_round(state, config.rho, k)
         r, s = compute_residuals(state, config.rho)
         history.append(IterationStats(k, r, s, compute_objective(state)))
@@ -487,5 +482,5 @@ def run(
         wall_seconds=wall,
         x_round_seconds=x_time,
         n_buses=len(model),
-        message_pairs=audit,
+        message_pairs=set(state.messages) if record_messages else None,
     )

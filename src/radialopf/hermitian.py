@@ -72,8 +72,10 @@ def psd_project(w) -> np.ndarray:
     eigenvalues, X = sum_{lambda_i > 0} lambda_i u_i u_i^H, and returns it
     exactly Hermitian with a real diagonal. 2 x 2 blocks take a closed
     form; larger ones are decomposed by ``eigh`` with the other eigenvalues
-    masked to zero, so a stack is projected in one product. Thresholding
-    with tolerances is left to callers; the kernel follows the definition.
+    masked to zero, so a stack is projected in one product. The x-step's
+    targets are Hermitian only to rounding, so the symmetrization is part
+    of the result. Thresholding with tolerances is left to callers; the
+    kernel follows the definition.
     """
     a = np.asarray(w, dtype=complex)
     if a.shape[-2:] == (2, 2):
@@ -83,7 +85,7 @@ def psd_project(w) -> np.ndarray:
 
 def _psd_project_eigh(w: np.ndarray) -> np.ndarray:
     dec = eigh(w)
-    kept = np.where(dec.eigenvalues > 0.0, dec.eigenvalues, 0.0)
+    kept = np.maximum(dec.eigenvalues, 0.0)  # NaN stays NaN
     u = dec.eigenvectors
     x = (u * kept[..., None, :]) @ _adjoint(u)
     return 0.5 * (x + _adjoint(x))

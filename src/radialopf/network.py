@@ -325,6 +325,14 @@ def _finite(value, context: str, error: type[Exception] = FeederParseError) -> f
     raise error(f"{context}: {value!r} is not a finite number")
 
 
+def _integer(value, context: str, error: type[Exception] = FeederParseError) -> int:
+    """A JSON integer; floats, strings and booleans raise ``error`` with
+    the field's context."""
+    if type(value) is int:
+        return value
+    raise error(f"{context}: {value!r} is not an integer")
+
+
 def _bound(value, context: str) -> float:
     return math.inf if value is None else _finite(value, context)
 
@@ -363,7 +371,7 @@ def _parse_complex(obj, context: str) -> complex:
 def _parse_bus(obj, k: int) -> BusSpec:
     ctx = f"buses[{k}]"
     try:
-        bus_id = int(obj["id"])
+        bus_id = _integer(obj["id"], f"{ctx}.id")
         phases = PhaseSet(str(obj["phases"]))
         vmin = tuple(_finite(x, f"{ctx}.vmin[{t}]") for t, x in enumerate(obj["vmin"]))
         vmax = tuple(_finite(x, f"{ctx}.vmax[{t}]") for t, x in enumerate(obj["vmax"]))
@@ -395,7 +403,8 @@ def _parse_line(obj, k: int) -> LineSpec:
             ],
             dtype=complex,
         )
-        return LineSpec(int(obj["bus"]), int(obj["parent"]), z)
+        bus, parent = (_integer(obj[key], f"{ctx}.{key}") for key in ("bus", "parent"))
+        return LineSpec(bus, parent, z)
     except FeederParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -17,7 +17,7 @@ import platform
 import numpy as np
 
 from .engine import IterationStats, RunResult, SolverConfig
-from .network import FeederModel, _finite, feeder_to_dict
+from .network import FeederModel, _finite, _integer, feeder_to_dict
 from .subproblems import XBlock
 
 __all__ = [
@@ -92,10 +92,10 @@ def solution_to_dict(
 
 def solution_from_dict(doc: dict) -> dict[int, XBlock]:
     """Every bus's blocks; a malformed document raises KeyError, TypeError
-    or ValueError, the last naming the bus and field of a bad number."""
+    or ValueError, the last naming the bus and field of a bad number or id."""
     solution: dict[int, XBlock] = {}
-    for entry in doc["buses"]:
-        i = int(entry["id"])
+    for k, entry in enumerate(doc["buses"]):
+        i = _integer(entry["id"], f"buses[{k}].id", ValueError)
         at = f"bus {i}"
         v = _parse_cmat(entry["v"], f"{at} v")
         s = [_parse_c(e, f"{at} s[{t}]") for t, e in enumerate(entry["s"])]

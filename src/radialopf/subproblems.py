@@ -9,9 +9,9 @@ Each bus alternates between two kinds of local problems:
   per-phase scalar problems with closed forms (box clamp, or half-disk
   with at most one positive multiplier root);
 * a y-step that re-solves the neighborhood observations subject to the
-  branch-flow equalities, a positive-diagonal quadratic over a real
-  parameter vector with a full-row-rank constraint matrix, solved in
-  closed form.
+  branch-flow equalities, a positive-diagonal quadratic over the float
+  view of the observations (no parameterization) with a full-row-rank
+  constraint matrix, solved in closed form.
 
 The penalty weights of the observations (``y_weights``) are defined once
 and read by both steps. The engine runs every kernel once per iteration
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -50,6 +49,7 @@ __all__ = [
     "YContext",
     "YLocal",
     "YNodeSolver",
+    "split_blocks",
     "y_signature",
     "y_weights",
 ]
@@ -268,7 +268,7 @@ def solve_x1_voltage(target: np.ndarray, diag: np.ndarray, v_lo, v_hi) -> None:
 
 
 # ---------------------------------------------------------------------------
-# y-update: equality-constrained quadratic over a real parameterization
+# y-update: equality-constrained quadratic over y's float view
 # ---------------------------------------------------------------------------
 
 
@@ -293,7 +293,7 @@ class YContext:
 
 @dataclass
 class YLocal:
-    """Solution of one bus's y-subproblem, unpacked to complex variables."""
+    """Solution of one bus's y-subproblem, as named complex blocks."""
 
     v_self: np.ndarray
     s_self: np.ndarray
@@ -303,114 +303,29 @@ class YLocal:
     child_flows: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
-@lru_cache(maxsize=None)
-def _block_maps(kind: str, n: int):
-    """Gather and scatter maps of one complex block, in its own coordinates.
-
-    ``kind`` is "herm" (n x n Hermitian, n^2 parameters), "mat" (n x n
-    complex, 2n^2) or "vec" (length n, 2n). Returns the float-view
-    position and the scale of each parameter, and for each float slot the
-    parameter it is unpacked from (-1: the zero imaginary diagonal) and
-    the divisor.
-    """
-    if kind == "herm":
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        diag = [2 * i * (n + 1) for i in range(n)]
-        pos = np.array(diag + [2 * (i * n + j) + k for i, j in upper for k in (0, 1)])
-        mirror = [2 * (j * n + i) + k for i, j in upper for k in (0, 1)]
-        scale = np.repeat([1.0, SQRT2], [n, 2 * len(upper)])
-        src = np.full(2 * n * n, -1)
-        div = np.ones(2 * n * n)
-        src[pos] = np.arange(n * n)
-        div[pos] = scale
-        src[mirror] = np.arange(n, n * n)
-        div[mirror] = np.tile([SQRT2, -SQRT2], len(upper))
-        return pos, scale, src, div
-    size = n if kind == "vec" else n * n
-    pos = np.concatenate([np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)])
-    src = np.empty(2 * size, dtype=int)
-    src[pos] = np.arange(2 * size)
-    return pos, np.ones(2 * size), src, np.ones(2 * size)
-
-
-class _Layout:
-    """The one real parameterization of a stack of complex blocks.
-
-    The blocks are raveled row-major one after another into a complex
-    buffer. A Hermitian block of size n has n^2 parameters: its real
-    diagonal, then sqrt(2) * (re, im) of each upper-triangle entry row by
-    row, so that ||a||_F = ||theta||_2. A complex vector or matrix has its
-    real parts, then its imaginary parts. Packing gathers the parameters
-    from the float view (re, im interleaved) of the buffer and scales
-    them; unpacking scatters them back, mirroring the lower triangle from
-    the same parameters and reading the imaginary diagonal from a
-    trailing zero.
-    """
-
-    def __init__(self, blocks: tuple[tuple[str, int], ...]):
-        maps = [_block_maps(kind, n) for kind, n in blocks]
-        counts = [len(pos) for pos, _, _, _ in maps]  # parameters per block
-        slots = [len(src) for _, _, src, _ in maps]  # float slots: re, im per entry
-        starts = list(accumulate(slots, initial=0))
-        self.size = sum(counts)
-        self.entries = starts[-1] // 2
-        self.views = tuple(
-            (a // 2, b // 2, (n,) if kind == "vec" else (n, n))
-            for (kind, n), a, b in zip(blocks, starts, starts[1:])
-        )
-        pos, self.scale, src, self.div = (np.concatenate(part) for part in zip(*maps))
-        self.pos = pos + np.repeat(starts[:-1], counts)
-        first = np.repeat(list(accumulate(counts[:-1], initial=0)), slots)
-        self.src = np.where(src < 0, self.size, src + first)
-        for arr in (self.pos, self.scale, self.src, self.div):
-            arr.flags.writeable = False  # shared between buses by _layout
-
-    def join(self, blocks) -> np.ndarray:
-        """The blocks raveled one after another: a complex (..., entries) buffer."""
-        first = np.asarray(blocks[0])
-        lead = first.shape[: first.ndim - len(self.views[0][2])]
-        return np.concatenate(
-            [np.reshape(b, lead + (-1,)) for b in blocks], axis=-1, dtype=complex
-        )
-
-    def flat(self, blocks) -> np.ndarray:
-        """The blocks' parameters without the sqrt(2) scale."""
-        return self.join(blocks).view(float)[..., self.pos]
-
-    def pack(self, blocks) -> np.ndarray:
-        return self.flat(blocks) * self.scale
-
-    def scatter(self, theta: np.ndarray) -> np.ndarray:
-        """Parameters (..., size) to the complex (..., entries) buffer."""
-        zero = np.zeros(theta.shape[:-1] + (1,))
-        padded = np.concatenate([theta, zero], axis=-1)
-        return (np.take(padded, self.src, axis=-1) / self.div).view(complex)
-
-    def split(self, buf: np.ndarray) -> list[np.ndarray]:
-        """Views of the blocks of a complex (..., entries) buffer."""
-        lead = buf.shape[:-1]
-        return [buf[..., a:b].reshape(lead + shape) for a, b, shape in self.views]
-
-    def unpack(self, theta: np.ndarray) -> list[np.ndarray]:
-        return self.split(self.scatter(theta))
-
-
-@lru_cache(maxsize=None)
-def _layout(blocks: tuple[tuple[str, int], ...]) -> _Layout:
-    """The layout of a block signature; buses of one shape share it."""
-    return _Layout(blocks)
-
-
-def y_signature(ctx: YContext) -> tuple[tuple[str, int], ...]:
-    """The blocks of a bus's y-variables: v, s, [S, ell, parent v], then
-    (S, ell) per child. Buses with one signature share a ``YNodeSolver``."""
+def y_signature(ctx: YContext) -> tuple[tuple[int, ...], ...]:
+    """The shapes of a bus's y-blocks: v, s, [S, ell, parent v], then
+    (S, ell) per child. Buses with one signature share a stacked operator."""
     m = len(ctx.phases)
-    blocks = [("herm", m), ("vec", m)]
+    blocks = [(m, m), (m,)]
     if not ctx.is_root:
-        blocks += [("mat", m), ("herm", m), ("herm", len(ctx.parent_phases))]
+        mp = len(ctx.parent_phases)
+        blocks += [(m, m), (m, m), (mp, mp)]
     for _, cph, _ in ctx.children:
-        blocks += [("mat", len(cph)), ("herm", len(cph))]
+        blocks += [(len(cph), len(cph))] * 2
     return tuple(blocks)
+
+
+def split_blocks(buf: np.ndarray, signature) -> list[np.ndarray]:
+    """Views of the blocks of ``signature``, raveled one after another
+    along the last axis of the complex buffer ``buf``."""
+    lead = buf.shape[:-1]
+    views, start = [], 0
+    for shape in signature:
+        end = start + math.prod(shape)
+        views.append(buf[..., start:end].reshape(lead + shape))
+        start = end
+    return views
 
 
 def y_weights(ctx: YContext) -> tuple[float, ...]:
@@ -445,9 +360,13 @@ def _local(blocks: list[np.ndarray], ctx: YContext) -> YLocal:
 def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
     """Branch-flow residual blocks at a stack of candidate y points (linear in y).
 
-    The voltage drop (Hermitian, absent at the root), then the power
-    balance (one complex entry per phase). The phase projection and lift
-    are index maps, so every block keeps its leading stack axes.
+    The voltage drop (m x m, absent at the root), then the power balance
+    (one complex entry per phase). The balance reads each child's ell
+    through its Hermitian part, so that conjugate-transposing every
+    Hermitian block (v, ell, the parent's v, each child's ell) maps the
+    drop to its adjoint and keeps the balance: the constraint set maps to
+    itself. The phase projection and lift are index maps, so every block
+    keeps its leading stack axes.
     """
     rows = []
     if not ctx.is_root:
@@ -465,6 +384,7 @@ def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
     acc = np.zeros(local.s_self.shape, dtype=complex)
     for cid, cph, zc in ctx.children:
         s_j, ell_j = local.child_flows[cid]
+        ell_j = 0.5 * (ell_j + ell_j.conj().swapaxes(-1, -2))
         acc[..., cph.indices_in(ctx.phases)] += np.diagonal(
             s_j - zc @ ell_j, axis1=-2, axis2=-1
         )
@@ -478,27 +398,35 @@ class YNodeSolver:
     """Prefactored closed-form solver for the y-subproblems of a feeder's buses.
 
     Each bus's y-subproblem is the real quadratic min 1/2 y^T M y + c^T y
-    subject to A y = 0 over the parameters of its layout (``layouts[b]``,
-    from its block signature). ``a_mat[b]`` has full row rank and
-    ``m_diag[b]`` is strictly positive; both depend only on the network,
-    so the full solution operator
-    P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is computed once. Buses
-    next to each other in ``ctxs`` with one signature share one stacked
-    operator, so every iteration reduces to one gather of c over all
-    buses, one stacked matrix-vector product per signature, and one
-    write of all of y.
+    subject to A y = 0 over the float view of its segment of y: the real
+    and imaginary part of every entry of its blocks (``y_signature``),
+    the lower triangles and imaginary diagonals of its Hermitian blocks
+    included. ``a_mat[b]`` holds 2m^2 voltage-drop rows (off the root)
+    and 2m power-balance rows and has full row rank; ``m_diag[b]`` is
+    strictly positive. Both depend only on the network, so the full
+    solution operator P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is
+    computed once. Buses next to each other in ``ctxs`` with one
+    signature share one stacked operator, so every iteration is one
+    stacked matrix-vector product per signature, from c straight into
+    y's float view.
 
-    The complex buffers that ``assemble_c`` reads and ``solve`` writes
-    hold every bus's blocks in layout order, bus after bus in ``ctxs``
-    order; bus b's segment starts at ``offsets[b]``. c and the parameters
-    are laid out the same way.
+    M and the constraint set are invariant under conjugate-transposing
+    every Hermitian block (``_constraint_values``), so where c is too,
+    the unique minimizer is Hermitian in those blocks: the minimizer over
+    Hermitian blocks alone. The engine's c is Hermitian only to rounding,
+    and so are the blocks of y.
+
+    Bus b's segment of the complex buffers that ``assemble_c`` reads and
+    ``solve`` writes starts at ``offsets[b]``, bus after bus in ``ctxs``
+    order; c is laid out like their float views.
 
     The solver also holds the y side of the consensus table: row e
     observes y entry ``obs[e]`` with penalty weight ``weight[e]``. The
     first rows are the identity, one per y entry, weighted by
     ``y_weights``; after them comes one row of weight 1 per entry of each
     bus's own v, for the voltage-limit copy x1. M is rho times the
-    weight sum of the rows on each y entry.
+    weight sum of the rows on each y entry, on its real and imaginary
+    part alike.
     """
 
     def __init__(self, ctxs, rho: float):
@@ -507,78 +435,64 @@ class YNodeSolver:
         self.ctxs = tuple(ctxs)
         self.rho = rho
         signatures = [y_signature(ctx) for ctx in self.ctxs]
-        self.layouts = tuple(_layout(blocks) for blocks in signatures)
-        self.offsets = np.cumsum([0] + [layout.entries for layout in self.layouts])
-        whole = _Layout(tuple(block for blocks in signatures for block in blocks))
+        sizes = [math.prod(shape) for blocks in signatures for shape in blocks]
+        self.offsets = np.cumsum([0] + [sum(map(math.prod, blocks)) for blocks in signatures])
+        ny = self.offsets[-1]
 
         # the table's rows: the identity, then the voltage copy's, weight 1
         own_v = [b + np.arange(len(c.phases) ** 2) for c, b in zip(self.ctxs, self.offsets)]
-        self.obs = np.concatenate([np.arange(whole.entries)] + own_v)
+        self.obs = np.concatenate([np.arange(ny)] + own_v)
         weights = [w for ctx in self.ctxs for w in y_weights(ctx)]
-        sizes = [end - start for start, end, _ in whole.views]
-        self.weight = np.concatenate(
-            [np.repeat(weights, sizes), np.ones(len(self.obs) - whole.entries)]
-        )
-        mass = self.rho * np.bincount(self.obs, self.weight)
+        self.weight = np.concatenate([np.repeat(weights, sizes), np.ones(len(self.obs) - ny)])
+        mass = np.repeat(self.rho * np.bincount(self.obs, self.weight), 2)
 
         self.a_mat, self.m_diag = [], []
-        self._stacks = []  # per run of one signature: its c slice, operator and theta view
-        self._theta = np.zeros(whole.size + 1)  # the parameters, and the zero slot
-        first = 0
+        self._stacks = []  # per run of one signature: its float slice, operator, shape of c
         for _, run in groupby(range(len(self.ctxs)), key=signatures.__getitem__):
             run = list(run)
-            layout = self.layouts[run[0]]
-            nb, n = len(run), layout.size
-            m_diag = mass[self.offsets[run[0]] + layout.pos // 2]
-            a_mat, operator = self._prefactor([self.ctxs[b] for b in run], layout, m_diag)
+            part = slice(2 * self.offsets[run[0]], 2 * self.offsets[run[-1] + 1])
+            m_diag = mass[part].reshape(len(run), -1)
+            a_mat, operator = self._prefactor(
+                [self.ctxs[b] for b in run], signatures[run[0]], m_diag
+            )
             self.a_mat += list(a_mat)
-            self.m_diag += [m_diag] * nb
-            end = first + nb * n
-            theta = self._theta[first:end].reshape(nb, n, 1)
-            self._stacks.append((slice(first, end), operator, theta))
-            first = end
-        self._gather, self._scale = whole.pos, whole.scale
-        self._src, self._div = whole.src, whole.div
+            self.m_diag += list(m_diag)
+            self._stacks.append((part, operator, operator.shape[:2] + (1,)))
 
-    def _prefactor(self, ctxs, layout: _Layout, m_diag: np.ndarray):
+    def _prefactor(self, ctxs, signature, m_diag: np.ndarray):
         """The constraint rows and the solution operators of buses of one
-        signature, stacked, for the diagonal ``m_diag`` of M."""
-        n = layout.size
-        # the constraint rows at every unit parameter vector at once
-        ctx = ctxs[0]
-        m = len(ctx.phases)
-        drop = () if ctx.is_root else (("herm", m),)
-        rows = _layout(drop + (("vec", m),))
-        unit = layout.unpack(np.eye(n))
-        a_mat = np.stack([rows.flat(_constraint_values(_local(unit, c), c)).T for c in ctxs])
+        signature, stacked, for the diagonals ``m_diag`` of their M."""
+        n = m_diag.shape[-1]
+        # the constraint rows at every unit float vector at once
+        unit = split_blocks(np.eye(n).view(complex), signature)
+        values = [_constraint_values(_local(unit, c), c) for c in ctxs]
+        rows = np.stack([np.concatenate([b.reshape(n, -1) for b in v], axis=1) for v in values])
+        a_mat = rows.view(float).swapaxes(-1, -2)
         for c, rank in zip(ctxs, np.linalg.matrix_rank(a_mat)):
-            if rank != rows.size:
+            if rank != a_mat.shape[1]:
                 raise ValueError(
                     f"bus {c.bus_id}: rank-deficient constraint matrix "
                     "(malformed phase data)"
                 )
 
         minv = 1.0 / m_diag
-        gram = (a_mat * minv) @ a_mat.swapaxes(-1, -2)
-        operator = (minv[:, None] * a_mat.swapaxes(-1, -2)) @ np.linalg.solve(
-            gram, a_mat * minv
-        )
+        scaled = a_mat * minv[:, None, :]
+        gram = scaled @ a_mat.swapaxes(-1, -2)
+        operator = scaled.swapaxes(-1, -2) @ np.linalg.solve(gram, scaled)
         operator[:, np.arange(n), np.arange(n)] -= minv
         return a_mat, operator
 
     def assemble_c(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Linear coefficients -mu - rho * x of every bus, one flat vector.
+        """Linear coefficients -mu - rho * x of every bus, on the float view.
 
         ``mu`` and ``x`` are complex buffers laid out like y: per y entry,
         the sum of the multipliers of the table rows that observe it and
         the sum of their primal values times their weights.
         """
-        mu_flat = mu.view(float)[self._gather]
-        x_flat = x.view(float)[self._gather]
-        return -(mu_flat * self._scale) - self.rho * (x_flat * self._scale)
+        return -mu.view(float) - self.rho * x.view(float)
 
     def solve(self, c: np.ndarray, y: np.ndarray) -> None:
         """Write every bus's minimizer P c into its segment of ``y``."""
-        for part, operator, theta in self._stacks:
-            np.matmul(operator, c[part].reshape(theta.shape), out=theta)
-        y[...] = (self._theta[self._src] / self._div).view(complex)
+        flat = y.view(float)
+        for part, operator, shape in self._stacks:
+            np.matmul(operator, c[part].reshape(shape), out=flat[part].reshape(shape))

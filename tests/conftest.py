@@ -1,5 +1,5 @@
 """Helpers the test files share: one bus's named blocks of a run's buffers,
-the packed parameters of a one-bus y-solution, and the x-step penalty
+the Hermitian ones among a bus's y-blocks, and the x-step penalty
 written out term by term."""
 
 from dataclasses import dataclass
@@ -8,7 +8,7 @@ import numpy as np
 
 from radialopf.hermitian import inner
 from radialopf.network import BusSpec
-from radialopf.subproblems import XBlock, YLocal, _local
+from radialopf.subproblems import XBlock, YLocal, _local, split_blocks, y_signature
 
 
 @dataclass
@@ -50,8 +50,9 @@ def bus_blocks(state, i) -> BusBlocks:
     own = state.x_entries[i]
     solver = state.ysolver
     b = [ctx.bus_id for ctx in solver.ctxs].index(i)
-    ctx, layout, start = solver.ctxs[b], solver.layouts[b], solver.offsets[b]
-    segment = slice(start, start + layout.entries)
+    ctx, start = solver.ctxs[b], solver.offsets[b]
+    segment = slice(start, solver.offsets[b + 1])
+    signature = y_signature(ctx)
     # the voltage copy's rows: past the identity rows, those that observe
     # the bus's own v, which opens its segment
     ny = len(state.y)
@@ -64,20 +65,17 @@ def bus_blocks(state, i) -> BusBlocks:
         x0=XBlock(*(_live(state.x, e) for e in own)),
         x1_v=_live(state.x, state.pair[rows]),
         lam1=_live(state.mu, rows),
-        y=_local(layout.split(state.y[segment]), ctx),
-        mu=_local(layout.split(state.mu[segment]), ctx),
+        y=_local(split_blocks(state.y[segment], signature), ctx),
+        mu=_local(split_blocks(state.mu[segment], signature), ctx),
     )
 
 
-def pack_local(solver, local):
-    """The parameters of a one-bus solver's named blocks, in its layout."""
-    ctx = solver.ctxs[0]
-    blocks = [local.v_self, local.s_self]
-    if not ctx.is_root:
-        blocks += [local.S_self, local.ell_self, local.v_parent]
-    for cid, _, _ in ctx.children:
-        blocks += local.child_flows[cid]
-    return solver.layouts[0].pack(blocks)
+def hermitian_blocks(local: YLocal) -> list[np.ndarray]:
+    """The y-blocks that observe Hermitian variables: v, ell and the
+    parent's v (off the root), then each child's ell."""
+    blocks = [local.v_self, local.ell_self, local.v_parent]
+    blocks += [ell for _, ell in local.child_flows.values()]
+    return [b for b in blocks if b is not None]
 
 
 def direct_penalty(v, S, ell, s, state, i, rho):

@@ -8,7 +8,7 @@ import math
 import time
 
 import numpy as np
-from conftest import bus_blocks, direct_penalty, pack_local
+from conftest import bus_blocks, direct_penalty
 
 from radialopf.engine import SolverConfig, State, run
 from radialopf.hermitian import inner, psd_project
@@ -26,7 +26,6 @@ from radialopf.network import (
 from radialopf.subproblems import (
     YContext,
     YNodeSolver,
-    _local,
     complete_square_x0,
     disk_case,
     project_injection_box,
@@ -176,10 +175,10 @@ def test_criterion_3_y_update_closed_form():
     for _ in range(500):
         ctx = random_context(rng)
         solver = YNodeSolver([ctx], rho=float(rng.uniform(0.4, 2.5)))
-        c = rng.standard_normal(solver.layouts[0].size)
-        y = np.zeros(solver.layouts[0].entries, dtype=complex)
+        y = np.zeros(solver.offsets[-1], dtype=complex)
+        c = rng.standard_normal(2 * len(y))
         solver.solve(c, y)
-        theta = pack_local(solver, _local(solver.layouts[0].split(y), ctx))
+        theta = y.view(float)
 
         a = solver.a_mat[0]
         nrows, ncols = a.shape

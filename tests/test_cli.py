@@ -294,6 +294,9 @@ def test_bench_rejects_bad_flags(tmp_path, capsys, flags):
     [
         {"buses": [{"id": 0, "v": [[{"re": None, "im": 0}]], "s": []}]},
         [1],
+        {"buses": [{"id": 1.7, "v": [], "s": []}]},
+        {"buses": [{"id": True, "v": [], "s": []}]},
+        {"buses": [{"id": "1", "v": [], "s": []}]},
     ],
 )
 def test_verify_malformed_solution_document(tmp_path, capsys, doc):

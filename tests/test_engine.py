@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bus_blocks, direct_penalty
+from conftest import bus_blocks, direct_penalty, hermitian_blocks
 
 from radialopf import engine, hermitian
 from radialopf.engine import (
@@ -193,18 +193,15 @@ class TestRounds:
         assert s == 0.0
 
     def test_one_iteration_messages_every_tree_edge(self):
-        # the cross-bus reads of the x- and y-steps are the messages: each
-        # round sends both ways along every line and nowhere else
+        # the cross-bus reads of the x- and y-steps are the messages: they
+        # run both ways along every line and nowhere else
         config = SolverConfig()
         fat_tree = generate_topology("fat-tree", 7, TopologyTemplate(phases="abc"))
         for model in (fat_tree, mixed_feeder()):
             state = initialize(model, config)
             edges = {(ln.bus, ln.parent) for ln in model.lines}
             edges |= {(b, a) for a, b in edges}
-            for step in (x_update_round, y_update_round):
-                audit = set()
-                step(state, config, audit)
-                assert audit == edges
+            assert state.messages == edges
 
     def test_x_outputs_stay_psd(self):
         model = generate_topology("fat-tree", 7, TopologyTemplate(phases="abc"))
@@ -351,6 +348,24 @@ class TestRun:
         assert result.message_pairs
         assert result.message_pairs <= edges
 
+    def test_default_solve_ends_with_hermitian_y_blocks(self, monkeypatch):
+        # the y-step solves over every entry of its blocks; its Hermitian
+        # blocks stay Hermitian to rounding through a whole solve
+        states = []
+
+        def keep(*args):
+            states.append(initialize(*args))
+            return states[-1]
+
+        monkeypatch.setattr(engine, "initialize", keep)
+        model = generate_topology("fat-tree", 13, TopologyTemplate(phases="abc"))
+        assert run(model).converged
+        (state,) = states
+        for bus in model.buses:
+            for block in hermitian_blocks(bus_blocks(state, bus.id).y):
+                gap = np.linalg.norm(block - block.conj().T)
+                assert gap <= 1e-12 * np.linalg.norm(block)
+
     def test_objective_reported_from_primal(self):
         state = initialize(TWO_BUS)
         agents = views(state)
@@ -417,9 +432,10 @@ class TestWeights:
         state = State(mixed_feeder(), SolverConfig(rho=rho))
         solver = state.ysolver
         mass = np.bincount(state.obs, state.weight)
-        starts = solver.offsets[:-1]
-        for start, layout, m_diag in zip(starts, solver.layouts, solver.m_diag, strict=True):
-            assert np.array_equal(m_diag, rho * mass[start + layout.pos // 2])
+        segments = zip(solver.offsets[:-1], solver.offsets[1:])
+        for (start, end), m_diag in zip(segments, solver.m_diag, strict=True):
+            # on the real and the imaginary part of each entry
+            assert np.array_equal(m_diag, np.repeat(rho * mass[start:end], 2))
 
 
 def three_class_feeder():
@@ -584,7 +600,7 @@ class TestYLayout:
         assert np.array_equal(np.sort(state.pair[ny:]), np.arange(end - own_v.sum(), end))
         assert np.array_equal(state.den, np.bincount(state.pair, state.weight, len(state.x)))
         mass = np.bincount(state.obs, state.weight, ny)
-        for start, layout, m_diag in zip(
-            state.ysolver.offsets, state.ysolver.layouts, state.ysolver.m_diag
-        ):
-            assert np.array_equal(m_diag, rho * mass[start + layout.pos // 2])
+        solver = state.ysolver
+        segments = zip(solver.offsets[:-1], solver.offsets[1:])
+        for (start, end), m_diag in zip(segments, solver.m_diag, strict=True):
+            assert np.array_equal(m_diag, np.repeat(rho * mass[start:end], 2))

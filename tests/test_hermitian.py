@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from radialopf.hermitian import _psd_project_eigh, eigh, inner, psd_project
-from radialopf.subproblems import _Layout, solve_x0_matrix
+from radialopf.subproblems import solve_x0_matrix
 
 
 def random_hermitian(rng, n):
@@ -39,22 +39,6 @@ def test_inner_shape_mismatch():
         inner(np.eye(2), np.eye(3))
 
 
-def test_storage_round_trip():
-    # the y-step's parameter vector: unpack(pack(a)) is a to within one ulp
-    # (the sqrt(2) scale is inexact), exactly Hermitian, and an isometry
-    rng = np.random.default_rng(3)
-    for n in range(1, 4):
-        lay = _Layout([("herm", n)])
-        for _ in range(50):
-            a = random_hermitian(rng, n)
-            theta = lay.pack([a])
-            (back,) = lay.unpack(theta)
-            np.testing.assert_array_max_ulp(back.view(float), a.view(float), maxulp=1)
-            assert np.array_equal(back.diagonal(), a.diagonal())
-            assert np.array_equal(back, back.conj().T)
-            assert np.linalg.norm(theta) == pytest.approx(np.linalg.norm(a), rel=1e-15)
-
-
 def test_storage_symmetrizes_dust():
     # triangles that differ by ~1e-14 still project to an exactly Hermitian X
     rng = np.random.default_rng(43)
@@ -66,27 +50,6 @@ def test_storage_symmetrizes_dust():
             x = psd_project(a)
             assert np.array_equal(x, x.conj().T)
             assert np.all(x.diagonal().imag == 0.0)
-
-
-def test_storage_layout_worked_example():
-    # diagonal first, then sqrt(2) * (re, im) of the upper triangle row by row:
-    # a[0,1] = 2-3j, a[0,2] = 4+5j, a[1,2] = 7-8j
-    a = np.array(
-        [[1.0, 2 - 3j, 4 + 5j], [2 + 3j, 6.0, 7 - 8j], [4 - 5j, 7 + 8j, 9.0]]
-    )
-    r2 = math.sqrt(2.0)
-    theta = _Layout([("herm", 3)]).pack([a])
-    expected = [1.0, 6.0, 9.0, r2 * 2, r2 * -3, r2 * 4, r2 * 5, r2 * 7, r2 * -8]
-    assert np.array_equal(theta, expected)
-    # complex vectors and matrices: real parts, then imaginary parts
-    lay = _Layout([("vec", 2), ("mat", 2), ("herm", 1)])
-    s = np.array([1 + 2j, 3 + 4j])
-    m = np.array([[5 + 6j, 7 + 8j], [9 + 10j, 11 + 12j]])
-    theta = lay.pack([s, m, np.array([[13.0]])])
-    assert np.array_equal(theta, [1, 3, 2, 4, 5, 7, 9, 11, 6, 8, 10, 12, 13])
-    back_s, back_m, back_h = lay.unpack(theta)
-    assert np.array_equal(back_s, s) and np.array_equal(back_m, m)
-    assert np.array_equal(back_h, [[13.0]])
 
 
 def test_eigh_identity():
@@ -298,4 +261,16 @@ def test_psd_2x2_non_finite_stays_non_finite(bad):
     with np.errstate(invalid="ignore"):
         x = solve_x0_matrix(w)
     assert np.array_equal(x[0], np.eye(2))
+    assert not np.all(np.isfinite(x[1]))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_psd_eigh_non_finite_stays_non_finite(n, bad):
+    # the eigh path: a NaN eigenvalue is kept, not masked to zero
+    w = np.array([np.eye(n), np.eye(n)], dtype=complex)
+    w[1, 0, 0] = bad
+    with np.errstate(invalid="ignore"):
+        x = solve_x0_matrix(w)
+    assert np.allclose(x[0], np.eye(n), rtol=0, atol=1e-14)
     assert not np.all(np.isfinite(x[1]))

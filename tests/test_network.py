@@ -205,6 +205,26 @@ class TestLoader:
         with pytest.raises(FeederParseError, match=match):
             loads_feeder(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("buses", 1, "id"), 1.7, r"buses\[1\]\.id"),
+            (("buses", 1, "id"), 1.0, r"buses\[1\]\.id"),
+            (("buses", 0, "id"), False, r"buses\[0\]\.id"),
+            (("lines", 0, "bus"), True, r"lines\[0\]\.bus"),
+            (("lines", 0, "parent"), "0", r"lines\[0\]\.parent"),
+            (("lines", 0, "parent"), 0.0, r"lines\[0\]\.parent"),
+        ],
+    )
+    def test_non_integer_id_rejected(self, path, value, where):
+        doc = json.loads(json.dumps(TWO_BUS_DOC))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(FeederParseError, match=where + r": .* is not an integer"):
+            loads_feeder(json.dumps(doc))
+
     def test_generated_round_trip(self):
         for kind in ("line", "fat-tree"):
             model = generate_topology(kind, 9, TopologyTemplate(phases="abc"))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bus_blocks, direct_penalty, pack_local
+from conftest import bus_blocks, direct_penalty, hermitian_blocks
 
 from radialopf.engine import SolverConfig, State
 from radialopf.hermitian import inner
@@ -31,6 +31,7 @@ from radialopf.subproblems import (
     solve_disk_multiplier,
     solve_x0_matrix,
     solve_x1_voltage,
+    split_blocks,
     y_signature,
     y_weights,
 )
@@ -597,14 +598,25 @@ def coefficients(solver, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, c
         xs += child_x[cid]
     xs = [w * x for w, x in zip(y_weights(ctx), xs, strict=True)]
     xs[0] = xs[0] + x1_v
-    return solver.assemble_c(solver.layouts[0].join(mus), solver.layouts[0].join(xs))
+    return solver.assemble_c(join(mus), join(xs))
+
+
+def join(blocks):
+    """The blocks raveled one after another, as a y segment."""
+    return np.concatenate([np.ravel(b) for b in blocks])
+
+
+def solve_flat(solver, c):
+    """The one-bus solver's minimizer: its complex y segment."""
+    y = np.zeros(solver.offsets[-1], dtype=complex)
+    solver.solve(c, y)
+    return y
 
 
 def solve_local(solver, c):
-    """The one-bus solver's minimizer, unpacked into named blocks."""
-    y = np.zeros(solver.layouts[0].entries, dtype=complex)
-    solver.solve(c, y)
-    return _local(solver.layouts[0].split(y), solver.ctxs[0])
+    """The one-bus solver's minimizer, split into named blocks."""
+    ctx = solver.ctxs[0]
+    return _local(split_blocks(solve_flat(solver, c), y_signature(ctx)), ctx)
 
 
 def kkt_reference(solver, c) -> np.ndarray:
@@ -623,10 +635,10 @@ class TestYSystem:
         rng = np.random.default_rng(13)
         ctx = make_context(rng, 1, 0, parent_m=1)
         solver = YNodeSolver([ctx], 1.0)
-        # one voltage-drop row plus two power-balance rows
-        assert solver.a_mat[0].shape[0] == 3
-        # params: v(1) + s(2) + S(2) + ell(1) + parent v(1)
-        assert solver.a_mat[0].shape[1] == 7
+        # two voltage-drop rows plus two power-balance rows (2m^2 + 2m)
+        assert solver.a_mat[0].shape[0] == 4
+        # re and im of each entry: v, s, S, ell and parent v, one each
+        assert solver.a_mat[0].shape[1] == 10
 
     def test_root_has_no_voltage_drop_rows(self):
         rng = np.random.default_rng(14)
@@ -638,7 +650,7 @@ class TestYSystem:
         rng = np.random.default_rng(15)
         ctx = make_context(rng, 3, 1, parent_m=3)
         solver = YNodeSolver([ctx], 1.0)
-        assert solver.a_mat[0].shape[0] == 9 + 6
+        assert solver.a_mat[0].shape[0] == 18 + 6
 
     def test_zero_inputs_give_zero_coefficients(self):
         rng = np.random.default_rng(21)
@@ -707,8 +719,8 @@ class TestYSystem:
             contiguous = XBlock(v.copy(), x0.s, S.copy(), ell.copy())
             assert np.array_equal(c, coefficients(solver, contiguous, *args, copies))
 
-            theta = rng.standard_normal(solver.layouts[0].size)
-            y = solver.layouts[0].unpack(theta)
+            theta = rng.standard_normal(2 * solver.offsets[-1])
+            y = split_blocks(theta.view(complex), y_signature(ctx))
             terms = [
                 (mu.v + lam1, 2.0 * v + x1_v, 1.0),
                 (mu.s, x0.s, 1.0),
@@ -729,7 +741,7 @@ class TestYSystem:
         rng = np.random.default_rng(16)
         ctx = make_context(rng, 2, 1, parent_m=3)
         solver = YNodeSolver([ctx], 1.0)
-        local = solve_local(solver, np.zeros(solver.layouts[0].size))
+        local = solve_local(solver, np.zeros(2 * solver.offsets[-1]))
         assert np.allclose(local.v_self, 0) and np.allclose(local.s_self, 0)
         assert np.allclose(local.v_parent, 0)
 
@@ -741,8 +753,7 @@ class TestYSystem:
             root = bool(rng.integers(0, 2)) and nc > 0
             ctx = make_context(rng, m, nc, root=root)
             solver, c = random_system(rng, ctx, rho=float(rng.uniform(0.5, 2.0)))
-            local = solve_local(solver, c)
-            theta = pack_local(solver, local)
+            theta = solve_flat(solver, c).view(float)
             ref = kkt_reference(solver, c)
             assert np.max(np.abs(theta - ref)) <= 1e-8
 
@@ -753,11 +764,14 @@ class TestYSystem:
             nc = int(rng.integers(0, 3))
             ctx = make_context(rng, m, nc)
             solver, c = random_system(rng, ctx, 1.0)
-            local = solve_local(solver, c)
-            theta = pack_local(solver, local)
+            theta = solve_flat(solver, c).view(float)
             assert np.max(np.abs(solver.a_mat[0] @ theta)) <= 1e-10
 
     def test_bfm_equations_hold_in_complex_form(self):
+        # c that is Hermitian in the Hermitian blocks (random_system's) gives
+        # Hermitian blocks: the balance reads each child's ell through its
+        # Hermitian part, so the minimizer over all blocks is the one over
+        # Hermitian blocks, and it meets the branch-flow equations as written
         rng = np.random.default_rng(19)
         from radialopf.network import phase_lift, phase_project
 
@@ -767,6 +781,9 @@ class TestYSystem:
             ctx = make_context(rng, m, nc)
             solver, c = random_system(rng, ctx, 1.0)
             local = solve_local(solver, c)
+            for block in hermitian_blocks(local):
+                gap = np.linalg.norm(block - block.conj().T)
+                assert gap <= 1e-12 * np.linalg.norm(block)
             z = ctx.z
             drop = (
                 phase_project(local.v_parent, ctx.parent_phases, ctx.phases)
@@ -795,7 +812,7 @@ class TestYSystem:
         )
         # each equation row still carries its own v or s entry
         solver = YNodeSolver([degenerate], 1.0)
-        assert solver.a_mat[0].shape[0] == 4 + 4
+        assert solver.a_mat[0].shape[0] == 8 + 4
 
     def test_group_matches_each_bus_alone(self):
         # the engine's one solver over every bus, with several signatures
@@ -816,7 +833,7 @@ class TestYSystem:
             segments = zip(solver.offsets[:-1], solver.offsets[1:])
             for b, (ctx, (start, end)) in enumerate(zip(solver.ctxs, segments, strict=True)):
                 alone = YNodeSolver([ctx], 1.3)
-                n = alone.layouts[0].size
+                n = 2 * (end - start)
                 assert np.array_equal(alone.a_mat[0], solver.a_mat[b])
                 c_b = alone.assemble_c(mu[start:end], x[start:end])
                 assert np.array_equal(c_b, c[first : first + n])
