@@ -16,7 +16,10 @@ with penalty weight ``weight[e]`` and multiplier ``mu[e]``. The first
 rows are the identity on y, each y entry observing one x0 entry; after
 them comes one row per entry of each bus's own v, held by its voltage
 copy. Every per-iteration index decision is a map that ``State`` builds
-once, so the work of a step does not branch on the feeder's shape. The
+once, so the work of a step does not branch on the feeder's shape. It
+builds the other run constants once too, for the state's one penalty
+rho: the y-solver's operators with their views of its c and y buffers,
+and the injections' curvature alpha + rho, positions and costs. The
 x-step completes the square for every copy in one weighted sum over the
 rows, clamps the voltage copies in one call, gathers the (2m, 2m) block
 targets of the non-root buses of each phase count and projects them in
@@ -38,7 +41,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,20 +122,32 @@ class IterationStats:
 
 class _Injections:
     """Every phase's cost and injection region, in the order of the
-    groups' s slabs: ``box`` holds the positions of the box phases and
-    ``disks`` the (position, radius) of the half-disk phases."""
+    groups' s slabs, with the constants of their projections at penalty
+    ``rho``: ``box`` holds the positions of the box phases, ``box_at``
+    their entries in x, and ``box_a1``/``box_beta`` their curvature
+    alpha + rho and linear cost; ``disks`` holds (position, entry in x,
+    alpha + rho, beta, radius) per half-disk phase. ``s`` is the buffer
+    that the projections write."""
 
-    def __init__(self, buses: list[BusSpec]):
+    def __init__(self, buses: list[BusSpec], s_index: np.ndarray, rho: float):
         phases = [(reg, cost) for b in buses for reg, cost in zip(b.regions, b.cost)]
         self.alpha = np.array([cost.alpha for _, cost in phases])
         self.beta = np.array([cost.beta for _, cost in phases])
+        a1 = self.alpha + rho
         boxes = [k for k, (reg, _) in enumerate(phases) if isinstance(reg, Box)]
         self.box = np.array(boxes, dtype=int)
+        self.box_at = s_index[self.box]
+        self.box_a1, self.box_beta = a1[self.box], self.beta[self.box]
         self.box_bounds = tuple(
             np.array([getattr(phases[k][0], name) for k in boxes])
             for name in ("p_lo", "p_hi", "q_lo", "q_hi")
         )
-        self.disks = [(k, reg.s_max) for k, (reg, _) in enumerate(phases) if isinstance(reg, Disk)]
+        self.disks = [
+            (k, s_index[k], float(a1[k]), float(self.beta[k]), reg.s_max)
+            for k, (reg, _) in enumerate(phases)
+            if isinstance(reg, Disk)
+        ]
+        self.s = np.empty(len(phases), dtype=complex)
 
 
 class State:
@@ -142,15 +156,17 @@ class State:
     ``x_entries[i]`` holds the positions in x of bus i's v, s[, S, ell];
     the rows of a group's slabs follow the feeder's bus order. After
     them x holds the voltage copies, one per own v entry, in the order
-    of those entries. y holds one segment per bus, laid out as the bus's
-    y-blocks (``subproblems.y_signature``), in the order of
-    ``ysolver.ctxs`` and from the offsets ``ysolver.offsets``. Row e of
+    of those entries. y is the y-solver's own buffer; it holds one
+    segment per bus, laid out as the bus's y-blocks
+    (``subproblems.y_signature``), in the order of ``ysolver.ctxs`` and
+    from the offsets ``ysolver.offsets``. Row e of
     the consensus table ties x entry ``pair[e]`` to y entry ``obs[e]``
     with weight ``weight[e]`` and multiplier ``mu[e]`` (``obs`` and
     ``weight`` come from ``ysolver``); ``den`` sums the weights per x
     entry; ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for
     the scatter-adds. ``s_index`` lists the entries of s in x, in the
-    order of ``injections``. ``messages`` holds the directed (sender,
+    order of ``injections``, which holds the injections' projection
+    constants at the state's rho. ``messages`` holds the directed (sender,
     receiver) bus pairs of the entries that a step reads across a tree
     edge; every iteration sends the same ones.
 
@@ -162,7 +178,8 @@ class State:
     targets (where the voltage copies and the root's v are read).
     ``v_diag`` are the positions in x of the voltage copies' diagonals,
     with their bounds ``v_lo``/``v_hi``. ``ysolver`` solves every bus's
-    y-step.
+    y-step. It and ``injections`` are built for ``config.rho``, and the
+    rounds reject a config with another rho.
     """
 
     def __init__(self, model: FeederModel, config: SolverConfig):
@@ -196,7 +213,7 @@ class State:
         v_index = np.concatenate([slabs[0] for _, slabs in self._groups], axis=None)
         self.s_index = np.concatenate([slabs[1] for _, slabs in self._groups], axis=None)
         in_order = [self._by_id[i] for ids, _ in self._groups for i in ids]
-        self.injections = _Injections(in_order)
+        self.injections = _Injections(in_order, self.s_index, config.rho)
         # the voltage copy of x entry v_index[k] is x[size + k]; v_index ascends
         copies = size + np.arange(len(v_index))
         self.blocks, self.x_dst, self.x_src = _x_step_maps(keys, self._groups, copies)
@@ -224,7 +241,7 @@ class State:
         self.pair_slots, self.obs_slots = interleave(self.pair), interleave(self.obs)
 
         self.x = np.zeros(size + len(v_index), dtype=complex)
-        self.y = np.zeros(ny, dtype=complex)
+        self.y = self.ysolver.y
         self.y_prev = np.zeros(ny, dtype=complex)
         self.mu = np.zeros(len(self.obs), dtype=complex)
 
@@ -345,39 +362,40 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _surfaced(iteration: int):
-    """Re-raise a kernel's ValueError as a SolverError naming the iteration."""
-    try:
-        yield
-    except ValueError as exc:
-        raise SolverError(f"iteration {iteration}: {exc}") from exc
+def _check_rho(state: State, config: SolverConfig) -> None:
+    """The state's constants are built for one penalty; reject another."""
+    if config.rho != state.ysolver.rho:
+        raise ValueError(f"config.rho {config.rho} differs from the state's rho {state.ysolver.rho}")
 
 
-def _project_injections(state: State, s_hat: np.ndarray, rho: float) -> None:
-    """Every phase's injection about its target ``s_hat``: the box clamp
+def _failed(iteration: int, exc: ValueError) -> SolverError:
+    """A kernel's ValueError as a SolverError naming the iteration."""
+    return SolverError(f"iteration {iteration}: {exc}")
+
+
+def _project_injections(state: State, hat: np.ndarray, rho: float) -> None:
+    """Every phase's injection about its target in ``hat``: the box clamp
     for all box phases at once, then the half-disk projection once per
     DER phase."""
     inj = state.injections
-    a1 = inj.alpha + rho
-    b1 = inj.beta - rho * s_hat.real
-    b2 = -rho * s_hat.imag
-    box = inj.box
-    s = np.empty_like(s_hat)
-    s.real[box], s.imag[box] = project_injection_box(
-        a1[box], b1[box], rho, b2[box], *inj.box_bounds
+    s_hat = hat[inj.box_at]
+    s = inj.s
+    s.real[inj.box], s.imag[inj.box] = project_injection_box(
+        inj.box_a1, inj.box_beta - rho * s_hat.real, rho, -rho * s_hat.imag, *inj.box_bounds
     )
-    for k, s_max in inj.disks:
+    for k, at, a1, beta, s_max in inj.disks:
         p = q = 0.0
         if s_max != 0.0:
-            p, q = project_injection_disk(float(a1[k]), float(b1[k]), rho, float(b2[k]), s_max)
+            t = complex(hat[at])
+            p, q = project_injection_disk(a1, beta - rho * t.real, rho, -rho * t.imag, s_max)
         s[k] = complex(p, q)
     state.x[state.s_index] = s
 
 
 def x_update_round(state: State, config: SolverConfig, iteration=0):
     """Update every x_{i0} and x_{i1} from the observations."""
-    with _surfaced(iteration):
+    _check_rho(state, config)
+    try:
         hat = complete_square_x0(
             state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, config.rho
         )
@@ -385,17 +403,23 @@ def x_update_round(state: State, config: SolverConfig, iteration=0):
         targets = np.concatenate([hat, hat.conj()])
         projected = [solve_x0_matrix(targets[index]) for index in state.blocks]
         state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
-        _project_injections(state, hat[state.s_index], config.rho)
+        _project_injections(state, hat, config.rho)
+    except ValueError as exc:
+        raise _failed(iteration, exc) from exc
 
 
 def y_update_round(state: State, config: SolverConfig, iteration=0):
     """Re-solve every neighborhood observation set from the primal copies."""
+    _check_rho(state, config)
     ny = len(state.y)
     mu = scatter_add(state.obs_slots, state.mu, ny)
     x = scatter_add(state.obs_slots, state.weight * state.x[state.pair], ny)
     np.copyto(state.y_prev, state.y)
-    with _surfaced(iteration):
-        state.ysolver.solve(state.ysolver.assemble_c(mu, x), state.y)
+    try:
+        state.ysolver.assemble_c(mu, x)
+        state.ysolver.solve()
+    except ValueError as exc:
+        raise _failed(iteration, exc) from exc
 
 
 def multiplier_update_round(state: State, rho: float, iteration=0):

@@ -84,7 +84,13 @@ def psd_project(w) -> np.ndarray:
 
 
 def _psd_project_eigh(w: np.ndarray) -> np.ndarray:
-    dec = eigh(w)
+    try:
+        dec = eigh(w)
+    except np.linalg.LinAlgError:
+        # LAPACK may fail to converge on a non-finite input: project it to NaN
+        if np.isfinite(w).all():
+            raise
+        return np.full(w.shape, complex(np.nan, np.nan))
     kept = np.maximum(dec.eigenvalues, 0.0)  # NaN stays NaN
     u = dec.eigenvectors
     x = (u * kept[..., None, :]) @ _adjoint(u)

@@ -164,9 +164,12 @@ def project_injection_box(a1, b1, a2, b2, p_lo, p_hi, q_lo, q_hi):
     """Minimize a1/2 p^2 + b1 p + a2/2 q^2 + b2 q over a rectangle.
 
     Separable strictly convex quadratic: clamp each unconstrained
-    minimizer into its interval. Elementwise over arrays of phases.
+    minimizer into its interval. Elementwise over arrays of phases. Any
+    curvature entry <= 0 is rejected; NaN entries are not compared (fmin
+    skips them).
     """
-    if np.less_equal(a1, 0).any() or np.less_equal(a2, 0).any():
+    least = np.fmin.reduce(a2, axis=None, initial=np.inf)
+    if np.fmin.reduce(a1, axis=None, initial=least) <= 0:
         raise ValueError("nonpositive curvature")
     p = np.minimum(np.maximum(-b1 / a1, p_lo), p_hi)
     q = np.minimum(np.maximum(-b2 / a2, q_lo), q_hi)
@@ -416,9 +419,11 @@ class YNodeSolver:
     Hermitian blocks alone. The engine's c is Hermitian only to rounding,
     and so are the blocks of y.
 
-    Bus b's segment of the complex buffers that ``assemble_c`` reads and
-    ``solve`` writes starts at ``offsets[b]``, bus after bus in ``ctxs``
-    order; c is laid out like their float views.
+    The solver owns its linear terms ``c`` and its solution ``y``: a
+    complex buffer whose bus b segment starts at ``offsets[b]``, bus
+    after bus in ``ctxs`` order, and c a float buffer laid out like y's
+    float view. ``assemble_c`` writes c in place, and ``solve`` writes y
+    through views of both that are built once with the operators.
 
     The solver also holds the y side of the consensus table: row e
     observes y entry ``obs[e]`` with penalty weight ``weight[e]``. The
@@ -446,8 +451,11 @@ class YNodeSolver:
         self.weight = np.concatenate([np.repeat(weights, sizes), np.ones(len(self.obs) - ny)])
         mass = np.repeat(self.rho * np.bincount(self.obs, self.weight), 2)
 
+        self.c = np.zeros(2 * ny)
+        self.y = np.zeros(ny, dtype=complex)
+        flat = self.y.view(float)
         self.a_mat, self.m_diag = [], []
-        self._stacks = []  # per run of one signature: its float slice, operator, shape of c
+        self._stacks = []  # per run of one signature: operator, views of c and of y
         for _, run in groupby(range(len(self.ctxs)), key=signatures.__getitem__):
             run = list(run)
             part = slice(2 * self.offsets[run[0]], 2 * self.offsets[run[-1] + 1])
@@ -457,7 +465,8 @@ class YNodeSolver:
             )
             self.a_mat += list(a_mat)
             self.m_diag += list(m_diag)
-            self._stacks.append((part, operator, operator.shape[:2] + (1,)))
+            shape = operator.shape[:2] + (1,)
+            self._stacks.append((operator, self.c[part].reshape(shape), flat[part].reshape(shape)))
 
     def _prefactor(self, ctxs, signature, m_diag: np.ndarray):
         """The constraint rows and the solution operators of buses of one
@@ -482,17 +491,18 @@ class YNodeSolver:
         operator[:, np.arange(n), np.arange(n)] -= minv
         return a_mat, operator
 
-    def assemble_c(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Linear coefficients -mu - rho * x of every bus, on the float view.
+    def assemble_c(self, mu: np.ndarray, x: np.ndarray) -> None:
+        """Write the linear coefficients -mu - rho * x of every bus into ``c``,
+        on the float view.
 
         ``mu`` and ``x`` are complex buffers laid out like y: per y entry,
         the sum of the multipliers of the table rows that observe it and
         the sum of their primal values times their weights.
         """
-        return -mu.view(float) - self.rho * x.view(float)
+        np.negative(mu.view(float), out=self.c)
+        self.c -= self.rho * x.view(float)
 
-    def solve(self, c: np.ndarray, y: np.ndarray) -> None:
+    def solve(self) -> None:
         """Write every bus's minimizer P c into its segment of ``y``."""
-        flat = y.view(float)
-        for part, operator, shape in self._stacks:
-            np.matmul(operator, c[part].reshape(shape), out=flat[part].reshape(shape))
+        for operator, c, y in self._stacks:
+            np.matmul(operator, c, out=y)

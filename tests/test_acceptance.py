@@ -175,9 +175,10 @@ def test_criterion_3_y_update_closed_form():
     for _ in range(500):
         ctx = random_context(rng)
         solver = YNodeSolver([ctx], rho=float(rng.uniform(0.4, 2.5)))
-        y = np.zeros(solver.offsets[-1], dtype=complex)
+        y = solver.y
         c = rng.standard_normal(2 * len(y))
-        solver.solve(c, y)
+        solver.c[...] = c
+        solver.solve()
         theta = y.view(float)
 
         a = solver.a_mat[0]

@@ -11,6 +11,7 @@ from radialopf import engine, hermitian
 from radialopf.engine import (
     PHASE_REFERENCE,
     SolverConfig,
+    SolverError,
     State,
     compute_objective,
     compute_residuals,
@@ -286,6 +287,41 @@ class TestRounds:
             if not agent.is_root:
                 acc -= y.S_self.diagonal()
             assert np.max(np.abs(y.s_self + acc)) <= 1e-10
+
+
+    def test_non_finite_multiphase_target_reaches_the_residual(self):
+        # a NaN off the diagonal of a 6x6 target can stop LAPACK from
+        # converging; the projection then gives NaN, and r is not finite
+        model = generate_topology("line", 3, TopologyTemplate(phases="abc"))
+        config = SolverConfig()
+        state = initialize(model, config)
+        views(state)[1].y.v_self[0, 2] = complex(0.0, math.nan)
+        x_update_round(state, config, 1)
+        r, _ = compute_residuals(state, config.rho)
+        assert not math.isfinite(r)
+
+    def test_rounds_reject_another_rho(self):
+        # the state's constants are built for its own penalty
+        state = initialize(TWO_BUS, SolverConfig(rho=1.0))
+        x, y = state.x.copy(), state.y.copy()
+        other = SolverConfig(rho=2.0)
+        for step in (x_update_round, y_update_round):
+            with pytest.raises((ValueError, SolverError), match="rho"):
+                step(state, other, 1)
+        assert np.array_equal(state.x, x) and np.array_equal(state.y, y)
+
+    def test_kernel_errors_surface_with_their_iteration(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("kernel failed")
+
+        config = SolverConfig()
+        state = initialize(chain_model([-0.1 + 0j]), config)
+        monkeypatch.setattr(engine, "solve_x0_matrix", fail)
+        with pytest.raises(SolverError, match="iteration 7"):
+            x_update_round(state, config, 7)
+        monkeypatch.setattr(YNodeSolver, "solve", fail)
+        with pytest.raises(SolverError, match="iteration 7"):
+            y_update_round(state, config, 7)
 
 
 class TestRun:

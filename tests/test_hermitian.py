@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radialopf import hermitian
 from radialopf.hermitian import _psd_project_eigh, eigh, inner, psd_project
 from radialopf.subproblems import solve_x0_matrix
 
@@ -274,3 +275,22 @@ def test_psd_eigh_non_finite_stays_non_finite(n, bad):
         x = solve_x0_matrix(w)
     assert np.allclose(x[0], np.eye(n), rtol=0, atol=1e-14)
     assert not np.all(np.isfinite(x[1]))
+
+
+def test_psd_eigh_non_converging_input_gives_nan():
+    # NaN off the diagonal makes LAPACK fail to converge; the projection
+    # then returns NaN rather than raising
+    w = np.eye(4, dtype=complex)
+    w[0, 3] = complex(0.0, math.nan)
+    x = solve_x0_matrix(w)
+    assert x.shape == (4, 4)
+    assert not np.any(np.isfinite(x))
+
+
+def test_psd_eigh_failure_on_finite_input_is_raised(monkeypatch):
+    def fail(w):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(hermitian, "eigh", fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_x0_matrix(np.eye(4, dtype=complex))

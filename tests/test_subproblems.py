@@ -372,6 +372,30 @@ class TestBoxProjection:
         with pytest.raises(ValueError):
             project_injection_box(0.0, 1.0, 1.0, 1.0, 0, 1, 0, 1)
 
+    @pytest.mark.parametrize(
+        "a1, a2, rejected",
+        [
+            (np.array([1.0, 0.0, 2.0]), 1.0, True),  # one a1 entry <= 0
+            (np.array([1.0, 2.0]), 0.0, True),  # scalar a2 <= 0
+            (np.array([1.0, 2.0]), np.array([1.0, -1.0]), True),  # array a2
+            (np.array([math.nan, -1.0]), 1.0, True),  # NaN beside a nonpositive entry
+            (np.array([1.0, 2.0]), np.array([math.nan, -0.5]), True),
+            (np.array([]), -1.0, True),  # no phases, a2 still checked
+            (np.array([math.nan, math.nan]), 1.0, False),  # NaN is not compared
+            (np.array([math.nan, 2.0]), math.nan, False),
+            (np.array([1.0, math.nan]), np.array([math.nan, 3.0]), False),
+            (np.array([]), 1.0, False),
+        ],
+    )
+    def test_curvature_check_is_the_two_any_rule(self, a1, a2, rejected):
+        assert bool(np.less_equal(a1, 0).any() or np.less_equal(a2, 0).any()) == rejected
+        args = (a1, 0.0, a2, 0.0, -1.0, 1.0, -1.0, 1.0)
+        if rejected:
+            with pytest.raises(ValueError, match="curvature"):
+                project_injection_box(*args)
+        else:
+            project_injection_box(*args)
+
     def test_against_grid(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -598,7 +622,8 @@ def coefficients(solver, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, c
         xs += child_x[cid]
     xs = [w * x for w, x in zip(y_weights(ctx), xs, strict=True)]
     xs[0] = xs[0] + x1_v
-    return solver.assemble_c(join(mus), join(xs))
+    solver.assemble_c(join(mus), join(xs))
+    return solver.c.copy()
 
 
 def join(blocks):
@@ -607,10 +632,11 @@ def join(blocks):
 
 
 def solve_flat(solver, c):
-    """The one-bus solver's minimizer: its complex y segment."""
-    y = np.zeros(solver.offsets[-1], dtype=complex)
-    solver.solve(c, y)
-    return y
+    """The one-bus solver's minimizer for the linear terms ``c``: its
+    complex y segment."""
+    solver.c[...] = c
+    solver.solve()
+    return solver.y.copy()
 
 
 def solve_local(solver, c):
@@ -825,9 +851,9 @@ class TestYSystem:
             size = solver.offsets[-1]
             mu = rand_cvec(rng, size)
             x = rand_cvec(rng, size)
-            c = solver.assemble_c(mu, x)
-            y = np.zeros_like(mu)
-            solver.solve(c, y)
+            solver.assemble_c(mu, x)
+            solver.solve()
+            c, y = solver.c, solver.y
             assert len({y_signature(ctx) for ctx in solver.ctxs}) > 1
             first = 0
             segments = zip(solver.offsets[:-1], solver.offsets[1:])
@@ -835,10 +861,11 @@ class TestYSystem:
                 alone = YNodeSolver([ctx], 1.3)
                 n = 2 * (end - start)
                 assert np.array_equal(alone.a_mat[0], solver.a_mat[b])
-                c_b = alone.assemble_c(mu[start:end], x[start:end])
+                alone.assemble_c(mu[start:end], x[start:end])
+                c_b = alone.c
                 assert np.array_equal(c_b, c[first : first + n])
-                y_b = np.zeros(end - start, dtype=complex)
-                alone.solve(c_b, y_b)
+                alone.solve()
+                y_b = alone.y
                 assert np.array_equal(y_b, y[start:end])
                 first += n
             assert first == len(c)
