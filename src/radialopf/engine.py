@@ -365,12 +365,7 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
 def _check_rho(state: State, config: SolverConfig) -> None:
     """The state's constants are built for one penalty; reject another."""
     if config.rho != state.ysolver.rho:
-        raise ValueError(f"config.rho {config.rho} differs from the state's rho {state.ysolver.rho}")
-
-
-def _failed(iteration: int, exc: ValueError) -> SolverError:
-    """A kernel's ValueError as a SolverError naming the iteration."""
-    return SolverError(f"iteration {iteration}: {exc}")
+        raise ValueError(f"config.rho {config.rho} differs from the state's {state.ysolver.rho}")
 
 
 def _project_injections(state: State, hat: np.ndarray, rho: float) -> None:
@@ -405,7 +400,7 @@ def x_update_round(state: State, config: SolverConfig, iteration=0):
         state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
         _project_injections(state, hat, config.rho)
     except ValueError as exc:
-        raise _failed(iteration, exc) from exc
+        raise SolverError(f"iteration {iteration}: {exc}") from exc
 
 
 def y_update_round(state: State, config: SolverConfig, iteration=0):
@@ -419,7 +414,7 @@ def y_update_round(state: State, config: SolverConfig, iteration=0):
         state.ysolver.assemble_c(mu, x)
         state.ysolver.solve()
     except ValueError as exc:
-        raise _failed(iteration, exc) from exc
+        raise SolverError(f"iteration {iteration}: {exc}") from exc
 
 
 def multiplier_update_round(state: State, rho: float, iteration=0):

@@ -288,7 +288,6 @@ class TestRounds:
                 acc -= y.S_self.diagonal()
             assert np.max(np.abs(y.s_self + acc)) <= 1e-10
 
-
     def test_non_finite_multiphase_target_reaches_the_residual(self):
         # a NaN off the diagonal of a 6x6 target can stop LAPACK from
         # converging; the projection then gives NaN, and r is not finite
