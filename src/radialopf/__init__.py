@@ -1,7 +1,7 @@
 """Distributed ADMM solver for OPF on unbalanced radial distribution feeders."""
 
 from .engine import IterationStats, RunResult, SolverConfig, run
-from .hermitian import eigh, inner, psd_project
+from .hermitian import psd_project
 from .network import (
     Box,
     Disk,
@@ -29,9 +29,7 @@ __all__ = [
     "brute_force_opf",
     "check_bfm_feasibility",
     "check_rank1",
-    "eigh",
     "generate_topology",
-    "inner",
     "load_feeder",
     "loads_feeder",
     "phase_lift",

@@ -31,9 +31,11 @@ view: one stacked matrix-vector product per y-block signature, from the
 linear terms straight into y. The multiplier update and the residuals
 are single operations over the rows. Data crosses a tree edge only
 where a step reads an entry that another bus owns; those entries are
-the messages, and ``State.messages`` is derived from them once. Every
-step applies the per-bus arithmetic elementwise and reduces in a fixed
-order, so runs are deterministic bit for bit.
+the messages, and ``State.messages`` is derived from them once. Each
+round takes the state alone and reads its rho (``ysolver.rho``); ``run``
+turns a kernel's ValueError into a ``SolverError`` that names the
+iteration. Every step applies the per-bus arithmetic elementwise and
+reduces in a fixed order, so runs are deterministic bit for bit.
 """
 
 from __future__ import annotations
@@ -126,14 +128,16 @@ class _Injections:
     ``rho``: ``box`` holds the positions of the box phases, ``box_at``
     their entries in x, and ``box_a1``/``box_beta`` their curvature
     alpha + rho and linear cost; ``disks`` holds (position, entry in x,
-    alpha + rho, beta, radius) per half-disk phase. ``s`` is the buffer
-    that the projections write."""
+    alpha + rho, beta, radius) per half-disk phase. ``half_alpha`` and
+    ``beta`` are every phase's cost coefficients alpha/2 and beta, for the
+    objective. ``s`` is the buffer that the projections write."""
 
     def __init__(self, buses: list[BusSpec], s_index: np.ndarray, rho: float):
         phases = [(reg, cost) for b in buses for reg, cost in zip(b.regions, b.cost)]
-        self.alpha = np.array([cost.alpha for _, cost in phases])
+        alpha = np.array([cost.alpha for _, cost in phases])
+        self.half_alpha = 0.5 * alpha
         self.beta = np.array([cost.beta for _, cost in phases])
-        a1 = self.alpha + rho
+        a1 = alpha + rho
         boxes = [k for k, (reg, _) in enumerate(phases) if isinstance(reg, Box)]
         self.box = np.array(boxes, dtype=int)
         self.box_at = s_index[self.box]
@@ -178,8 +182,8 @@ class State:
     targets (where the voltage copies and the root's v are read).
     ``v_diag`` are the positions in x of the voltage copies' diagonals,
     with their bounds ``v_lo``/``v_hi``. ``ysolver`` solves every bus's
-    y-step. It and ``injections`` are built for ``config.rho``, and the
-    rounds reject a config with another rho.
+    y-step. It and ``injections`` are built for ``config.rho``; every
+    round reads that penalty as ``ysolver.rho``.
     """
 
     def __init__(self, model: FeederModel, config: SolverConfig):
@@ -362,12 +366,6 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
 # ---------------------------------------------------------------------------
 
 
-def _check_rho(state: State, config: SolverConfig) -> None:
-    """The state's constants are built for one penalty; reject another."""
-    if config.rho != state.ysolver.rho:
-        raise ValueError(f"config.rho {config.rho} differs from the state's {state.ysolver.rho}")
-
-
 def _project_injections(state: State, hat: np.ndarray, rho: float) -> None:
     """Every phase's injection about its target in ``hat``: the box clamp
     for all box phases at once, then the half-disk projection once per
@@ -387,56 +385,49 @@ def _project_injections(state: State, hat: np.ndarray, rho: float) -> None:
     state.x[state.s_index] = s
 
 
-def x_update_round(state: State, config: SolverConfig, iteration=0):
+def x_update_round(state: State) -> None:
     """Update every x_{i0} and x_{i1} from the observations."""
-    _check_rho(state, config)
-    try:
-        hat = complete_square_x0(
-            state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, config.rho
-        )
-        solve_x1_voltage(hat, state.v_diag, state.v_lo, state.v_hi)
-        targets = np.concatenate([hat, hat.conj()])
-        projected = [solve_x0_matrix(targets[index]) for index in state.blocks]
-        state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
-        _project_injections(state, hat, config.rho)
-    except ValueError as exc:
-        raise SolverError(f"iteration {iteration}: {exc}") from exc
+    rho = state.ysolver.rho
+    hat = complete_square_x0(
+        state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, rho
+    )
+    solve_x1_voltage(hat, state.v_diag, state.v_lo, state.v_hi)
+    targets = np.concatenate([hat, hat.conj()])
+    projected = [solve_x0_matrix(targets[index]) for index in state.blocks]
+    state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
+    _project_injections(state, hat, rho)
 
 
-def y_update_round(state: State, config: SolverConfig, iteration=0):
+def y_update_round(state: State) -> None:
     """Re-solve every neighborhood observation set from the primal copies."""
-    _check_rho(state, config)
     ny = len(state.y)
     mu = scatter_add(state.obs_slots, state.mu, ny)
     x = scatter_add(state.obs_slots, state.weight * state.x[state.pair], ny)
     np.copyto(state.y_prev, state.y)
-    try:
-        state.ysolver.assemble_c(mu, x)
-        state.ysolver.solve()
-    except ValueError as exc:
-        raise SolverError(f"iteration {iteration}: {exc}") from exc
+    state.ysolver.assemble_c(mu, x)
+    state.ysolver.solve()
 
 
-def multiplier_update_round(state: State, rho: float, iteration=0):
+def multiplier_update_round(state: State) -> None:
     """Dual ascent: every multiplier moves by rho times its consensus gap."""
-    state.mu += rho * (state.x[state.pair] - state.y[state.obs])
+    state.mu += state.ysolver.rho * (state.x[state.pair] - state.y[state.obs])
 
 
 def _sq(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
-def compute_residuals(state: State, rho: float) -> tuple[float, float]:
+def compute_residuals(state: State) -> tuple[float, float]:
     """Primal gap norm ||x - y|| and scaled dual change rho * ||y - y_prev||."""
     gap = state.x[state.pair] - state.y[state.obs]
-    return math.sqrt(_sq(gap)), rho * math.sqrt(_sq(state.y - state.y_prev))
+    return math.sqrt(_sq(gap)), state.ysolver.rho * math.sqrt(_sq(state.y - state.y_prev))
 
 
 def compute_objective(state: State) -> float:
     """Sum of the phase costs f(p) = alpha/2 p^2 + beta p at the injections."""
     inj = state.injections
     p = state.x[state.s_index].real
-    return float((0.5 * inj.alpha * p * p + inj.beta * p).sum())
+    return float((inj.half_alpha * p * p + inj.beta * p).sum())
 
 
 @dataclass
@@ -464,7 +455,8 @@ def run(
     Stops when r and s both fall below tol_scale * sqrt(|buses|)
     (status "converged"), at the first iteration where r or s is not
     finite ("diverged"), or at the iteration cap ("max-iters"), and
-    returns the primal blocks with the full residual history.
+    returns the primal blocks with the full residual history. A kernel's
+    ValueError is raised as a ``SolverError`` that names the iteration.
     """
     if config is None:
         config = SolverConfig()
@@ -478,20 +470,23 @@ def run(
     x_time = 0.0
     status = "max-iters"
     t_start = time.perf_counter()
-    for k in range(1, config.max_iters + 1):
-        t0 = time.perf_counter()
-        x_update_round(state, config, k)
-        x_time += time.perf_counter() - t0
-        y_update_round(state, config, k)
-        multiplier_update_round(state, config.rho, k)
-        r, s = compute_residuals(state, config.rho)
-        history.append(IterationStats(k, r, s, compute_objective(state)))
-        if not (math.isfinite(r) and math.isfinite(s)):
-            status = "diverged"
-            break
-        if r <= tol and s <= tol:
-            status = "converged"
-            break
+    try:
+        for k in range(1, config.max_iters + 1):
+            t0 = time.perf_counter()
+            x_update_round(state)
+            x_time += time.perf_counter() - t0
+            y_update_round(state)
+            multiplier_update_round(state)
+            r, s = compute_residuals(state)
+            history.append(IterationStats(k, r, s, compute_objective(state)))
+            if not (math.isfinite(r) and math.isfinite(s)):
+                status = "diverged"
+                break
+            if r <= tol and s <= tol:
+                status = "converged"
+                break
+    except ValueError as exc:
+        raise SolverError(f"iteration {k}: {exc}") from exc
     wall = time.perf_counter() - t_start
     solution = state.solution()
     return RunResult(

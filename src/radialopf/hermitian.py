@@ -1,23 +1,18 @@
 """Dense complex Hermitian kernel for small matrices (dimension <= 6).
 
-Provides the real inner product <x, y> = Re(tr(x^H y)), the
-eigendecomposition (LAPACK's Hermitian solver through
-``numpy.linalg.eigh``), and projection onto the positive semidefinite
-cone (keep the eigenpairs with strictly positive eigenvalues). The
-decomposition and the projection take one matrix or a stack of shape
-(..., n, n), so the x-step projects all blocks of one size in one call:
-the 2 x 2 blocks of single-phase buses in closed form, without ``eigh``.
+Provides the eigendecomposition (LAPACK's Hermitian solver through
+``numpy.linalg.eigh``) and projection onto the positive semidefinite
+cone (keep the eigenpairs with strictly positive eigenvalues). Both take
+one matrix or a stack of shape (..., n, n), so the x-step projects all
+blocks of one size in one call: the 2 x 2 blocks of single-phase buses
+in closed form, larger ones through ``eigh``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
-    "inner",
     "eigh",
     "psd_project",
 ]
@@ -30,29 +25,9 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted descending and the matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues[..., None, :]) @ _adjoint(u)
-
-
-def inner(x, y) -> float:
-    """Real inner product Re(tr(x^H y)) of two equal-shape complex arrays."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.vdot(x, y).real)
-
-
-def eigh(w) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of each in a stack, by LAPACK.
+def eigh(w) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues in ascending order and the matching orthonormal columns
+    of a Hermitian matrix, or of each in a stack, by LAPACK.
 
     LAPACK reads one triangle only, so the input is first symmetrized as
     (a + a^H)/2.
@@ -60,9 +35,7 @@ def eigh(w) -> EigenDecomposition:
     a = np.asarray(w, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    a = 0.5 * (a + _adjoint(a))
-    values, vectors = np.linalg.eigh(a)
-    return EigenDecomposition(values[..., ::-1], vectors[..., ::-1])
+    return np.linalg.eigh(0.5 * (a + _adjoint(a)))
 
 
 def psd_project(w) -> np.ndarray:
@@ -85,14 +58,13 @@ def psd_project(w) -> np.ndarray:
 
 def _psd_project_eigh(w: np.ndarray) -> np.ndarray:
     try:
-        dec = eigh(w)
+        values, u = eigh(w)
     except np.linalg.LinAlgError:
         # LAPACK may fail to converge on a non-finite input: project it to NaN
         if np.isfinite(w).all():
             raise
         return np.full(w.shape, complex(np.nan, np.nan))
-    kept = np.maximum(dec.eigenvalues, 0.0)  # NaN stays NaN
-    u = dec.eigenvectors
+    kept = np.maximum(values, 0.0)  # NaN stays NaN
     x = (u * kept[..., None, :]) @ _adjoint(u)
     return 0.5 * (x + _adjoint(x))
 

@@ -92,10 +92,13 @@ def solution_to_dict(
 
 def solution_from_dict(doc: dict) -> dict[int, XBlock]:
     """Every bus's blocks; a malformed document raises KeyError, TypeError
-    or ValueError, the last naming the bus and field of a bad number or id."""
+    or ValueError, the last naming the bus and field of a bad number or id,
+    or a bus id given twice."""
     solution: dict[int, XBlock] = {}
     for k, entry in enumerate(doc["buses"]):
         i = _integer(entry["id"], f"buses[{k}].id", ValueError)
+        if i in solution:
+            raise ValueError(f"buses[{k}].id: bus {i} appears twice")
         at = f"bus {i}"
         v = _parse_cmat(entry["v"], f"{at} v")
         s = [_parse_c(e, f"{at} s[{t}]") for t, e in enumerate(entry["s"])]

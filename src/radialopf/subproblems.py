@@ -36,7 +36,6 @@ from .network import PhaseSet
 
 __all__ = [
     "XBlock",
-    "HatConstants",
     "interleave",
     "scatter_add",
     "complete_square_x0",
@@ -70,35 +69,6 @@ class XBlock:
     s: np.ndarray
     S: np.ndarray | None = None
     ell: np.ndarray | None = None
-
-    def copy(self) -> "XBlock":
-        return XBlock(
-            self.v.copy(),
-            self.s.copy(),
-            None if self.S is None else self.S.copy(),
-            None if self.ell is None else self.ell.copy(),
-        )
-
-
-@dataclass
-class HatConstants:
-    """Hermitian block target of the x-step's PSD projection, for one bus
-    or a stack: ``v_hat``/``S_hat``/``ell_hat`` are the square-completion
-    targets of a non-root bus's v, S and ell. ``block`` is the reference
-    for the engine, which gathers the same blocks through index maps."""
-
-    v_hat: np.ndarray
-    S_hat: np.ndarray
-    ell_hat: np.ndarray
-
-    def block(self) -> np.ndarray:
-        m = self.v_hat.shape[-1]
-        w = np.empty(self.v_hat.shape[:-2] + (2 * m, 2 * m), dtype=complex)
-        w[..., :m, :m] = self.v_hat
-        w[..., :m, m:] = self.S_hat
-        w[..., m:, :m] = self.S_hat.conj().swapaxes(-1, -2)
-        w[..., m:, m:] = self.ell_hat
-        return w
 
 
 def interleave(index: np.ndarray) -> np.ndarray:

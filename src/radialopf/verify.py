@@ -67,9 +67,13 @@ class BfmReport:
 def check_bfm_feasibility(
     solution: dict[int, XBlock], model: FeederModel, tol: float = 1e-3
 ) -> BfmReport:
-    """Evaluate both branch-flow equations on a candidate solution."""
+    """Evaluate both branch-flow equations on a candidate solution, which
+    must hold every bus of the feeder and no other."""
     by_id = {b.id: b for b in model.buses}
     lines = {ln.bus: ln for ln in model.lines}
+    for i in solution:
+        if i not in by_id:
+            raise ValueError(f"solution has bus {i}, which the feeder does not have")
     for b in model.buses:
         blk = solution.get(b.id)
         if blk is None:

@@ -1,14 +1,49 @@
-"""Helpers the test files share: one bus's named blocks of a run's buffers,
-the Hermitian ones among a bus's y-blocks, and the x-step penalty
-written out term by term."""
+"""Helpers the test files share: the real inner product, a copy of a
+bus's primal tuple, the block target of the x-step's PSD projection, one
+bus's named blocks of a run's buffers, the Hermitian ones among a bus's
+y-blocks, and the x-step penalty written out term by term."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from radialopf.hermitian import inner
 from radialopf.network import BusSpec
 from radialopf.subproblems import XBlock, YLocal, _local, split_blocks, y_signature
+
+
+def inner(x, y) -> float:
+    """Real inner product Re(tr(x^H y)) of two equal-shape complex arrays."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    return float(np.vdot(x, y).real)
+
+
+def copy_block(x: XBlock) -> XBlock:
+    """A copy of a primal tuple that owns its arrays."""
+    return XBlock(*(None if a is None else a.copy() for a in (x.v, x.s, x.S, x.ell)))
+
+
+@dataclass
+class HatConstants:
+    """Hermitian block target of the x-step's PSD projection, for one bus
+    or a stack: ``v_hat``/``S_hat``/``ell_hat`` are the square-completion
+    targets of a non-root bus's v, S and ell. ``block`` is the oracle for
+    the engine, which gathers the same blocks through index maps."""
+
+    v_hat: np.ndarray
+    S_hat: np.ndarray
+    ell_hat: np.ndarray
+
+    def block(self) -> np.ndarray:
+        m = self.v_hat.shape[-1]
+        w = np.empty(self.v_hat.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+        w[..., :m, :m] = self.v_hat
+        w[..., :m, m:] = self.S_hat
+        w[..., m:, :m] = self.S_hat.conj().swapaxes(-1, -2)
+        w[..., m:, m:] = self.ell_hat
+        return w
 
 
 @dataclass

@@ -8,10 +8,10 @@ import math
 import time
 
 import numpy as np
-from conftest import bus_blocks, direct_penalty
+from conftest import bus_blocks, direct_penalty, inner
 
 from radialopf.engine import SolverConfig, State, run
-from radialopf.hermitian import inner, psd_project
+from radialopf.hermitian import psd_project
 from radialopf.network import (
     Box,
     BusSpec,

@@ -297,6 +297,7 @@ def test_bench_rejects_bad_flags(tmp_path, capsys, flags):
         {"buses": [{"id": 1.7, "v": [], "s": []}]},
         {"buses": [{"id": True, "v": [], "s": []}]},
         {"buses": [{"id": "1", "v": [], "s": []}]},
+        {"buses": [{"id": 1, "v": [], "s": []}, {"id": 1, "v": [], "s": []}]},
     ],
 )
 def test_verify_malformed_solution_document(tmp_path, capsys, doc):
@@ -307,6 +308,22 @@ def test_verify_malformed_solution_document(tmp_path, capsys, doc):
     code = main(["verify", "--solution", str(sol), "--network", str(net)])
     assert code == EXIT_VALIDATION
     assert "malformed solution document" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_bus_the_feeder_does_not_have(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    out = tmp_path / "run"
+    main(["solve", "--network", str(net), "--out-dir", str(out)])
+    capsys.readouterr()
+    doc = json.loads((out / "solution.json").read_text())
+    doc["buses"].append(dict(doc["buses"][1], id=99))
+    (out / "solution.json").write_text(json.dumps(doc))
+    code = main(["verify", "--solution", str(out / "solution.json"), "--network", str(net)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "error: solution has bus 99, which the feeder does not have"
+    ]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.5"])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bus_blocks, direct_penalty, hermitian_blocks
+from conftest import HatConstants, bus_blocks, copy_block, direct_penalty, hermitian_blocks
 
 from radialopf import engine, hermitian
 from radialopf.engine import (
@@ -34,7 +34,7 @@ from radialopf.network import (
     phase_lift,
     phase_project,
 )
-from radialopf.subproblems import HatConstants, YNodeSolver, complete_square_x0, solve_x0_matrix
+from radialopf.subproblems import YNodeSolver, complete_square_x0, solve_x0_matrix
 
 INF = float("inf")
 
@@ -141,15 +141,15 @@ class TestRounds:
         config = SolverConfig()
         state = initialize(model, config)
         agents = views(state)
-        before = {i: agents[i].x0.copy() for i in agents}
-        x_update_round(state, config)
-        y_update_round(state, config)
-        multiplier_update_round(state, config.rho)
+        before = {i: copy_block(agents[i].x0) for i in agents}
+        x_update_round(state)
+        y_update_round(state)
+        multiplier_update_round(state)
         for i in agents:
             assert np.allclose(agents[i].x0.v, before[i].v, atol=1e-9)
             assert np.allclose(agents[i].x0.s, before[i].s, atol=1e-9)
             assert np.all(agents[i].lam1 == 0) or np.allclose(agents[i].lam1, 0, atol=1e-12)
-        r, s = compute_residuals(state, config.rho)
+        r, s = compute_residuals(state)
         assert r <= 1e-10 and s <= 1e-10
 
     def test_run_converges_immediately_at_fixed_point(self):
@@ -158,15 +158,15 @@ class TestRounds:
         assert result.converged and len(result.history) == 1
 
     def test_multiplier_scalar_step(self):
-        state = initialize(TWO_BUS)
+        state = initialize(TWO_BUS, SolverConfig(rho=0.5))
         agent = bus_blocks(state, 0)
         agent.x0.s[...] = agent.y.s_self + 2.0
-        multiplier_update_round(state, rho=0.5)
+        multiplier_update_round(state)
         assert agent.mu.s_self[0] == pytest.approx(1.0)
 
     def test_multiplier_stationary_at_consensus(self):
         state = initialize(TWO_BUS)
-        multiplier_update_round(state, rho=1.0)
+        multiplier_update_round(state)
         for agent in views(state).values():
             assert np.allclose(agent.mu.v_self, 0) and np.allclose(agent.mu.s_self, 0)
 
@@ -174,9 +174,9 @@ class TestRounds:
         model = generate_topology("fat-tree", 5, TopologyTemplate(phases="ab"))
         config = SolverConfig()
         state = initialize(model, config)
-        x_update_round(state, config)
-        y_update_round(state, config)
-        multiplier_update_round(state, config.rho)
+        x_update_round(state)
+        y_update_round(state)
+        multiplier_update_round(state)
         for agent in views(state).values():
             n = len(agent.bus.phases)
             assert agent.lam1.shape == (n, n)
@@ -189,7 +189,7 @@ class TestRounds:
         root = bus_blocks(state, 0)
         root.x0.s[...] = root.y.s_self + 3.0
         root.x1_v[...] = root.y.v_self + 4.0
-        r, s = compute_residuals(state, rho=1.0)
+        r, s = compute_residuals(state)
         assert r == pytest.approx(5.0)
         assert s == 0.0
 
@@ -209,9 +209,9 @@ class TestRounds:
         config = SolverConfig()
         state = initialize(model, config)
         for _ in range(5):
-            x_update_round(state, config)
-            y_update_round(state, config)
-            multiplier_update_round(state, config.rho)
+            x_update_round(state)
+            y_update_round(state)
+            multiplier_update_round(state)
         for agent in views(state).values():
             if agent.is_root:
                 continue
@@ -235,11 +235,11 @@ class TestRounds:
         state = initialize(model, config)
         agents = views(state)
         for _ in range(3):
-            x_update_round(state, config)
-            y_update_round(state, config)
-            multiplier_update_round(state, config.rho)
-        before = {i: agents[i].x0.copy() for i in agents}
-        x_update_round(state, config)
+            x_update_round(state)
+            y_update_round(state)
+            multiplier_update_round(state)
+        before = {i: copy_block(agents[i].x0) for i in agents}
+        x_update_round(state)
         for i, agent in agents.items():
             h_new = h_value(state, agent, config.rho, agent.x0)
             h_old = h_value(state, agent, config.rho, before[i])
@@ -261,9 +261,9 @@ class TestRounds:
         by_id = {b.id: b for b in model.buses}
         lines = {ln.bus: ln for ln in model.lines}
         for _ in range(3):
-            x_update_round(state, config)
-            y_update_round(state, config)
-            multiplier_update_round(state, config.rho)
+            x_update_round(state)
+            y_update_round(state)
+            multiplier_update_round(state)
         for i, agent in views(state).items():
             bus, y = agent.bus, agent.y
             if not agent.is_root:
@@ -295,32 +295,26 @@ class TestRounds:
         config = SolverConfig()
         state = initialize(model, config)
         views(state)[1].y.v_self[0, 2] = complex(0.0, math.nan)
-        x_update_round(state, config, 1)
-        r, _ = compute_residuals(state, config.rho)
+        x_update_round(state)
+        r, _ = compute_residuals(state)
         assert not math.isfinite(r)
 
-    def test_rounds_reject_another_rho(self):
-        # the state's constants are built for its own penalty
-        state = initialize(TWO_BUS, SolverConfig(rho=1.0))
-        x, y = state.x.copy(), state.y.copy()
-        other = SolverConfig(rho=2.0)
-        for step in (x_update_round, y_update_round):
-            with pytest.raises((ValueError, SolverError), match="rho"):
-                step(state, other, 1)
-        assert np.array_equal(state.x, x) and np.array_equal(state.y, y)
-
     def test_kernel_errors_surface_with_their_iteration(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise ValueError("kernel failed")
+        # the x- and the y-step each call their kernel once per iteration
+        # on a single-phase chain, so its 7th call is in iteration 7
+        for owner, name in ((engine, "solve_x0_matrix"), (YNodeSolver, "solve")):
+            kernel, calls = getattr(owner, name), []
 
-        config = SolverConfig()
-        state = initialize(chain_model([-0.1 + 0j]), config)
-        monkeypatch.setattr(engine, "solve_x0_matrix", fail)
-        with pytest.raises(SolverError, match="iteration 7"):
-            x_update_round(state, config, 7)
-        monkeypatch.setattr(YNodeSolver, "solve", fail)
-        with pytest.raises(SolverError, match="iteration 7"):
-            y_update_round(state, config, 7)
+            def fail_on_seventh(*args, kernel=kernel, calls=calls):
+                calls.append(None)
+                if len(calls) == 7:
+                    raise ValueError("kernel failed")
+                return kernel(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, fail_on_seventh)
+                with pytest.raises(SolverError, match="^iteration 7: kernel failed$"):
+                    run(chain_model([-0.1 + 0j]))
 
 
 class TestRun:
@@ -534,7 +528,7 @@ class TestXStepMaps:
         hat.x[...] = complete_square_x0(
             state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, config.rho
         )
-        x_update_round(state, config)
+        x_update_round(state)
         for i, agent in views(state).items():
             t = bus_blocks(hat, i).x0
             if agent.is_root:
@@ -572,9 +566,9 @@ class TestXStepMaps:
             count(owner, name)
         config = SolverConfig()
         state = initialize(model, config)
-        x_update_round(state, config)
-        y_update_round(state, config)
-        multiplier_update_round(state, config.rho)
+        x_update_round(state)
+        y_update_round(state)
+        multiplier_update_round(state)
         phase_counts = {len(model.bus(ln.bus).phases) for ln in model.lines}
         assert calls == Counter(
             eigh=len(phase_counts - {1}),

@@ -4,10 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bus_blocks, direct_penalty, hermitian_blocks
+from conftest import HatConstants, bus_blocks, copy_block, direct_penalty, hermitian_blocks, inner
 
 from radialopf.engine import SolverConfig, State
-from radialopf.hermitian import inner
 from radialopf.network import (
     Box,
     BusSpec,
@@ -18,7 +17,6 @@ from radialopf.network import (
     loads_feeder,
 )
 from radialopf.subproblems import (
-    HatConstants,
     XBlock,
     YContext,
     YNodeSolver,
@@ -123,7 +121,7 @@ def targets(state, rho):
         state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, rho
     )
     state.x[...] = hat
-    return {b.id: bus_blocks(state, b.id).x0.copy() for b in state.model.buses}
+    return {b.id: copy_block(bus_blocks(state, b.id).x0) for b in state.model.buses}
 
 
 class TestCompleteSquare:

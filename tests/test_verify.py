@@ -80,6 +80,13 @@ class TestBfmFeasibility:
         with pytest.raises(ValueError):
             check_bfm_feasibility(solution, model)
 
+    def test_unknown_bus_raises(self):
+        model = two_bus(0.02j, Box(-0.1, -0.1, 0.0, 0.0))
+        solution = exact_flow_solution(model, -0.1 + 0j)
+        solution[99] = solution[1]
+        with pytest.raises(ValueError, match="bus 99"):
+            check_bfm_feasibility(solution, model)
+
 
 class TestRank1:
     def test_outer_product_block_is_exact(self):
@@ -202,9 +209,9 @@ class TestOracleConsistency:
         config = SolverConfig()
         state = initialize(model, config)
         for _ in range(4):
-            x_update_round(state, config)
-            y_update_round(state, config)
-            multiplier_update_round(state, config.rho)
+            x_update_round(state)
+            y_update_round(state)
+            multiplier_update_round(state)
         root, leaf = (bus_blocks(state, i).y for i in (0, 1))
         solution = {
             0: XBlock(v=leaf.v_parent.copy(), s=root.s_self.copy()),
