@@ -3,7 +3,7 @@
 Each bus owns its primal copies x0 = (v, s, S, ell) and x1, a copy of
 its v that carries the voltage limits, the observations y that its
 y-step re-solves, and the multipliers of its consensus constraints. The
-state of a whole run lives in a few flat buffers: x, y and mu. Within x
+state of a whole run lives in a few flat buffers: x, y and u. Within x
 each variable kind of x0 is a contiguous (B, m, m) or (B, m) slab per
 group of buses with one phase count (the root on its own), and the
 voltage copies end x. y runs bus after bus in the order of the
@@ -12,27 +12,28 @@ copies of each child's (S, ell).
 
 Every consensus constraint is one row of one table, as in general-form
 consensus ADMM: row e ties x entry ``pair[e]`` to y entry ``obs[e]``
-with penalty weight ``weight[e]`` and multiplier ``mu[e]``. The first
-rows are the identity on y, each y entry observing one x0 entry; after
-them comes one row per entry of each bus's own v, held by its voltage
-copy. Every per-iteration index decision is a map that ``State`` builds
-once, so the work of a step does not branch on the feeder's shape. It
-builds the other run constants once too, for the state's one penalty
-rho: the y-solver's operators with their views of its c and y buffers,
-and the injections' curvature alpha + rho, positions and costs. The
-x-step completes the square for every copy in one weighted sum over the
-rows, clamps the voltage copies in one call, gathers the (2m, 2m) block
-targets of the non-root buses of each phase count and projects them in
-one batched call per phase count, scatters the projections and the
-voltage copies back into x in one operation, and then projects every
-phase's injection. The y-step sums the rows into y in one weighted
-scatter-add and runs one ``YNodeSolver`` for all buses, on y's float
-view: one stacked matrix-vector product per y-block signature, from the
-linear terms straight into y. The multiplier update and the residuals
-are single operations over the rows. Data crosses a tree edge only
-where a step reads an entry that another bus owns; those entries are
-the messages, and ``State.messages`` is derived from them once. Each
-round takes the state alone and reads its rho (``ysolver.rho``); ``run``
+with penalty weight ``weight[e]`` and scaled multiplier ``u[e]`` = mu_e /
+rho (Boyd et al. 2011, section 3.1.1). The first rows are the identity
+on y, each y entry observing one x0 entry; after them comes one row per
+entry of each bus's own v, held by its voltage copy. Every per-iteration
+index decision is a map that ``State`` builds once, so the work of a
+step does not branch on the feeder's shape. It builds the other run
+constants once too: the y-solver's operators, which do not depend on
+rho, with their views of its c and y buffers, and the injections'
+curvature alpha + rho, positions and costs. The x-step completes the square for every copy in
+one weighted sum over the rows, clamps the voltage copies in one call,
+gathers the (2m, 2m) block targets of the non-root buses of each phase
+count and projects them in one batched call per phase count, scatters
+the projections and the voltage copies back into x in one operation,
+and then projects every phase's injection. The y-step sums u + w x over
+the rows into y in one scatter-add and runs one ``YNodeSolver`` for all
+buses, on y's float view: one stacked matrix-vector product per y-block
+signature, from the linear terms straight into y. The multiplier update
+(u += x - y) and the residuals are single operations over the rows. Data
+crosses a tree edge only where a step reads an entry that another bus
+owns; those entries are the messages, and ``State.messages`` is derived
+from them once. Each round takes the state alone; only the injection
+projections and the dual residual read its rho (``State.rho``). ``run``
 turns a kernel's ValueError into a ``SolverError`` that names the
 iteration. Every step applies the per-bus arithmetic elementwise and
 reduces in a fixed order, so runs are deterministic bit for bit.
@@ -125,12 +126,13 @@ class IterationStats:
 class _Injections:
     """Every phase's cost and injection region, in the order of the
     groups' s slabs, with the constants of their projections at penalty
-    ``rho``: ``box`` holds the positions of the box phases, ``box_at``
-    their entries in x, and ``box_a1``/``box_beta`` their curvature
-    alpha + rho and linear cost; ``disks`` holds (position, entry in x,
-    alpha + rho, beta, radius) per half-disk phase. ``half_alpha`` and
-    ``beta`` are every phase's cost coefficients alpha/2 and beta, for the
-    objective. ``s`` is the buffer that the projections write."""
+    ``rho``, the only run constants that depend on it: ``box`` holds the
+    positions of the box phases, ``box_at`` their entries in x, and
+    ``box_a1``/``box_beta`` their curvature alpha + rho and linear cost;
+    ``disks`` holds (position, entry in x, alpha + rho, beta, radius) per
+    half-disk phase. ``half_alpha`` and ``beta`` are every phase's cost
+    coefficients alpha/2 and beta, for the objective. ``s`` is the buffer
+    that the projections write."""
 
     def __init__(self, buses: list[BusSpec], s_index: np.ndarray, rho: float):
         phases = [(reg, cost) for b in buses for reg, cost in zip(b.regions, b.cost)]
@@ -163,16 +165,16 @@ class State:
     of those entries. y is the y-solver's own buffer; it holds one
     segment per bus, laid out as the bus's y-blocks
     (``subproblems.y_signature``), in the order of ``ysolver.ctxs`` and
-    from the offsets ``ysolver.offsets``. Row e of
-    the consensus table ties x entry ``pair[e]`` to y entry ``obs[e]``
-    with weight ``weight[e]`` and multiplier ``mu[e]`` (``obs`` and
+    from the offsets ``ysolver.offsets``. Row e of the consensus table
+    ties x entry ``pair[e]`` to y entry ``obs[e]`` with weight
+    ``weight[e]`` and scaled multiplier ``u[e]`` = mu_e / rho (``obs`` and
     ``weight`` come from ``ysolver``); ``den`` sums the weights per x
     entry; ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for
     the scatter-adds. ``s_index`` lists the entries of s in x, in the
     order of ``injections``, which holds the injections' projection
-    constants at the state's rho. ``messages`` holds the directed (sender,
-    receiver) bus pairs of the entries that a step reads across a tree
-    edge; every iteration sends the same ones.
+    constants at the penalty ``rho`` (``config.rho``). ``messages`` holds
+    the directed (sender, receiver) bus pairs of the entries that a step
+    reads across a tree edge; every iteration sends the same ones.
 
     The x-step's maps: ``blocks`` holds, per non-root phase count m, the
     positions in [hat, conj(hat)] of every bus's (2m, 2m) block target
@@ -182,8 +184,8 @@ class State:
     targets (where the voltage copies and the root's v are read).
     ``v_diag`` are the positions in x of the voltage copies' diagonals,
     with their bounds ``v_lo``/``v_hi``. ``ysolver`` solves every bus's
-    y-step. It and ``injections`` are built for ``config.rho``; every
-    round reads that penalty as ``ysolver.rho``.
+    y-step; its operators do not depend on rho. A rule that changed rho
+    would rescale u by rho_old / rho_new and rebuild ``injections``.
     """
 
     def __init__(self, model: FeederModel, config: SolverConfig):
@@ -217,7 +219,8 @@ class State:
         v_index = np.concatenate([slabs[0] for _, slabs in self._groups], axis=None)
         self.s_index = np.concatenate([slabs[1] for _, slabs in self._groups], axis=None)
         in_order = [self._by_id[i] for ids, _ in self._groups for i in ids]
-        self.injections = _Injections(in_order, self.s_index, config.rho)
+        self.rho = config.rho
+        self.injections = _Injections(in_order, self.s_index, self.rho)
         # the voltage copy of x entry v_index[k] is x[size + k]; v_index ascends
         copies = size + np.arange(len(v_index))
         self.blocks, self.x_dst, self.x_src = _x_step_maps(keys, self._groups, copies)
@@ -233,7 +236,7 @@ class State:
             ctx = self._context(b.id)
             signatures.setdefault(y_signature(ctx), []).append(ctx)
         ctxs = [ctx for group in signatures.values() for ctx in group]
-        self.ysolver = YNodeSolver(ctxs, config.rho)
+        self.ysolver = YNodeSolver(ctxs)
         self.obs, self.weight = self.ysolver.obs, self.ysolver.weight
         offsets = self.ysolver.offsets
         ny = offsets[-1]
@@ -247,7 +250,7 @@ class State:
         self.x = np.zeros(size + len(v_index), dtype=complex)
         self.y = self.ysolver.y
         self.y_prev = np.zeros(ny, dtype=complex)
-        self.mu = np.zeros(len(self.obs), dtype=complex)
+        self.u = np.zeros(len(self.obs), dtype=complex)
 
         # the voltage copies' rows stay within their bus
         owner_y = np.repeat([ctx.bus_id for ctx in ctxs], np.diff(offsets))
@@ -366,11 +369,11 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
 # ---------------------------------------------------------------------------
 
 
-def _project_injections(state: State, hat: np.ndarray, rho: float) -> None:
+def _project_injections(state: State, hat: np.ndarray) -> None:
     """Every phase's injection about its target in ``hat``: the box clamp
     for all box phases at once, then the half-disk projection once per
     DER phase."""
-    inj = state.injections
+    inj, rho = state.injections, state.rho
     s_hat = hat[inj.box_at]
     s = inj.s
     s.real[inj.box], s.imag[inj.box] = project_injection_box(
@@ -387,30 +390,25 @@ def _project_injections(state: State, hat: np.ndarray, rho: float) -> None:
 
 def x_update_round(state: State) -> None:
     """Update every x_{i0} and x_{i1} from the observations."""
-    rho = state.ysolver.rho
-    hat = complete_square_x0(
-        state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, rho
-    )
+    hat = complete_square_x0(state.y[state.obs], state.u, state.weight, state.pair_slots, state.den)
     solve_x1_voltage(hat, state.v_diag, state.v_lo, state.v_hi)
     targets = np.concatenate([hat, hat.conj()])
     projected = [solve_x0_matrix(targets[index]) for index in state.blocks]
     state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
-    _project_injections(state, hat, rho)
+    _project_injections(state, hat)
 
 
 def y_update_round(state: State) -> None:
     """Re-solve every neighborhood observation set from the primal copies."""
-    ny = len(state.y)
-    mu = scatter_add(state.obs_slots, state.mu, ny)
-    x = scatter_add(state.obs_slots, state.weight * state.x[state.pair], ny)
+    total = scatter_add(state.obs_slots, state.u + state.weight * state.x[state.pair], len(state.y))
     np.copyto(state.y_prev, state.y)
-    state.ysolver.assemble_c(mu, x)
+    state.ysolver.assemble_c(total)
     state.ysolver.solve()
 
 
 def multiplier_update_round(state: State) -> None:
-    """Dual ascent: every multiplier moves by rho times its consensus gap."""
-    state.mu += state.ysolver.rho * (state.x[state.pair] - state.y[state.obs])
+    """Dual ascent in scaled form: every multiplier u moves by its consensus gap."""
+    state.u += state.x[state.pair] - state.y[state.obs]
 
 
 def _sq(a: np.ndarray) -> float:
@@ -420,7 +418,7 @@ def _sq(a: np.ndarray) -> float:
 def compute_residuals(state: State) -> tuple[float, float]:
     """Primal gap norm ||x - y|| and scaled dual change rho * ||y - y_prev||."""
     gap = state.x[state.pair] - state.y[state.obs]
-    return math.sqrt(_sq(gap)), state.ysolver.rho * math.sqrt(_sq(state.y - state.y_prev))
+    return math.sqrt(_sq(gap)), state.rho * math.sqrt(_sq(state.y - state.y_prev))
 
 
 def compute_objective(state: State) -> float:

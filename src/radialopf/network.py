@@ -333,8 +333,8 @@ def _integer(value, context: str, error: type[Exception] = FeederParseError) -> 
     raise error(f"{context}: {value!r} is not an integer")
 
 
-def _bound(value, context: str) -> float:
-    return math.inf if value is None else _finite(value, context)
+def _bound(value, context: str, missing: float) -> float:
+    return missing if value is None else _finite(value, context)
 
 
 def _parse_region(obj, context: str) -> InjectionRegion:
@@ -345,16 +345,11 @@ def _parse_region(obj, context: str) -> InjectionRegion:
         if kind == "box":
             p = obj.get("p", [None, None])
             q = obj.get("q", [None, None])
-            p_lo = _bound(p[0], f"{context}.p[0]")
-            q_lo = _bound(q[0], f"{context}.q[0]")
-            p_hi = _bound(p[1], f"{context}.p[1]")
-            q_hi = _bound(q[1], f"{context}.q[1]")
-            return Box(
-                -math.inf if p[0] is None else p_lo,
-                math.inf if p[1] is None else p_hi,
-                -math.inf if q[0] is None else q_lo,
-                math.inf if q[1] is None else q_hi,
-            )
+            p_lo = _bound(p[0], f"{context}.p[0]", -math.inf)
+            q_lo = _bound(q[0], f"{context}.q[0]", -math.inf)
+            p_hi = _bound(p[1], f"{context}.p[1]", math.inf)
+            q_hi = _bound(q[1], f"{context}.q[1]", math.inf)
+            return Box(p_lo, p_hi, q_lo, q_hi)
         if kind == "disk":
             return Disk(_finite(obj["smax"], f"{context}.smax"))
     except (KeyError, IndexError, TypeError, ValueError) as exc:

@@ -14,13 +14,15 @@ Each bus alternates between two kinds of local problems:
   constraint matrix, solved in closed form.
 
 The penalty weights of the observations (``y_weights``) are defined once
-and read by both steps. The engine runs every kernel once per iteration
-over the whole feeder, except the PSD projection, which runs once per
-non-root phase count on a stack of (2m, 2m) blocks, in closed form for
-m = 1: square completion is one weighted sum per primal entry, the box
-projection and the voltage clamp work elementwise on flat arrays, and
-one ``YNodeSolver`` serves every bus, with one stacked operator per
-neighborhood shape. The half-disk projection alone runs per DER phase.
+and read by both steps. Both take the scaled multipliers u = mu / rho;
+only the injection projections read the penalty rho. The engine runs
+every kernel once per iteration over the whole feeder, except the PSD
+projection, which runs once per non-root phase count on a stack of
+(2m, 2m) blocks, in closed form for m = 1: square completion is one
+weighted sum per primal entry, the box projection and the voltage clamp
+work elementwise on flat arrays, and one ``YNodeSolver`` serves every
+bus, with one stacked operator per neighborhood shape. The half-disk
+projection alone runs per DER phase.
 """
 
 from __future__ import annotations
@@ -85,26 +87,20 @@ def scatter_add(slots: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 def complete_square_x0(
-    y: np.ndarray,
-    mu: np.ndarray,
-    weight: np.ndarray,
-    slots: np.ndarray,
-    den: np.ndarray,
-    rho: float,
+    y: np.ndarray, u: np.ndarray, weight: np.ndarray, slots: np.ndarray, den: np.ndarray
 ) -> np.ndarray:
     """Collapse the weighted observation penalties into prox targets.
 
     Each row e of the consensus table ties x entry i = ``pair[e]`` to an
-    observation ``y[e]`` and adds <mu_e, x_i> + w_e/2 * rho * |x_i - y_e|^2
-    to the x-step objective; completing the square gives the target
-    sum_e (w_e y_e - mu_e / rho) / sum_e w_e. ``y``, ``mu`` and ``weight``
-    are laid out by row, ``slots`` is ``interleave(pair)`` and ``den``
-    holds sum_e w_e per x entry. The sums run over the rows of every bus
-    at once, in row order; returns the targets laid out like x.
+    observation ``y[e]`` and adds rho * (<u_e, x_i> + w_e/2 * |x_i - y_e|^2)
+    to the x-step objective, with u_e = mu_e / rho its scaled multiplier;
+    completing the square gives the target sum_e (w_e y_e - u_e) / sum_e w_e,
+    whatever rho. ``y``, ``u`` and ``weight`` are laid out by row, ``slots``
+    is ``interleave(pair)`` and ``den`` holds sum_e w_e per x entry. The
+    sums run over the rows of every bus at once, in row order; returns the
+    targets laid out like x.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    hat = scatter_add(slots, weight * y - mu / rho, len(den))
+    hat = scatter_add(slots, weight * y - u, len(den))
     hat.real /= den
     hat.imag /= den
     return hat
@@ -213,7 +209,10 @@ def solve_disk_multiplier(
 def project_injection_disk(
     a1: float, b1: float, a2: float, b2: float, c: float
 ) -> tuple[float, float]:
-    """Minimize a1/2 p^2 + b1 p + a2/2 q^2 + b2 q over p >= 0, p^2 + q^2 <= c^2."""
+    """Minimize a1/2 p^2 + b1 p + a2/2 q^2 + b2 q over p >= 0, p^2 + q^2 <= c^2;
+    a non-finite b1 or b2, from a non-finite target, gives (nan, nan)."""
+    if not (math.isfinite(b1) and math.isfinite(b2)):
+        return math.nan, math.nan
     case = disk_case(a1, b1, a2, b2, c)
     if case == 1:
         return 0.0, _clamp(-b2 / a2, -c, c)
@@ -399,16 +398,13 @@ class YNodeSolver:
     observes y entry ``obs[e]`` with penalty weight ``weight[e]``. The
     first rows are the identity, one per y entry, weighted by
     ``y_weights``; after them comes one row of weight 1 per entry of each
-    bus's own v, for the voltage-limit copy x1. M is rho times the
-    weight sum of the rows on each y entry, on its real and imaginary
-    part alike.
+    bus's own v, for the voltage-limit copy x1. M is the weight sum of the
+    rows on each y entry, on its real and imaginary part alike: the
+    y-subproblem in scaled form, divided by the penalty rho.
     """
 
-    def __init__(self, ctxs, rho: float):
-        if rho <= 0:
-            raise ValueError("rho must be positive")
+    def __init__(self, ctxs):
         self.ctxs = tuple(ctxs)
-        self.rho = rho
         signatures = [y_signature(ctx) for ctx in self.ctxs]
         sizes = [math.prod(shape) for blocks in signatures for shape in blocks]
         self.offsets = np.cumsum([0] + [sum(map(math.prod, blocks)) for blocks in signatures])
@@ -419,7 +415,7 @@ class YNodeSolver:
         self.obs = np.concatenate([np.arange(ny)] + own_v)
         weights = [w for ctx in self.ctxs for w in y_weights(ctx)]
         self.weight = np.concatenate([np.repeat(weights, sizes), np.ones(len(self.obs) - ny)])
-        mass = np.repeat(self.rho * np.bincount(self.obs, self.weight), 2)
+        mass = np.repeat(np.bincount(self.obs, self.weight), 2)
 
         self.c = np.zeros(2 * ny)
         self.y = np.zeros(ny, dtype=complex)
@@ -461,16 +457,15 @@ class YNodeSolver:
         operator[:, np.arange(n), np.arange(n)] -= minv
         return a_mat, operator
 
-    def assemble_c(self, mu: np.ndarray, x: np.ndarray) -> None:
-        """Write the linear coefficients -mu - rho * x of every bus into ``c``,
-        on the float view.
+    def assemble_c(self, total: np.ndarray) -> None:
+        """Write the linear coefficients -total of every bus into ``c``, on
+        the float view.
 
-        ``mu`` and ``x`` are complex buffers laid out like y: per y entry,
-        the sum of the multipliers of the table rows that observe it and
-        the sum of their primal values times their weights.
+        ``total`` is a complex buffer laid out like y: per y entry, the sum
+        over the table rows that observe it of u_e + w_e x_e, their scaled
+        multipliers plus their weighted primal values.
         """
-        np.negative(mu.view(float), out=self.c)
-        self.c -= self.rho * x.view(float)
+        np.negative(total.view(float), out=self.c)
 
     def solve(self) -> None:
         """Write every bus's minimizer P c into its segment of ``y``."""

@@ -52,11 +52,12 @@ class BusBlocks:
     writes the state.
 
     ``x0`` are the bus's primal copies, ``x1_v`` its voltage copy (in x)
-    and ``lam1`` the multipliers of the voltage copy's table rows (in mu).
-    ``y`` and ``mu`` name the blocks of its y segment and the multipliers
-    of their identity rows: its own copies, its copy of its parent's v
-    (``v_parent``) and its copies of each child's (S, ell)
-    (``child_flows``). So the parent's copy of bus i's (S, ell) is
+    and ``u1`` the scaled multipliers of the voltage copy's table rows (in
+    u). ``y`` and ``u`` name the blocks of its y segment and the scaled
+    multipliers of their identity rows: its own copies, its copy of its
+    parent's v (``v_parent``) and its copies of each child's (S, ell)
+    (``child_flows``). The paper's multipliers mu are rho times the
+    scaled ones. So the parent's copy of bus i's (S, ell) is
     ``bus_blocks(state, parent).y.child_flows[i]`` and child j's copy of
     bus i's v is ``bus_blocks(state, j).y.v_parent``.
     """
@@ -66,9 +67,9 @@ class BusBlocks:
     children: tuple[int, ...]
     x0: XBlock
     x1_v: np.ndarray
-    lam1: np.ndarray
+    u1: np.ndarray
     y: YLocal
-    mu: YLocal
+    u: YLocal
 
     @property
     def is_root(self) -> bool:
@@ -99,9 +100,9 @@ def bus_blocks(state, i) -> BusBlocks:
         children=tuple(j for j, _, _ in ctx.children),
         x0=XBlock(*(_live(state.x, e) for e in own)),
         x1_v=_live(state.x, state.pair[rows]),
-        lam1=_live(state.mu, rows),
+        u1=_live(state.u, rows),
         y=_local(split_blocks(state.y[segment], signature), ctx),
-        mu=_local(split_blocks(state.mu[segment], signature), ctx),
+        u=_local(split_blocks(state.u[segment], signature), ctx),
     )
 
 
@@ -116,26 +117,30 @@ def hermitian_blocks(local: YLocal) -> list[np.ndarray]:
 def direct_penalty(v, S, ell, s, state, i, rho):
     """Multiplier and penalty terms of bus i's x-step objective at
     (v, S, ell, s), written directly from the weighted observations of its
-    x entries in ``state`` (independent of the square completion)."""
+    x entries in ``state`` (independent of the square completion), in the
+    paper's multipliers mu = rho * u."""
     me = bus_blocks(state, i)
     nc = len(me.children)
 
     def nsq(a, b):
         return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) ** 2)
 
-    y, mu = me.y, me.mu
-    val = inner(mu.v_self, v) + inner(mu.s_self, s)
+    def mu(u):
+        return rho * u
+
+    y, u = me.y, me.u
+    val = inner(mu(u.v_self), v) + inner(mu(u.s_self), s)
     val += 0.5 * rho * (2.0 * nsq(v, y.v_self) + nsq(s, y.s_self))
     if not me.is_root:
         par = bus_blocks(state, me.parent)
-        (par_S, par_ell), (par_mu_S, par_mu_ell) = par.y.child_flows[i], par.mu.child_flows[i]
-        val += inner(mu.S_self, S) + inner(mu.ell_self, ell)
+        (par_S, par_ell), (par_u_S, par_u_ell) = par.y.child_flows[i], par.u.child_flows[i]
+        val += inner(mu(u.S_self), S) + inner(mu(u.ell_self), ell)
         val += 0.5 * rho * (
             (2.0 * nc + 3.0) * nsq(S, y.S_self) + (nc + 1.0) * nsq(ell, y.ell_self)
         )
-        val += inner(par_mu_S, S) + inner(par_mu_ell, ell)
+        val += inner(mu(par_u_S), S) + inner(mu(par_u_ell), ell)
         val += 0.5 * rho * (nsq(S, par_S) + nsq(ell, par_ell))
     for j in me.children:
         kid = bus_blocks(state, j)
-        val += inner(kid.mu.v_parent, v) + 0.5 * rho * nsq(v, kid.y.v_parent)
+        val += inner(mu(kid.u.v_parent), v) + 0.5 * rho * nsq(v, kid.y.v_parent)
     return val

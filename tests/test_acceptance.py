@@ -174,17 +174,20 @@ def test_criterion_3_y_update_closed_form():
     rng = np.random.default_rng(103)
     for _ in range(500):
         ctx = random_context(rng)
-        solver = YNodeSolver([ctx], rho=float(rng.uniform(0.4, 2.5)))
+        # the solver takes the y-subproblem at penalty rho in scaled form:
+        # its M and c are the unscaled ones over rho
+        rho = float(rng.uniform(0.4, 2.5))
+        solver = YNodeSolver([ctx])
         y = solver.y
         c = rng.standard_normal(2 * len(y))
-        solver.c[...] = c
+        solver.c[...] = c / rho
         solver.solve()
         theta = y.view(float)
 
         a = solver.a_mat[0]
         nrows, ncols = a.shape
         kkt = np.zeros((ncols + nrows, ncols + nrows))
-        kkt[:ncols, :ncols] = np.diag(solver.m_diag[0])
+        kkt[:ncols, :ncols] = np.diag(rho * solver.m_diag[0])
         kkt[:ncols, ncols:] = a.T
         kkt[ncols:, :ncols] = a
         ref = np.linalg.solve(kkt, np.concatenate([-c, np.zeros(nrows)]))[:ncols]
@@ -233,8 +236,8 @@ def cvec_directions(m):
 
 def observed_bus(rng, m, nc, rho):
     """A small state whose bus 1 hangs under the root and has nc leaf
-    children, all with m phases, with random observations and multipliers
-    of bus 1's x entries; returns the state."""
+    children, all with m phases, with random observations and scaled
+    multipliers of bus 1's x entries; returns the state."""
     ph = PhaseSet("abc"[:m])
     free = tuple(Box(-INF, INF, -INF, INF) for _ in range(m))
     buses = tuple(
@@ -244,18 +247,18 @@ def observed_bus(rng, m, nc, rho):
     lines = tuple(LineSpec(i, 0 if i == 1 else 1, z) for i in range(1, nc + 2))
     state = State(FeederModel(buses, lines), SolverConfig(rho=rho))
     me = bus_blocks(state, 1)
-    y, mu = me.y, me.mu
+    y, u = me.y, me.u
     par = bus_blocks(state, 0)
-    (par_S, par_ell), (par_mu_S, par_mu_ell) = par.y.child_flows[1], par.mu.child_flows[1]
-    for a in (y.v_self, mu.v_self, y.ell_self, mu.ell_self, par_ell, par_mu_ell):
+    (par_S, par_ell), (par_u_S, par_u_ell) = par.y.child_flows[1], par.u.child_flows[1]
+    for a in (y.v_self, u.v_self, y.ell_self, u.ell_self, par_ell, par_u_ell):
         a[...] = rand_herm(rng, m)
-    for a in (y.s_self, mu.s_self):
+    for a in (y.s_self, u.s_self):
         a[...] = rand_cvec(rng, m)
-    for a in (y.S_self, mu.S_self, par_S, par_mu_S):
+    for a in (y.S_self, u.S_self, par_S, par_u_S):
         a[...] = rand_cmat(rng, m)
     for j in range(2, nc + 2):
         kid = bus_blocks(state, j)
-        kid.y.v_parent[...], kid.mu.v_parent[...] = rand_herm(rng, m), rand_herm(rng, m)
+        kid.y.v_parent[...], kid.u.v_parent[...] = rand_herm(rng, m), rand_herm(rng, m)
     return state
 
 
@@ -269,7 +272,7 @@ def test_criterion_4_square_completion_gradient():
         rho = float(rng.uniform(0.4, 2.5))
         state = observed_bus(rng, m, nc, rho)
         state.x[...] = complete_square_x0(
-            state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, rho
+            state.y[state.obs], state.u, state.weight, state.pair_slots, state.den
         )
         hat = bus_blocks(state, 1).x0
 

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from radialopf.engine import (
 from radialopf.network import (
     Box,
     BusSpec,
+    Disk,
     FeederModel,
     LineSpec,
     ObjectiveCoeffs,
@@ -122,9 +124,9 @@ class TestInitialize:
 
     def test_multipliers_start_at_zero(self):
         agents = views(initialize(TWO_BUS))
-        assert np.all(agents[1].lam1 == 0)
-        assert np.all(agents[1].mu.S_self == 0)
-        assert np.all(agents[1].mu.v_parent == 0)
+        assert np.all(agents[1].u1 == 0)
+        assert np.all(agents[1].u.S_self == 0)
+        assert np.all(agents[1].u.v_parent == 0)
 
     def test_observations_match_primal(self):
         agents = views(initialize(TWO_BUS))
@@ -148,7 +150,7 @@ class TestRounds:
         for i in agents:
             assert np.allclose(agents[i].x0.v, before[i].v, atol=1e-9)
             assert np.allclose(agents[i].x0.s, before[i].s, atol=1e-9)
-            assert np.all(agents[i].lam1 == 0) or np.allclose(agents[i].lam1, 0, atol=1e-12)
+            assert np.all(agents[i].u1 == 0) or np.allclose(agents[i].u1, 0, atol=1e-12)
         r, s = compute_residuals(state)
         assert r <= 1e-10 and s <= 1e-10
 
@@ -162,13 +164,14 @@ class TestRounds:
         agent = bus_blocks(state, 0)
         agent.x0.s[...] = agent.y.s_self + 2.0
         multiplier_update_round(state)
-        assert agent.mu.s_self[0] == pytest.approx(1.0)
+        # mu = rho * u moves by rho times the gap
+        assert state.rho * agent.u.s_self[0] == pytest.approx(1.0)
 
     def test_multiplier_stationary_at_consensus(self):
         state = initialize(TWO_BUS)
         multiplier_update_round(state)
         for agent in views(state).values():
-            assert np.allclose(agent.mu.v_self, 0) and np.allclose(agent.mu.s_self, 0)
+            assert np.allclose(agent.u.v_self, 0) and np.allclose(agent.u.s_self, 0)
 
     def test_multiplier_shapes_preserved(self):
         model = generate_topology("fat-tree", 5, TopologyTemplate(phases="ab"))
@@ -179,10 +182,10 @@ class TestRounds:
         multiplier_update_round(state)
         for agent in views(state).values():
             n = len(agent.bus.phases)
-            assert agent.lam1.shape == (n, n)
-            assert agent.mu.s_self.shape == (n,)
+            assert agent.u1.shape == (n, n)
+            assert agent.u.s_self.shape == (n,)
             if not agent.is_root:
-                assert agent.mu.v_parent.shape == agent.y.v_parent.shape
+                assert agent.u.v_parent.shape == agent.y.v_parent.shape
 
     def test_residual_is_euclidean(self):
         state = initialize(chain_model([0j], z=0j))
@@ -298,6 +301,15 @@ class TestRounds:
         x_update_round(state)
         r, _ = compute_residuals(state)
         assert not math.isfinite(r)
+        # a NaN target on a half-disk phase gives a NaN injection, as on a
+        # box phase, rather than a bracketing failure
+        bus = replace(model.buses[1], regions=(Disk(0.5),) + model.buses[1].regions[1:])
+        model = FeederModel((model.buses[0], bus, model.buses[2]), model.lines)
+        state = initialize(model, config)
+        views(state)[1].y.s_self[0] = math.nan
+        x_update_round(state)
+        r, _ = compute_residuals(state)
+        assert not math.isfinite(r)
 
     def test_kernel_errors_surface_with_their_iteration(self, monkeypatch):
         # the x- and the y-step each call their kernel once per iteration
@@ -347,16 +359,21 @@ class TestRun:
         assert len(result.history) == 1
 
     def test_non_finite_residual_stops_as_diverged(self):
-        # the loader rejects a NaN cost, so the model is built in code
+        # the loader rejects a NaN cost, so the models are built in code: a
+        # NaN cost on every box phase, then on one half-disk phase alone
         model = chain_model([-0.1 + 0j], beta=float("nan"))
-        result = run(model, SolverConfig(max_iters=50))
-        assert result.status == "diverged"
-        assert not result.converged
-        assert len(result.history) < 50
-        last = result.history[-1]
-        assert not (np.isfinite(last.r) and np.isfinite(last.s))
-        earlier = result.history[:-1]
-        assert all(np.isfinite(st.r) and np.isfinite(st.s) for st in earlier)
+        der = replace(
+            TWO_BUS.buses[1], regions=(Disk(0.5),), cost=(ObjectiveCoeffs(0.0, math.nan),)
+        )
+        for model in (model, FeederModel((TWO_BUS.buses[0], der), TWO_BUS.lines)):
+            result = run(model, SolverConfig(max_iters=50))
+            assert result.status == "diverged"
+            assert not result.converged
+            assert len(result.history) < 50
+            last = result.history[-1]
+            assert not (np.isfinite(last.r) and np.isfinite(last.s))
+            earlier = result.history[:-1]
+            assert all(np.isfinite(st.r) and np.isfinite(st.s) for st in earlier)
 
     def test_history_is_deterministic(self):
         model = generate_topology("line", 4)
@@ -456,7 +473,8 @@ class TestWeights:
                 assert np.all(agent.x0.ell == nc + 2)
 
     def test_y_step_reads_the_x_step_weights(self):
-        # M = rho * the weight of the table's rows on every y entry
+        # M = rho * the weight of the table's rows on every y entry; the
+        # solver holds it over rho, in scaled form
         rho = 1.7
         state = State(mixed_feeder(), SolverConfig(rho=rho))
         solver = state.ysolver
@@ -464,7 +482,20 @@ class TestWeights:
         segments = zip(solver.offsets[:-1], solver.offsets[1:])
         for (start, end), m_diag in zip(segments, solver.m_diag, strict=True):
             # on the real and the imaginary part of each entry
-            assert np.array_equal(m_diag, np.repeat(rho * mass[start:end], 2))
+            assert np.array_equal(rho * m_diag, np.repeat(rho * mass[start:end], 2))
+
+    def test_y_operators_do_not_depend_on_rho(self):
+        # in scaled form the y-step's operators depend only on the network,
+        # so a change of rho leaves them as they are
+        def operators(rho):
+            solver = State(mixed_feeder(), SolverConfig(rho=rho)).ysolver
+            return [op for op, _, _ in solver._stacks]
+
+        reference = operators(1.0)
+        assert len(reference) > 1
+        for rho in (0.3, 3.0):
+            for op, ref in zip(operators(rho), reference, strict=True):
+                assert np.array_equal(op, ref)
 
 
 def three_class_feeder():
@@ -482,7 +513,7 @@ def three_class_feeder():
 
 
 def random_buffers(rng, state):
-    for buf in (state.y, state.mu):
+    for buf in (state.y, state.u):
         buf[...] = rng.standard_normal(len(buf)) + 1j * rng.standard_normal(len(buf))
 
 
@@ -526,7 +557,7 @@ class TestXStepMaps:
         random_buffers(np.random.default_rng(42), state)
         hat = State(model, config)
         hat.x[...] = complete_square_x0(
-            state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, config.rho
+            state.y[state.obs], state.u, state.weight, state.pair_slots, state.den
         )
         x_update_round(state)
         for i, agent in views(state).items():
@@ -611,11 +642,11 @@ class TestYLayout:
     def test_one_table_ties_every_copy(self, model):
         # every y entry is observed by one identity row, and each bus's own
         # v entries once more, by the voltage copy; the x-step's den and the
-        # y-step's M are the table's weight sums per x and per y entry
+        # y-step's M (over rho) are the table's weight sums per x and per y entry
         rho = 0.8
         state = State(model, SolverConfig(rho=rho))
         ny = len(state.y)
-        assert len(state.pair) == len(state.obs) == len(state.weight) == len(state.mu)
+        assert len(state.pair) == len(state.obs) == len(state.weight) == len(state.u)
         assert np.array_equal(state.obs[:ny], np.arange(ny))
         rows = np.bincount(state.obs, minlength=ny)
         assert rows.min() == 1 and rows.max() == 2
@@ -632,4 +663,4 @@ class TestYLayout:
         solver = state.ysolver
         segments = zip(solver.offsets[:-1], solver.offsets[1:])
         for (start, end), m_diag in zip(segments, solver.m_diag, strict=True):
-            assert np.array_equal(m_diag, np.repeat(rho * mass[start:end], 2))
+            assert np.array_equal(rho * m_diag, np.repeat(rho * mass[start:end], 2))

@@ -82,25 +82,25 @@ def one_bus_state(m, nc, rho=1.0):
 
 
 def observations(state, i):
-    """The observations of bus i's x entries and their multipliers: its
-    own copies, the parent's copy of its (S, ell), then each child's copy
-    of its v."""
+    """The observations of bus i's x entries and their scaled multipliers:
+    its own copies, the parent's copy of its (S, ell), then each child's
+    copy of its v."""
     me = bus_blocks(state, i)
-    y, mu = me.y, me.mu
-    arrays = [y.v_self, y.s_self, mu.v_self, mu.s_self]
+    y, u = me.y, me.u
+    arrays = [y.v_self, y.s_self, u.v_self, u.s_self]
     if not me.is_root:
         par = bus_blocks(state, me.parent)
-        (par_S, par_ell), (par_mu_S, par_mu_ell) = par.y.child_flows[i], par.mu.child_flows[i]
-        arrays += [y.S_self, y.ell_self, mu.S_self, mu.ell_self]
-        arrays += [par_S, par_ell, par_mu_S, par_mu_ell]
+        (par_S, par_ell), (par_u_S, par_u_ell) = par.y.child_flows[i], par.u.child_flows[i]
+        arrays += [y.S_self, y.ell_self, u.S_self, u.ell_self]
+        arrays += [par_S, par_ell, par_u_S, par_u_ell]
     for j in me.children:
         kid = bus_blocks(state, j)
-        arrays += [kid.y.v_parent, kid.mu.v_parent]
+        arrays += [kid.y.v_parent, kid.u.v_parent]
     return arrays
 
 
 def fill_observations(rng, state, i):
-    """Random observations and multipliers of bus i's x entries."""
+    """Random observations and scaled multipliers of bus i's x entries."""
     me = bus_blocks(state, i)
     m = len(me.bus.phases)
     for a in observations(state, i):
@@ -110,16 +110,14 @@ def fill_observations(rng, state, i):
             a[...] = rand_herm(rng, m)
     if not me.is_root:
         par = bus_blocks(state, me.parent)
-        for a in (me.y.S_self, me.mu.S_self, par.y.child_flows[i][0], par.mu.child_flows[i][0]):
+        for a in (me.y.S_self, me.u.S_self, par.y.child_flows[i][0], par.u.child_flows[i][0]):
             a[...] = rand_cmat(rng, m)
 
 
-def targets(state, rho):
+def targets(state):
     """complete_square_x0 over the state's buffers, each bus's targets
     (v, s[, S, ell]) read through its views."""
-    hat = complete_square_x0(
-        state.y[state.obs], state.mu, state.weight, state.pair_slots, state.den, rho
-    )
+    hat = complete_square_x0(state.y[state.obs], state.u, state.weight, state.pair_slots, state.den)
     state.x[...] = hat
     return {b.id: copy_block(bus_blocks(state, b.id).x0) for b in state.model.buses}
 
@@ -127,11 +125,11 @@ def targets(state, rho):
 class TestCompleteSquare:
     def test_consensus_is_fixed(self):
         # all observations equal and all multipliers zero
-        state = one_bus_state(2, nc=2)
+        state = one_bus_state(2, nc=2, rho=1.3)
         state.y[...] = 0.7
-        state.mu[...] = 0.0
+        state.u[...] = 0.0
         obs = bus_blocks(state, 1).y
-        hat = targets(state, rho=1.3)[1]
+        hat = targets(state)[1]
         assert np.allclose(hat.v, obs.v_self)
         assert np.allclose(hat.S, obs.S_self)
         assert np.allclose(hat.ell, obs.ell_self)
@@ -142,26 +140,28 @@ class TestCompleteSquare:
         # is v_obs - mu_v / (2 rho)
         rng = np.random.default_rng(0)
         rho = 0.8
-        state = one_bus_state(2, nc=0)
+        state = one_bus_state(2, nc=0, rho=rho)
         fill_observations(rng, state, 1)
         obs = bus_blocks(state, 1)
-        hat = targets(state, rho)[1]
-        assert np.allclose(hat.v, obs.y.v_self - obs.mu.v_self / (2 * rho))
+        mu_v = rho * obs.u.v_self
+        hat = targets(state)[1]
+        assert np.allclose(hat.v, obs.y.v_self - mu_v / (2 * rho))
 
     def test_injection_target(self):
         rng = np.random.default_rng(1)
         rho = 2.0
-        state = one_bus_state(3, nc=0)
+        state = one_bus_state(3, nc=0, rho=rho)
         fill_observations(rng, state, 1)
         obs = bus_blocks(state, 1)
-        hat = targets(state, rho)[1]
-        assert np.allclose(hat.s, obs.y.s_self - obs.mu.s_self / rho)
+        mu_s = rho * obs.u.s_self
+        hat = targets(state)[1]
+        assert np.allclose(hat.s, obs.y.s_self - mu_s / rho)
 
     def test_hat_targets_are_hermitian(self):
         rng = np.random.default_rng(2)
         state = one_bus_state(3, nc=1)
         fill_observations(rng, state, 1)
-        hat = targets(state, 1.0)[1]
+        hat = targets(state)[1]
         assert np.array_equal(hat.v, hat.v.conj().T)
         assert np.array_equal(hat.ell, hat.ell.conj().T)
 
@@ -173,12 +173,12 @@ class TestCompleteSquare:
         state = State(feeder([0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3], "ab"), SolverConfig(rho=rho))
         for i in (1, 2, 3, 4):
             fill_observations(rng, state, i)
-        hat = targets(state, rho)
+        hat = targets(state)
         for i in (1, 2, 3, 4):
             alone = one_bus_state(m, len(state.model.children[i]), rho)
             for src, dst in zip(observations(state, i), observations(alone, 1), strict=True):
                 dst[...] = src
-            one = targets(alone, rho)[1]
+            one = targets(alone)[1]
             for name in ("v", "s", "S", "ell"):
                 assert np.array_equal(getattr(hat[i], name), getattr(one, name))
 
@@ -200,7 +200,7 @@ class TestSquareCompletionIdentity:
             rho = float(rng.uniform(0.3, 3.0))
             state = one_bus_state(m, nc, rho)
             fill_observations(rng, state, 1)
-            hat = targets(state, rho)[1]
+            hat = targets(state)[1]
 
             def pt():
                 return (
@@ -490,11 +490,11 @@ class TestDiskProjection:
 def clamp(lam, y, lo, hi, rho):
     """The voltage copy's x-step on one matrix or a stack, raveled, as the
     engine runs it: square completion over a table with one row of
-    weight 1 per entry (observation y, multiplier lam), then
-    solve_x1_voltage on the target; reshaped back."""
+    weight 1 per entry (observation y, multiplier lam, so scaled multiplier
+    lam / rho), then solve_x1_voltage on the target; reshaped back."""
     rows = np.arange(y.size)
     one = np.ones(y.size)
-    out = complete_square_x0(y.ravel(), lam.ravel(), one, interleave(rows), one, rho)
+    out = complete_square_x0(y.ravel(), lam.ravel() / rho, one, interleave(rows), one)
     diag = np.diagonal(rows.reshape(y.shape), axis1=-2, axis2=-1).ravel()
     solve_x1_voltage(out, diag, np.ravel(lo), np.ravel(hi))
     return out.reshape(y.shape)
@@ -598,17 +598,18 @@ def random_system(rng, ctx, rho):
         mc = len(cph)
         child_mults[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
         child_x[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
-    solver = YNodeSolver([ctx], rho)
+    solver = YNodeSolver([ctx])
     c = coefficients(
-        solver, x0, rand_herm(rng, m), mu_self, lam1, mu_parent, x_parent, child_mults, child_x
+        solver, rho, x0, rand_herm(rng, m), mu_self, lam1, mu_parent, x_parent, child_mults, child_x
     )
     return solver, c
 
 
-def coefficients(solver, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, child_x):
-    """c of a one-bus solver: its multiplier and primal blocks laid out as
-    y, each primal block times its weight and v_self paired with mu_v + lam1
-    and 2 x_v + x1_v, as the engine pairs them."""
+def coefficients(solver, rho, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, child_x):
+    """c of a one-bus solver at penalty rho: its multiplier and primal
+    blocks laid out as y, each primal block times its weight and v_self
+    paired with mu_v + lam1 and 2 x_v + x1_v, as the engine pairs them;
+    the solver takes the scaled multipliers, mu / rho."""
     mus = [mu.v + lam1, mu.s]
     xs = [x0.v, x0.s]
     ctx = solver.ctxs[0]
@@ -620,7 +621,7 @@ def coefficients(solver, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mults, c
         xs += child_x[cid]
     xs = [w * x for w, x in zip(y_weights(ctx), xs, strict=True)]
     xs[0] = xs[0] + x1_v
-    solver.assemble_c(join(mus), join(xs))
+    solver.assemble_c(join(mus) / rho + join(xs))
     return solver.c.copy()
 
 
@@ -643,14 +644,16 @@ def solve_local(solver, c):
     return _local(split_blocks(solve_flat(solver, c), y_signature(ctx)), ctx)
 
 
-def kkt_reference(solver, c) -> np.ndarray:
+def kkt_reference(solver, c, rho) -> np.ndarray:
+    """The minimizer of the unscaled y-subproblem at penalty rho, whose
+    M and c are rho times the solver's."""
     a = solver.a_mat[0]
     nrows, ncols = a.shape
     kkt = np.zeros((ncols + nrows, ncols + nrows))
-    kkt[:ncols, :ncols] = np.diag(solver.m_diag[0])
+    kkt[:ncols, :ncols] = np.diag(rho * solver.m_diag[0])
     kkt[:ncols, ncols:] = a.T
     kkt[ncols:, :ncols] = a
-    rhs = np.concatenate([-c, np.zeros(nrows)])
+    rhs = np.concatenate([-rho * c, np.zeros(nrows)])
     return np.linalg.solve(kkt, rhs)[:ncols]
 
 
@@ -658,7 +661,7 @@ class TestYSystem:
     def test_leaf_single_phase_row_count(self):
         rng = np.random.default_rng(13)
         ctx = make_context(rng, 1, 0, parent_m=1)
-        solver = YNodeSolver([ctx], 1.0)
+        solver = YNodeSolver([ctx])
         # two voltage-drop rows plus two power-balance rows (2m^2 + 2m)
         assert solver.a_mat[0].shape[0] == 4
         # re and im of each entry: v, s, S, ell and parent v, one each
@@ -667,13 +670,13 @@ class TestYSystem:
     def test_root_has_no_voltage_drop_rows(self):
         rng = np.random.default_rng(14)
         ctx = make_context(rng, 3, 2, root=True)
-        solver = YNodeSolver([ctx], 1.0)
+        solver = YNodeSolver([ctx])
         assert solver.a_mat[0].shape[0] == 6
 
     def test_three_phase_row_count(self):
         rng = np.random.default_rng(15)
         ctx = make_context(rng, 3, 1, parent_m=3)
-        solver = YNodeSolver([ctx], 1.0)
+        solver = YNodeSolver([ctx])
         assert solver.a_mat[0].shape[0] == 18 + 6
 
     def test_zero_inputs_give_zero_coefficients(self):
@@ -690,7 +693,8 @@ class TestYSystem:
         mc = len(cph)
         mp = len(ctx.parent_phases)
         c = coefficients(
-            YNodeSolver([ctx], 1.0),
+            YNodeSolver([ctx]),
+            1.0,
             XBlock(
                 v=np.zeros((m, m), complex),
                 s=np.zeros(m, complex),
@@ -710,7 +714,8 @@ class TestYSystem:
     def test_assemble_c_on_x_step_slices(self):
         # the x-step hands over S = x[:m, m:] and ell = x[m:, m:], views that
         # are not contiguous; c must equal the penalty's linear term
-        # -<mu_b, Y_b> - rho w_b <x_b, Y_b> summed over the blocks b of any Y
+        # -<mu_b, Y_b> - rho w_b <x_b, Y_b> summed over the blocks b of any Y,
+        # over rho (the solver's scaled form)
         def projected(m):
             hat = HatConstants(
                 rand_herm(rng, m), rand_cmat(rng, m), rand_herm(rng, m)
@@ -736,12 +741,12 @@ class TestYSystem:
                 mc = len(cph)
                 child_mults[cid] = (rand_cmat(rng, mc), rand_herm(rng, mc))
                 child_x[cid] = projected(mc)[1:]
-            solver = YNodeSolver([ctx], rho)
+            solver = YNodeSolver([ctx])
             args = (x1_v, mu, lam1, mu_parent, x_parent, child_mults)
-            c = coefficients(solver, x0, *args, child_x)
+            c = coefficients(solver, rho, x0, *args, child_x)
             copies = {j: (a.copy(), b.copy()) for j, (a, b) in child_x.items()}
             contiguous = XBlock(v.copy(), x0.s, S.copy(), ell.copy())
-            assert np.array_equal(c, coefficients(solver, contiguous, *args, copies))
+            assert np.array_equal(c, coefficients(solver, rho, contiguous, *args, copies))
 
             theta = rng.standard_normal(2 * solver.offsets[-1])
             y = split_blocks(theta.view(complex), y_signature(ctx))
@@ -759,12 +764,12 @@ class TestYSystem:
                 -inner(mu_b, y_b) - rho * w * inner(x_b, y_b)
                 for (mu_b, x_b, w), y_b in zip(terms, y, strict=True)
             )
-            assert c @ theta == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert rho * (c @ theta) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_zero_c_gives_zero(self):
         rng = np.random.default_rng(16)
         ctx = make_context(rng, 2, 1, parent_m=3)
-        solver = YNodeSolver([ctx], 1.0)
+        solver = YNodeSolver([ctx])
         local = solve_local(solver, np.zeros(2 * solver.offsets[-1]))
         assert np.allclose(local.v_self, 0) and np.allclose(local.s_self, 0)
         assert np.allclose(local.v_parent, 0)
@@ -776,9 +781,10 @@ class TestYSystem:
             nc = int(rng.integers(0, 3))
             root = bool(rng.integers(0, 2)) and nc > 0
             ctx = make_context(rng, m, nc, root=root)
-            solver, c = random_system(rng, ctx, rho=float(rng.uniform(0.5, 2.0)))
+            rho = float(rng.uniform(0.5, 2.0))
+            solver, c = random_system(rng, ctx, rho)
             theta = solve_flat(solver, c).view(float)
-            ref = kkt_reference(solver, c)
+            ref = kkt_reference(solver, c, rho)
             assert np.max(np.abs(theta - ref)) <= 1e-8
 
     def test_constraint_residual(self):
@@ -835,7 +841,7 @@ class TestYSystem:
             children=(),
         )
         # each equation row still carries its own v or s entry
-        solver = YNodeSolver([degenerate], 1.0)
+        solver = YNodeSolver([degenerate])
         assert solver.a_mat[0].shape[0] == 8 + 4
 
     def test_group_matches_each_bus_alone(self):
@@ -849,17 +855,18 @@ class TestYSystem:
             size = solver.offsets[-1]
             mu = rand_cvec(rng, size)
             x = rand_cvec(rng, size)
-            solver.assemble_c(mu, x)
+            total = mu / 1.3 + x
+            solver.assemble_c(total)
             solver.solve()
             c, y = solver.c, solver.y
             assert len({y_signature(ctx) for ctx in solver.ctxs}) > 1
             first = 0
             segments = zip(solver.offsets[:-1], solver.offsets[1:])
             for b, (ctx, (start, end)) in enumerate(zip(solver.ctxs, segments, strict=True)):
-                alone = YNodeSolver([ctx], 1.3)
+                alone = YNodeSolver([ctx])
                 n = 2 * (end - start)
                 assert np.array_equal(alone.a_mat[0], solver.a_mat[b])
-                alone.assemble_c(mu[start:end], x[start:end])
+                alone.assemble_c(total[start:end])
                 c_b = alone.c
                 assert np.array_equal(c_b, c[first : first + n])
                 alone.solve()
