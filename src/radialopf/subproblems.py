@@ -21,7 +21,8 @@ projection, which runs once per non-root phase count on a stack of
 (2m, 2m) blocks, in closed form for m = 1: square completion is one
 weighted sum per primal entry, the box projection and the voltage clamp
 work elementwise on flat arrays, and one ``YNodeSolver`` serves every
-bus, with one stacked operator per neighborhood shape. The half-disk
+bus, with one operator stack per neighborhood shape, in which each
+distinct neighborhood of the feeder is prefactored once. The half-disk
 projection alone runs per DER phase.
 """
 
@@ -148,9 +149,10 @@ def disk_case(a1: float, b1: float, a2: float, b2: float, c: float) -> int:
         raise ValueError("nonpositive curvature or radius")
     if b1 >= 0:
         return 1
-    if (b1 / a1) ** 2 + (b2 / a2) ** 2 <= c * c:
-        return 2
-    return 3
+    try:
+        return 2 if (b1 / a1) ** 2 + (b2 / a2) ** 2 <= c * c else 3
+    except OverflowError as err:
+        raise ValueError(f"half-disk target out of range: {err}") from None
 
 
 def solve_disk_multiplier(
@@ -160,7 +162,8 @@ def solve_disk_multiplier(
 
     g is strictly decreasing and convex on lam >= 0 and g(0) > 0 whenever
     the unconstrained minimizer lies outside the disk, so a safeguarded
-    Newton iteration from the left converges monotonically.
+    Newton iteration from the left converges monotonically; it raises
+    ValueError if not within 200 steps, or if float arithmetic overflows.
     """
 
     def g(lam: float) -> float:
@@ -172,37 +175,42 @@ def solve_disk_multiplier(
             - 4.0 * b2 * b2 / (a2 + 2.0 * lam) ** 3
         )
 
-    lo = 0.0
-    if g(lo) <= 0.0:
-        raise ValueError("bracketing failure: minimizer already inside the disk")
-    hi = max(
-        1.0,
-        0.5 * (SQRT2 * abs(b1) / c - a1),
-        0.5 * (SQRT2 * abs(b2) / c - a2),
-    )
-    for _ in range(200):
-        if g(hi) <= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("bracketing failure: no sign change found")
-
-    lam = lo
-    val = g(lam)
-    for _ in range(200):
-        if abs(val) <= 1e-12:
-            break
-        step = lam - val / dg(lam)
-        if not (lo < step < hi):
-            step = 0.5 * (lo + hi)
-        lam = step
-        val = g(lam)
-        if val > 0.0:
-            lo = lam
+    try:
+        lo = 0.0
+        if g(lo) <= 0.0:
+            raise ValueError("bracketing failure: minimizer already inside the disk")
+        hi = max(
+            1.0,
+            0.5 * (SQRT2 * abs(b1) / c - a1),
+            0.5 * (SQRT2 * abs(b2) / c - a2),
+        )
+        for _ in range(200):
+            if g(hi) <= 0.0:
+                break
+            hi *= 2.0
         else:
-            hi = lam
-        if hi - lo <= 1e-16 * (1.0 + hi):
-            break
+            raise ValueError("bracketing failure: no sign change found")
+
+        lam = lo
+        val = g(lam)
+        for _ in range(200):
+            if abs(val) <= 1e-12:
+                break
+            step = lam - val / dg(lam)
+            if not (lo < step < hi):
+                step = 0.5 * (lo + hi)
+            lam = step
+            val = g(lam)
+            if val > 0.0:
+                lo = lam
+            else:
+                hi = lam
+            if hi - lo <= 1e-16 * (1.0 + hi):
+                break
+        if not (abs(val) <= 1e-12 or hi - lo <= 1e-16 * (1.0 + hi)):
+            raise ValueError("Newton's method did not converge in 200 steps")
+    except OverflowError as err:
+        raise ValueError(f"half-disk target out of range: {err}") from None
     return lam
 
 
@@ -366,6 +374,12 @@ def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
     return rows
 
 
+def _neighborhood(ctx: YContext) -> tuple:
+    """What ``YNodeSolver._prefactor`` reads of a bus but its id, in str and bytes."""
+    up = None if ctx.is_root else (ctx.parent_phases.letters, ctx.z.tobytes())
+    return ctx.phases.letters, up, *[(p.letters, zc.tobytes()) for _, p, zc in ctx.children]
+
+
 class YNodeSolver:
     """Prefactored closed-form solver for the y-subproblems of a feeder's buses.
 
@@ -375,12 +389,13 @@ class YNodeSolver:
     the lower triangles and imaginary diagonals of its Hermitian blocks
     included. ``a_mat[b]`` holds 2m^2 voltage-drop rows (off the root)
     and 2m power-balance rows and has full row rank; ``m_diag[b]`` is
-    strictly positive. Both depend only on the network, so the full
-    solution operator P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is
-    computed once. Buses next to each other in ``ctxs`` with one
-    signature share one stacked operator, so every iteration is one
-    stacked matrix-vector product per signature, from c straight into
-    y's float view.
+    strictly positive. Both depend only on the bus's neighborhood, so
+    the solution operator P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is
+    computed once per distinct ``_neighborhood`` of the feeder, and
+    copied to the other buses that share it. Buses next to each other in
+    ``ctxs`` with one signature share one stacked operator, so every
+    iteration is one stacked matrix-vector product per signature, from c
+    straight into y's float view.
 
     M and the constraint set are invariant under conjugate-transposing
     every Hermitian block (``_constraint_values``), so where c is too,
@@ -422,13 +437,20 @@ class YNodeSolver:
         flat = self.y.view(float)
         self.a_mat, self.m_diag = [], []
         self._stacks = []  # per run of one signature: operator, views of c and of y
+        built = {}  # (a_mat row, operator) per _neighborhood prefactored so far
         for _, run in groupby(range(len(self.ctxs)), key=signatures.__getitem__):
             run = list(run)
             part = slice(2 * self.offsets[run[0]], 2 * self.offsets[run[-1] + 1])
             m_diag = mass[part].reshape(len(run), -1)
-            a_mat, operator = self._prefactor(
-                [self.ctxs[b] for b in run], signatures[run[0]], m_diag
-            )
+            keys = [_neighborhood(self.ctxs[b]) for b in run]
+            new = {k: self.ctxs[b] for k, b in zip(keys, run) if k not in built}
+            if new:
+                # M follows from the signature: the rows of m_diag are all equal
+                batch = self._prefactor(list(new.values()), signatures[run[0]], m_diag[: len(new)])
+                built.update(zip(new, zip(*batch)))
+            if len(new) < len(keys):
+                batch = [np.stack(p) for p in zip(*[built[k] for k in keys])]
+            a_mat, operator = batch
             self.a_mat += list(a_mat)
             self.m_diag += list(m_diag)
             shape = operator.shape[:2] + (1,)
@@ -443,10 +465,13 @@ class YNodeSolver:
         values = [_constraint_values(_local(unit, c), c) for c in ctxs]
         rows = np.stack([np.concatenate([b.reshape(n, -1) for b in v], axis=1) for v in values])
         a_mat = rows.view(float).swapaxes(-1, -2)
-        for c, rank in zip(ctxs, np.linalg.matrix_rank(a_mat)):
-            if rank != a_mat.shape[1]:
+        # full row rank: each row has a column that no other row uses
+        used = a_mat != 0
+        own = (used & (used.sum(axis=1, keepdims=True) == 1)).any(axis=2).all(axis=1)
+        for c, full in zip(ctxs, own):
+            if not full:
                 raise ValueError(
-                    f"bus {c.bus_id}: rank-deficient constraint matrix "
+                    f"bus {c.bus_id}: a constraint row has no column of its own "
                     "(malformed phase data)"
                 )
 

@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import HatConstants, bus_blocks, copy_block, direct_penalty, hermitian_blocks, inner
 
-from radialopf.engine import SolverConfig, State
+from radialopf import subproblems
+from radialopf.engine import SolverConfig, State, run
 from radialopf.network import (
     Box,
     BusSpec,
@@ -14,6 +16,7 @@ from radialopf.network import (
     LineSpec,
     ObjectiveCoeffs,
     PhaseSet,
+    generate_topology,
     loads_feeder,
 )
 from radialopf.subproblems import (
@@ -486,6 +489,28 @@ class TestDiskProjection:
             obj = 0.5 * a1 * p * p + b1 * p + 0.5 * a2 * q * q + b2 * q
             assert obj <= disk_grid_best(a1, b1, a2, b2, c) + 1e-5
 
+    def test_far_target_lands_on_the_circle(self):
+        # Newton from lam = 0 grows lam about 1.5x per step: at 1e30 it
+        # still reaches the root within its 200 steps
+        p, q = project_injection_disk(1.0, -1e30, 1.0, 0.0, 1.0)
+        assert p > 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [40, 200])
+    def test_farther_target_raises_value_error(self, exponent):
+        # at 1e40 Newton has not converged after 200 steps, and at 1e200
+        # squaring the target overflows; neither may return a point off
+        # the disk or raise anything the engine does not turn into a
+        # SolverError
+        with pytest.raises(ValueError):
+            project_injection_disk(1.0, -(10.0**exponent), 1.0, 0.0, 1.0)
+
+    def test_overflow_in_the_multiplier_raises_value_error(self):
+        # the target itself squares finely, but Newton's derivative cubes
+        # a1 + 2 lam past the float range
+        assert disk_case(1e60, -1e160, 1.0, 0.0, 1.0) == 3
+        with pytest.raises(ValueError, match="out of range"):
+            solve_disk_multiplier(1e60, -1e160, 1.0, 0.0, 1.0)
+
 
 def clamp(lam, y, lo, hi, rho):
     """The voltage copy's x-step on one matrix or a stack, raveled, as the
@@ -844,6 +869,15 @@ class TestYSystem:
         solver = YNodeSolver([degenerate])
         assert solver.a_mat[0].shape[0] == 8 + 4
 
+    def test_repeated_constraint_rows_are_rejected(self, monkeypatch):
+        # every row given twice shares each of its columns with its copy,
+        # so no row has a column of its own
+        ctx = make_context(np.random.default_rng(21), 2, 1, parent_m=2)
+        original = subproblems._constraint_values
+        monkeypatch.setattr(subproblems, "_constraint_values", lambda *a: original(*a) * 2)
+        with pytest.raises(ValueError, match="no column of its own"):
+            YNodeSolver([ctx])
+
     def test_group_matches_each_bus_alone(self):
         # the engine's one solver over every bus, with several signatures
         # (every bus its own on the mixed-phase feeder, runs of leaves on
@@ -874,3 +908,91 @@ class TestYSystem:
                 assert np.array_equal(y_b, y[start:end])
                 first += n
             assert first == len(c)
+
+
+def count_prefactored(monkeypatch):
+    """A list that grows by the bus ids of every ``_prefactor`` call."""
+    seen = []
+    original = YNodeSolver._prefactor
+
+    def counted(self, ctxs, signature, m_diag):
+        seen.extend(ctx.bus_id for ctx in ctxs)
+        return original(self, ctxs, signature, m_diag)
+
+    monkeypatch.setattr(YNodeSolver, "_prefactor", counted)
+    return seen
+
+
+def assert_matches_each_bus_alone(solver):
+    """Every bus's constraint rows and operator equal its own prefactor's."""
+    operators = [op for stack, _, _ in solver._stacks for op in stack]
+    for b, ctx in enumerate(solver.ctxs):
+        alone = YNodeSolver([ctx])
+        assert np.array_equal(alone.a_mat[0], solver.a_mat[b])
+        assert np.array_equal(alone._stacks[0][0][0], operators[b])
+
+
+def fat_tree_variant(change):
+    """fat-tree-7-ab (buses 1 and 2 with leaves 3, 4 and 5, 6) with one
+    neighborhood changed but every signature kept, so only the phase
+    letters or the impedance bytes tell the changed buses apart."""
+    doc = json.loads((Path(__file__).parent / "data" / "engine_equivalence.json").read_text())
+    feeder = doc["fat-tree-7-ab"]["feeder"]
+    if change == "line z":
+        # bus 5's line and so bus 2's child impedance
+        line = next(ln for ln in feeder["lines"] if ln["bus"] == 5)
+        line["z"] = [[{"re": 1.5 * e["re"], "im": 1.5 * e["im"]} for e in row] for row in line["z"]]
+    else:
+        # single-phase leaves: bus 4 on phase b, the others on phase a, so
+        # buses 1 (children a, b) and 2 (children a, a) differ by letters
+        for bus in feeder["buses"][3:]:
+            k = 1 if bus["id"] == 4 else 0
+            bus["phases"] = "ab"[k]
+            for field in ("vmin", "vmax", "region", "cost"):
+                bus[field] = bus[field][k : k + 1]
+        for line in feeder["lines"][2:]:
+            k = 1 if line["bus"] == 4 else 0
+            line["z"] = [[line["z"][k][k]]]
+    return loads_feeder(json.dumps(feeder))
+
+
+class TestNeighborhoods:
+    def test_line_prefactors_three_neighborhoods(self, monkeypatch):
+        # the root, the five inner buses and the leaf: every line has the
+        # template's impedance, so the inner buses share one neighborhood
+        prefactored = count_prefactored(monkeypatch)
+        solver = State(generate_topology("line", 7), SolverConfig()).ysolver
+        ids = sorted(prefactored)
+        assert len(ids) == 3 and ids[0] == 0 and 0 < ids[1] < 6 and ids[2] == 6
+        assert len(solver.a_mat) == 7
+        assert_matches_each_bus_alone(solver)
+
+    def test_fat_tree_prefactors_three_neighborhoods(self, monkeypatch):
+        prefactored = count_prefactored(monkeypatch)
+        solver = State(equivalence_feeder("fat-tree-7-ab"), SolverConfig()).ysolver
+        assert len(prefactored) == 3  # root, inner bus and leaf
+        assert_matches_each_bus_alone(solver)
+
+    @pytest.mark.parametrize("change", ["line z", "child phases"])
+    def test_changed_neighborhood_is_prefactored_itself(self, monkeypatch, change):
+        model = fat_tree_variant(change)
+        prefactored = count_prefactored(monkeypatch)
+        solver = State(model, SolverConfig()).ysolver
+        # buses 1 and 2 and the odd leaf out share a signature with a bus
+        # of another neighborhood
+        assert len({y_signature(ctx) for ctx in solver.ctxs}) == 3
+        assert len(prefactored) == 5
+        assert_matches_each_bus_alone(solver)
+
+    def test_run_matches_one_prefactor_per_bus(self, monkeypatch):
+        # sharing a neighborhood's operator leaves every iterate's bits as
+        # they are with a prefactor per bus
+        model = equivalence_feeder("fat-tree-7-ab")
+        config = SolverConfig(max_iters=300)
+        shared = run(model, config)
+        monkeypatch.setattr(subproblems, "_neighborhood", lambda ctx: ctx.bus_id)
+        prefactored = count_prefactored(monkeypatch)
+        alone = run(model, config)
+        assert sorted(prefactored) == list(range(len(model.buses)))
+        assert len(shared.history) == 300
+        assert shared.history == alone.history
