@@ -4,11 +4,12 @@ Each bus owns its primal copies x0 = (v, s, S, ell) and x1, a copy of
 its v that carries the voltage limits, the observations y that its
 y-step re-solves, and the multipliers of its consensus constraints. The
 state of a whole run lives in a few flat buffers: x, y and u. Within x
-each variable kind of x0 is a contiguous (B, m, m) or (B, m) slab per
-group of buses with one phase count (the root on its own), and the
-voltage copies end x. y runs bus after bus in the order of the
-y-solver: each bus's own copies, its copy of its parent's v, then its
-copies of each child's (S, ell).
+each group of buses with one phase count (the root on its own) holds a
+contiguous slab of blocks, the (2m, 2m) Hermitian matrices
+[[v, S], [S^H, ell]] of the paper's x-step (v alone at the root), then
+a (B, m) slab of s; the voltage copies end x. y runs bus after bus in
+the order of the y-solver: each bus's own copies, its copy of its
+parent's v, then its copies of each child's (S, ell).
 
 Every consensus constraint is one row of one table, as in general-form
 consensus ADMM: row e ties x entry ``pair[e]`` to y entry ``obs[e]``
@@ -20,14 +21,15 @@ index decision is a map that ``State`` builds once, so the work of a
 step does not branch on the feeder's shape. It builds the other run
 constants once too: the y-solver's operators, which do not depend on
 rho, with their views of its c and y buffers, and the injections'
-curvature alpha + rho, positions and costs. The x-step completes the square for every copy in
+curvature alpha + rho, positions and costs. The x-step runs in place
+in x: it writes the square-completion target of every copy into x in
 one weighted sum over the rows, clamps the voltage copies in one call,
-gathers the (2m, 2m) block targets of the non-root buses of each phase
-count and projects them in one batched call per phase count, scatters
-the projections and the voltage copies back into x in one operation,
-and then projects every phase's injection. The y-step sums u + w x over
-the rows into y in one scatter-add and runs one ``YNodeSolver`` for all
-buses, on y's float view: one stacked matrix-vector product per y-block
+fills every S^H corner from its S corner in one gather, projects each
+non-root slab of blocks onto the PSD cone in one batched call per phase
+count, written back in place, and then projects every phase's
+injection about its target in x. The y-step sums u + w x over the rows
+into y in one scatter-add and runs one ``YNodeSolver`` for all buses, on
+y's float view: one stacked matrix-vector product per y-block
 signature, from the linear terms straight into y. The multiplier update
 (u += x - y) and the residuals are single operations over the rows. Data
 crosses a tree edge only where a step reads an entry that another bus
@@ -126,13 +128,13 @@ class IterationStats:
 class _Injections:
     """Every phase's cost and injection region, in the order of the
     groups' s slabs, with the constants of their projections at penalty
-    ``rho``, the only run constants that depend on it: ``box`` holds the
-    positions of the box phases, ``box_at`` their entries in x, and
-    ``box_a1``/``box_beta`` their curvature alpha + rho and linear cost;
-    ``disks`` holds (position, entry in x, alpha + rho, beta, radius) per
-    half-disk phase. ``half_alpha`` and ``beta`` are every phase's cost
-    coefficients alpha/2 and beta, for the objective. ``s`` is the buffer
-    that the projections write."""
+    ``rho``, the only run constants that depend on it: ``box_at`` holds
+    the entries in x of the box phases, ``box_a1``/``box_beta`` their
+    curvature alpha + rho and linear cost and ``box_bounds`` their
+    rectangles; ``disks`` holds (entry in x, alpha + rho, beta, radius)
+    per half-disk phase. ``half_alpha`` and ``beta`` are every phase's
+    cost coefficients alpha/2 and beta, for the objective. The
+    projections read their targets from x and write x."""
 
     def __init__(self, buses: list[BusSpec], s_index: np.ndarray, rho: float):
         phases = [(reg, cost) for b in buses for reg, cost in zip(b.regions, b.cost)]
@@ -140,52 +142,52 @@ class _Injections:
         self.half_alpha = 0.5 * alpha
         self.beta = np.array([cost.beta for _, cost in phases])
         a1 = alpha + rho
-        boxes = [k for k, (reg, _) in enumerate(phases) if isinstance(reg, Box)]
-        self.box = np.array(boxes, dtype=int)
-        self.box_at = s_index[self.box]
-        self.box_a1, self.box_beta = a1[self.box], self.beta[self.box]
+        box = np.array([k for k, (reg, _) in enumerate(phases) if isinstance(reg, Box)], dtype=int)
+        self.box_at = s_index[box]
+        self.box_a1, self.box_beta = a1[box], self.beta[box]
         self.box_bounds = tuple(
-            np.array([getattr(phases[k][0], name) for k in boxes])
+            np.array([getattr(phases[k][0], name) for k in box])
             for name in ("p_lo", "p_hi", "q_lo", "q_hi")
         )
         self.disks = [
-            (k, s_index[k], float(a1[k]), float(self.beta[k]), reg.s_max)
+            (s_index[k], float(a1[k]), float(self.beta[k]), reg.s_max)
             for k, (reg, _) in enumerate(phases)
             if isinstance(reg, Disk)
         ]
-        self.s = np.empty(len(phases), dtype=complex)
 
 
 class State:
     """The buffers of one run and their index maps.
 
-    ``x_entries[i]`` holds the positions in x of bus i's v, s[, S, ell];
-    the rows of a group's slabs follow the feeder's bus order. After
-    them x holds the voltage copies, one per own v entry, in the order
-    of those entries. y is the y-solver's own buffer; it holds one
+    x holds, per group of buses with one phase count (the root on its
+    own), a slab of blocks and then a slab of s. Off the root a block is
+    the bus's (2m, 2m) Hermitian matrix [[v, S], [S^H, ell]], at the root
+    its v alone. ``x_entries[i]`` holds the positions in x of bus i's v,
+    s[, S, ell]; the rows of a group's slabs follow the feeder's bus
+    order. After them x holds the voltage copies, one per own v entry,
+    in the order of those entries. y is the y-solver's own buffer; it holds one
     segment per bus, laid out as the bus's y-blocks
     (``subproblems.y_signature``), in the order of ``ysolver.ctxs`` and
     from the offsets ``ysolver.offsets``. Row e of the consensus table
     ties x entry ``pair[e]`` to y entry ``obs[e]`` with weight
     ``weight[e]`` and scaled multiplier ``u[e]`` = mu_e / rho (``obs`` and
     ``weight`` come from ``ysolver``); ``den`` sums the weights per x
-    entry; ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for
-    the scatter-adds. ``s_index`` lists the entries of s in x, in the
-    order of ``injections``, which holds the injections' projection
-    constants at the penalty ``rho`` (``config.rho``). ``messages`` holds
-    the directed (sender, receiver) bus pairs of the entries that a step
+    entry, and is 1 on the S^H corners, which no row observes;
+    ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for the
+    scatter-adds. ``s_index`` lists the entries of s in x, in the order
+    of ``injections``, which holds the injections' projection constants
+    at the penalty ``rho`` (``config.rho``). ``messages`` holds the
+    directed (sender, receiver) bus pairs of the entries that a step
     reads across a tree edge; every iteration sends the same ones.
 
-    The x-step's maps: ``blocks`` holds, per non-root phase count m, the
-    positions in [hat, conj(hat)] of every bus's (2m, 2m) block target
-    [[v, S], [S^H, ell]], shape (B, 2m, 2m); ``x_dst`` lists every entry
-    of x but s once and ``x_src`` the position of its value in the
-    projected blocks, raveled one class after another, followed by the
-    targets (where the voltage copies and the root's v are read).
-    ``v_diag`` are the positions in x of the voltage copies' diagonals,
-    with their bounds ``v_lo``/``v_hi``. ``ysolver`` solves every bus's
-    y-step; its operators do not depend on rho. A rule that changed rho
-    would rescale u by rho_old / rho_new and rebuild ``injections``.
+    The x-step runs in x: ``slabs`` holds, per non-root phase count m,
+    the view of x as its (B, 2m, 2m) blocks; ``lower`` lists the
+    positions of every S^H corner entry and ``upper`` those of the S
+    entries whose conjugates they hold. ``v_diag`` are the positions in
+    x of the voltage copies' diagonals, with their bounds
+    ``v_lo``/``v_hi``. ``ysolver`` solves every bus's y-step; its
+    operators do not depend on rho. A rule that changed rho would
+    rescale u by rho_old / rho_new and rebuild ``injections``.
     """
 
     def __init__(self, model: FeederModel, config: SolverConfig):
@@ -199,32 +201,41 @@ class State:
             members.setdefault((b.id in self._lines, len(b.phases)), []).append(b.id)
         keys = sorted(members)
 
-        # x: per group the slabs of v, s and, off the root, S and ell, each
-        # as the (B, ...) array of its entry positions
-        self._groups = []
+        # x: per group a slab of (B, k, k) blocks, then one of s, (B, m); each
+        # as the array of its entry positions
+        self._groups, self.x_entries = [], {}
+        flows, lower, upper = [], [], []  # non-root block slabs, S^H and S entries
         size = 0
         owners = []
         for branch, m in keys:
             ids = members[branch, m]
+            k = 2 * m if branch else m
             slabs = []
-            for shape in [(m, m), (m,)] + [(m, m)] * (2 * branch):
+            for shape in [(k, k), (m,)]:
                 count = len(ids) * math.prod(shape)
                 slabs.append(np.arange(size, size + count).reshape((len(ids),) + shape))
                 owners.append(np.repeat(ids, count // len(ids)))
                 size += count
-            self._groups.append((ids, slabs))
-        self.x_entries = {
-            i: [slab[r] for slab in slabs] for ids, slabs in self._groups for r, i in enumerate(ids)
-        }
-        v_index = np.concatenate([slabs[0] for _, slabs in self._groups], axis=None)
-        self.s_index = np.concatenate([slabs[1] for _, slabs in self._groups], axis=None)
-        in_order = [self._by_id[i] for ids, _ in self._groups for i in ids]
+            block, s = slabs
+            kinds = [block[:, :m, :m], s]
+            if branch:
+                kinds += [block[:, :m, m:], block[:, m:, m:]]
+                flows.append(block)
+            # each S^H corner entry and the S entry whose conjugate it holds
+            # (none at the root)
+            lower.append(block[:, m:, :m])
+            upper.append(block[:, :m, m:].swapaxes(1, 2))
+            self._groups.append((ids, block, kinds))
+            for r, i in enumerate(ids):
+                self.x_entries[i] = [kind[r] for kind in kinds]
+        self.lower, self.upper = (np.concatenate(c, axis=None) for c in (lower, upper))
+        v_index = np.concatenate([kinds[0] for _, _, kinds in self._groups], axis=None)
+        self.s_index = np.concatenate([kinds[1] for _, _, kinds in self._groups], axis=None)
+        in_order = [self._by_id[i] for ids, _, _ in self._groups for i in ids]
         self.rho = config.rho
         self.injections = _Injections(in_order, self.s_index, self.rho)
         # the voltage copy of x entry v_index[k] is x[size + k]; v_index ascends
-        copies = size + np.arange(len(v_index))
-        self.blocks, self.x_dst, self.x_src = _x_step_maps(keys, self._groups, copies)
-        diagonals = [np.diagonal(slabs[0], axis1=1, axis2=2) for _, slabs in self._groups]
+        diagonals = [np.diagonal(kinds[0], axis1=1, axis2=2) for _, _, kinds in self._groups]
         self.v_diag = size + np.searchsorted(v_index, np.concatenate(diagonals, axis=None))
         self.v_lo = np.array([lo for b in in_order for lo in b.v_lo])
         self.v_hi = np.array([hi for b in in_order for hi in b.v_hi])
@@ -245,9 +256,12 @@ class State:
         held = size + np.searchsorted(v_index, pair[self.obs[ny:]])
         self.pair = np.concatenate([pair, held])
         self.den = np.bincount(self.pair, self.weight)
+        # no row observes an S^H corner; weight 1 keeps 0 / 0 out of its target
+        self.den[self.lower] = 1.0
         self.pair_slots, self.obs_slots = interleave(self.pair), interleave(self.obs)
 
         self.x = np.zeros(size + len(v_index), dtype=complex)
+        self.slabs = [self.x[b.flat[0] : b.flat[0] + b.size].reshape(b.shape) for b in flows]
         self.y = self.ysolver.y
         self.y_prev = np.zeros(ny, dtype=complex)
         self.u = np.zeros(len(self.obs), dtype=complex)
@@ -283,31 +297,6 @@ class State:
     def solution(self) -> dict[int, XBlock]:
         """Copies of every bus's primal blocks, by id in feeder order."""
         return {b.id: XBlock(*(self.x[e] for e in self.x_entries[b.id])) for b in self.model.buses}
-
-
-def _x_step_maps(keys, groups, copies: np.ndarray):
-    """The x-step's block gathers and its scatter into x (see ``State``);
-    ``copies`` are the positions of the voltage copies, which end x, so
-    the conjugated targets start after the last of them."""
-    size = copies[-1] + 1
-    blocks, dst, src, direct = [], [], [], [copies]
-    done = 0  # entries of the projected blocks so far
-    for (branch, m), (_, (v, _, *flow)) in zip(keys, groups):
-        if not branch:
-            direct.append(v)
-            continue
-        S, ell = flow
-        top = np.concatenate([v, S], axis=2)
-        bottom = np.concatenate([S.swapaxes(1, 2) + size, ell], axis=2)
-        gather = np.concatenate([top, bottom], axis=1)
-        blocks.append(gather)
-        at = done + np.arange(gather.size).reshape(gather.shape)
-        dst += [v, S, ell]
-        src += [at[:, :m, :m], at[:, :m, m:], at[:, m:, m:]]
-        done += gather.size
-    dst += direct
-    src += [entries + done for entries in direct]
-    return blocks, np.concatenate(dst, axis=None), np.concatenate(src, axis=None)
 
 
 def _flat_voltage(phases: PhaseSet) -> np.ndarray:
@@ -350,13 +339,11 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
         current[i] = amps
 
     x = state.x
-    for ids, slabs in state._groups:
-        v, i_line, s = (np.array([arr[i] for i in ids]) for arr in (volt, current, inj))
-        x[slabs[0]] = v[:, :, None] * v.conj()[:, None, :]
-        x[slabs[1]] = s
-        if len(slabs) > 2:
-            x[slabs[2]] = v[:, :, None] * i_line.conj()[:, None, :]
-            x[slabs[3]] = i_line[:, :, None] * i_line.conj()[:, None, :]
+    for ids, block, kinds in state._groups:
+        # each block is w w^H, with w = (v, i) off the root and v at it
+        w = np.array([np.concatenate([volt[i], current[i]]) for i in ids])[:, : block.shape[-1]]
+        x[block] = w[:, :, None] * w.conj()[:, None, :]
+        x[kinds[1]] = np.array([inj[i] for i in ids])
     ny = len(state.y)
     state.y[...] = state.x[state.pair[:ny]]
     state.x[state.pair[ny:]] = state.y[state.obs[ny:]]
@@ -369,33 +356,36 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
 # ---------------------------------------------------------------------------
 
 
-def _project_injections(state: State, hat: np.ndarray) -> None:
-    """Every phase's injection about its target in ``hat``: the box clamp
-    for all box phases at once, then the half-disk projection once per
-    DER phase."""
-    inj, rho = state.injections, state.rho
-    s_hat = hat[inj.box_at]
-    s = inj.s
-    s.real[inj.box], s.imag[inj.box] = project_injection_box(
-        inj.box_a1, inj.box_beta - rho * s_hat.real, rho, -rho * s_hat.imag, *inj.box_bounds
+def _project_injections(state: State) -> None:
+    """Every phase's injection about its target in x, in place: the box
+    clamp for all box phases at once, then the half-disk projection once
+    per DER phase."""
+    x, inj, rho = state.x, state.injections, state.rho
+    t = x[inj.box_at]
+    x.real[inj.box_at], x.imag[inj.box_at] = project_injection_box(
+        inj.box_a1, inj.box_beta - rho * t.real, rho, -rho * t.imag, *inj.box_bounds
     )
-    for k, at, a1, beta, s_max in inj.disks:
+    for at, a1, beta, s_max in inj.disks:
         p = q = 0.0
         if s_max != 0.0:
-            t = complex(hat[at])
+            t = complex(x[at])
             p, q = project_injection_disk(a1, beta - rho * t.real, rho, -rho * t.imag, s_max)
-        s[k] = complex(p, q)
-    state.x[state.s_index] = s
+        x[at] = complex(p, q)
 
 
 def x_update_round(state: State) -> None:
-    """Update every x_{i0} and x_{i1} from the observations."""
-    hat = complete_square_x0(state.y[state.obs], state.u, state.weight, state.pair_slots, state.den)
-    solve_x1_voltage(hat, state.v_diag, state.v_lo, state.v_hi)
-    targets = np.concatenate([hat, hat.conj()])
-    projected = [solve_x0_matrix(targets[index]) for index in state.blocks]
-    state.x[state.x_dst] = np.concatenate(projected + [hat], axis=None)[state.x_src]
-    _project_injections(state, hat)
+    """Update every x_{i0} and x_{i1} from the observations, in place in x:
+    the square-completion targets, the voltage clamp, the S^H corners, then
+    the PSD projection of each slab and the injection projections."""
+    x = state.x
+    x[...] = complete_square_x0(
+        state.y[state.obs], state.u, state.weight, state.pair_slots, state.den
+    )
+    solve_x1_voltage(x, state.v_diag, state.v_lo, state.v_hi)
+    x[state.lower] = x[state.upper].conj()
+    for slab in state.slabs:
+        slab[...] = solve_x0_matrix(slab)
+    _project_injections(state)
 
 
 def y_update_round(state: State) -> None:

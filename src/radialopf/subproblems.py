@@ -162,8 +162,12 @@ def solve_disk_multiplier(
 
     g is strictly decreasing and convex on lam >= 0 and g(0) > 0 whenever
     the unconstrained minimizer lies outside the disk, so a safeguarded
-    Newton iteration from the left converges monotonically; it raises
-    ValueError if not within 200 steps, or if float arithmetic overflows.
+    Newton iteration from the left converges monotonically. On a far
+    target it grows lam only about 1.5x per step; if it has not converged
+    within 200 steps, it restarts once from the larger of the lam at which
+    either term alone is c^2 (at least 0), where g >= 0 still. It raises
+    ValueError if that run does not converge either, or if float
+    arithmetic overflows.
     """
 
     def g(lam: float) -> float:
@@ -179,35 +183,38 @@ def solve_disk_multiplier(
         lo = 0.0
         if g(lo) <= 0.0:
             raise ValueError("bracketing failure: minimizer already inside the disk")
-        hi = max(
+        top = max(
             1.0,
             0.5 * (SQRT2 * abs(b1) / c - a1),
             0.5 * (SQRT2 * abs(b2) / c - a2),
         )
         for _ in range(200):
-            if g(hi) <= 0.0:
+            if g(top) <= 0.0:
                 break
-            hi *= 2.0
+            top *= 2.0
         else:
             raise ValueError("bracketing failure: no sign change found")
 
-        lam = lo
-        val = g(lam)
-        for _ in range(200):
-            if abs(val) <= 1e-12:
+        far = max(0.0, 0.5 * (abs(b1) / c - a1), 0.5 * (abs(b2) / c - a2))
+        for lam in (lo, far):
+            lo, hi, val = lam, top, g(lam)
+            for _ in range(200):
+                if abs(val) <= 1e-12:
+                    break
+                step = lam - val / dg(lam)
+                if not (lo < step < hi):
+                    step = 0.5 * (lo + hi)
+                lam = step
+                val = g(lam)
+                if val > 0.0:
+                    lo = lam
+                else:
+                    hi = lam
+                if hi - lo <= 1e-16 * (1.0 + hi):
+                    break
+            if abs(val) <= 1e-12 or hi - lo <= 1e-16 * (1.0 + hi):
                 break
-            step = lam - val / dg(lam)
-            if not (lo < step < hi):
-                step = 0.5 * (lo + hi)
-            lam = step
-            val = g(lam)
-            if val > 0.0:
-                lo = lam
-            else:
-                hi = lam
-            if hi - lo <= 1e-16 * (1.0 + hi):
-                break
-        if not (abs(val) <= 1e-12 or hi - lo <= 1e-16 * (1.0 + hi)):
+        else:
             raise ValueError("Newton's method did not converge in 200 steps")
     except OverflowError as err:
         raise ValueError(f"half-disk target out of range: {err}") from None

@@ -30,7 +30,7 @@ class HatConstants:
     """Hermitian block target of the x-step's PSD projection, for one bus
     or a stack: ``v_hat``/``S_hat``/``ell_hat`` are the square-completion
     targets of a non-root bus's v, S and ell. ``block`` is the oracle for
-    the engine, which gathers the same blocks through index maps."""
+    the engine, which fills the same blocks in x."""
 
     v_hat: np.ndarray
     S_hat: np.ndarray
@@ -77,9 +77,16 @@ class BusBlocks:
 
 
 def _live(buf, entries):
-    """The view of ``buf`` at the contiguous positions ``entries``."""
+    """The view of ``buf`` at the evenly strided positions ``entries``."""
     first = entries.flat[0]
-    return buf[first : first + entries.size].reshape(entries.shape)
+    steps = [np.diff(entries, axis=k).flat[0] if n > 1 else 0 for k, n in enumerate(entries.shape)]
+    view = np.lib.stride_tricks.as_strided(
+        buf[first:], entries.shape, [step * buf.itemsize for step in steps]
+    )
+    # the positions the view reads, which must be the entries themselves
+    grid = np.indices(entries.shape)
+    assert np.array_equal(first + np.tensordot(steps, grid, axes=1), entries)
+    return view
 
 
 def bus_blocks(state, i) -> BusBlocks:

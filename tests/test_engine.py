@@ -122,6 +122,31 @@ class TestInitialize:
         assert np.allclose(v, np.outer(ref, ref.conj()))
         assert np.allclose(np.abs(v.diagonal()), 1.0)
 
+    @pytest.mark.parametrize("model", [TWO_BUS, mixed_feeder()])
+    def test_blocks_are_outer_products(self, model):
+        # each flat-start block is w w^H bit for bit, with w = (v, i): the
+        # flat voltage and the line current, the injection currents summed
+        # bottom-up over the children; the root's block is v v^H
+        state = initialize(model)
+        volt, current = {}, {}
+
+        def accumulate(i):
+            bus = model.bus(i)
+            volt[i] = np.array([PHASE_REFERENCE[ch] for ch in bus.phases])
+            s = np.array([r.initial_point() for r in bus.regions], dtype=complex)
+            current[i] = np.conj(s / volt[i])
+            for j in model.children[i]:
+                accumulate(j)
+                current[i][model.bus(j).phases.indices_in(bus.phases)] += current[j]
+
+        accumulate(0)
+        for i, w in volt.items():
+            if i != 0:
+                w = np.concatenate([w, current[i]])
+            start = state.x_entries[i][0].flat[0]
+            block = state.x[start : start + w.size**2].reshape(w.size, w.size)
+            assert np.array_equal(block, w[:, None] * w.conj()[None, :])
+
     def test_multipliers_start_at_zero(self):
         agents = views(initialize(TWO_BUS))
         assert np.all(agents[1].u1 == 0)
@@ -521,33 +546,22 @@ def random_buffers(rng, state):
     "model", [three_class_feeder(), mixed_feeder(), generate_topology("line", 5)]
 )
 class TestXStepMaps:
-    def test_gather_builds_each_block_target(self, model):
-        # row r of a class's gather index, applied to [hat, conj(hat)], is
-        # exactly HatConstants.block() of the bus whose v[0, 0] it reads
-        state = State(model, SolverConfig())
-        for i, agent in views(state).items():
-            agent.x0.v[...] = i
-        owners = [state.x[index[:, 0, 0]].real.astype(int) for index in state.blocks]
-        assert sorted(np.concatenate(owners)) == sorted(ln.bus for ln in model.lines)
-        phase_counts = {len(model.bus(ln.bus).phases) for ln in model.lines}
-        assert [index.shape[-1] // 2 for index in state.blocks] == sorted(phase_counts)
+    def test_x_step_writes_every_entry(self, model):
+        # on finite y and u, the x round leaves no entry of x unwritten
+        state = initialize(model, SolverConfig(rho=0.9))
+        random_buffers(np.random.default_rng(41), state)
+        state.x[...] = complex(np.nan, np.nan)
+        x_update_round(state)
+        assert np.isfinite(state.x).all()
 
-        rng = np.random.default_rng(41)
-        hat = rng.standard_normal(len(state.x)) + 1j * rng.standard_normal(len(state.x))
-        state.x[...] = hat
-        agents = views(state)
-        targets = np.concatenate([hat, hat.conj()])
-        for index, ids in zip(state.blocks, owners):
-            for row, i in zip(index, ids):
-                t = agents[i].x0
-                assert np.array_equal(targets[row], HatConstants(t.v, t.S, t.ell).block())
-
-    def test_scatter_writes_every_matrix_entry_once(self, model):
-        state = State(model, SolverConfig())
-        writes = np.bincount(state.x_dst, minlength=len(state.x))
-        expected = np.ones(len(state.x), dtype=int)
-        expected[state.s_index] = 0
-        assert np.array_equal(writes, expected)
+    def test_x_step_leaves_blocks_hermitian(self, model):
+        # every non-root block [[v, S], [S^H, ell]] is exactly Hermitian in x
+        state = initialize(model, SolverConfig(rho=0.9))
+        random_buffers(np.random.default_rng(43), state)
+        x_update_round(state)
+        assert sum(len(slab) for slab in state.slabs) == len(model.lines)
+        for slab in state.slabs:
+            assert np.array_equal(slab, slab.conj().swapaxes(1, 2))
 
     def test_x_step_projects_each_block(self, model):
         # after the x round every non-root bus holds the projection of its
@@ -658,7 +672,14 @@ class TestYLayout:
         # the voltage copies' rows hold the end of x, one entry each
         end = len(state.x)
         assert np.array_equal(np.sort(state.pair[ny:]), np.arange(end - own_v.sum(), end))
-        assert np.array_equal(state.den, np.bincount(state.pair, state.weight, len(state.x)))
+        # den: the weight sums on observed entries, 1 on the S^H corners,
+        # which no row observes
+        sums = np.bincount(state.pair, state.weight, len(state.x))
+        corners = np.zeros(len(state.x), dtype=bool)
+        corners[state.lower] = True
+        assert corners.sum() == sum(len(model.bus(ln.bus).phases) ** 2 for ln in model.lines)
+        assert np.all(sums[corners] == 0) and np.all(sums[~corners] > 0)
+        assert np.array_equal(state.den, np.where(corners, 1.0, sums))
         mass = np.bincount(state.obs, state.weight, ny)
         solver = state.ysolver
         segments = zip(solver.offsets[:-1], solver.offsets[1:])

@@ -495,12 +495,25 @@ class TestDiskProjection:
         p, q = project_injection_disk(1.0, -1e30, 1.0, 0.0, 1.0)
         assert p > 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("exponent", [40, 200])
+    @pytest.mark.parametrize("exponent", [35, 40, 100, 150])
+    def test_farther_target_lands_on_the_circle(self, exponent):
+        # from 1e35 Newton from lam = 0 has not converged after 200 steps;
+        # the restart where the first term alone is c^2 lands on the root
+        p, q = project_injection_disk(1.0, -(10.0**exponent), 1.0, 0.0, 1.0)
+        assert p > 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [40, 100])
+    def test_far_target_off_the_axis_lands_on_the_circle(self, exponent):
+        # a1 != a2 and b2 != 0: the restart still starts left of the root,
+        # and Newton reaches it from there
+        p, q = project_injection_disk(3.0, -(10.0**exponent), 1.0, 10.0 ** (exponent - 1), 1.0)
+        assert p > 0 and q < 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [200])
     def test_farther_target_raises_value_error(self, exponent):
-        # at 1e40 Newton has not converged after 200 steps, and at 1e200
-        # squaring the target overflows; neither may return a point off
-        # the disk or raise anything the engine does not turn into a
-        # SolverError
+        # at 1e200 squaring the target overflows; that may neither return a
+        # point off the disk nor raise anything the engine does not turn
+        # into a SolverError
         with pytest.raises(ValueError):
             project_injection_disk(1.0, -(10.0**exponent), 1.0, 0.0, 1.0)
 
