@@ -21,24 +21,26 @@ index decision is a map that ``State`` builds once, so the work of a
 step does not branch on the feeder's shape. It builds the other run
 constants once too: the y-solver's operators, which do not depend on
 rho, with their views of its c and y buffers, and the injections'
-curvature alpha + rho, positions and costs. The x-step runs in place
-in x: it writes the square-completion target of every copy into x in
-one weighted sum over the rows, clamps the voltage copies in one call,
+positions, costs and (p, q) box constants, whose curvature it checks
+then. The x-step runs in place in x: it writes the square-completion
+target of every copy into x's float views in one weighted sum over the
+rows and one division per part, clamps the voltage copies in one call,
 fills every S^H corner from its S corner in one gather, projects each
 non-root slab of blocks onto the PSD cone in one batched call per phase
-count, written back in place, and then projects every phase's
-injection about its target in x. The y-step sums u + w x over the rows
-into y in one scatter-add and runs one ``YNodeSolver`` for all buses, on
-y's float view: one stacked matrix-vector product per y-block
-signature, from the linear terms straight into y. The multiplier update
-(u += x - y) and the residuals are single operations over the rows. Data
-crosses a tree edge only where a step reads an entry that another bus
-owns; those entries are the messages, and ``State.messages`` is derived
-from them once. Each round takes the state alone; only the injection
-projections and the dual residual read its rho (``State.rho``). ``run``
-turns a kernel's ValueError into a ``SolverError`` that names the
-iteration. Every step applies the per-bus arithmetic elementwise and
-reduces in a fixed order, so runs are deterministic bit for bit.
+count, written back in place, clamps the (p, q) pairs of all box
+phases at once, and projects each half-disk phase. The y-step sums
+u + w x over the rows into y in one scatter-add and runs one
+``YNodeSolver`` for all buses, on y's float view: one stacked
+matrix-vector product per y-block signature, from the linear terms
+straight into y. The multiplier update (u += x - y) and the residuals
+are single operations over the rows. Data crosses a tree edge only where
+a step reads an entry that another bus owns; those entries are the
+messages, and ``State.messages`` is derived from them once. Each round
+takes the state alone; only the injection projections and the dual
+residual read its rho (``State.rho``). ``run`` turns a kernel's
+ValueError into a ``SolverError`` that names the iteration. Every step
+applies the per-bus arithmetic elementwise and reduces in a fixed order,
+so runs are deterministic bit for bit.
 """
 
 from __future__ import annotations
@@ -129,11 +131,12 @@ class _Injections:
     """Every phase's cost and injection region, in the order of the
     groups' s slabs, with the constants of their projections at penalty
     ``rho``, the only run constants that depend on it: ``box_at`` holds
-    the entries in x of the box phases, ``box_a1``/``box_beta`` their
-    curvature alpha + rho and linear cost and ``box_bounds`` their
-    rectangles; ``disks`` holds (entry in x, alpha + rho, beta, radius)
-    per half-disk phase. ``half_alpha`` and ``beta`` are every phase's
-    cost coefficients alpha/2 and beta, for the objective. The
+    the entries in x of the box phases and ``box_a``, ``box_b``,
+    ``box_lo``, ``box_hi`` their (B, 2) float pairs (alpha + rho, rho),
+    (beta, -0.0), (p_lo, q_lo) and (p_hi, q_hi), with ``box_a`` > 0
+    checked here, once; ``disks`` holds (entry in x, alpha + rho, beta,
+    radius) per half-disk phase. ``half_alpha`` and ``beta`` are every
+    phase's cost coefficients alpha/2 and beta, for the objective. The
     projections read their targets from x and write x."""
 
     def __init__(self, buses: list[BusSpec], s_index: np.ndarray, rho: float):
@@ -142,13 +145,14 @@ class _Injections:
         self.half_alpha = 0.5 * alpha
         self.beta = np.array([cost.beta for _, cost in phases])
         a1 = alpha + rho
-        box = np.array([k for k, (reg, _) in enumerate(phases) if isinstance(reg, Box)], dtype=int)
-        self.box_at = s_index[box]
-        self.box_a1, self.box_beta = a1[box], self.beta[box]
-        self.box_bounds = tuple(
-            np.array([getattr(phases[k][0], name) for k in box])
-            for name in ("p_lo", "p_hi", "q_lo", "q_hi")
-        )
+        box = [(k, reg) for k, (reg, _) in enumerate(phases) if isinstance(reg, Box)]
+        self.box_at = s_index[np.array([k for k, _ in box], dtype=int)]
+        # q's linear cost is -0.0, so that -(-0.0 - rho t_q) / rho keeps the sign of t_q's zero
+        rows = [(a1[k], rho, self.beta[k], -0.0, r.p_lo, r.q_lo, r.p_hi, r.q_hi) for k, r in box]
+        pairs = np.array(rows, dtype=float).reshape(-1, 4, 2).swapaxes(0, 1).copy()
+        self.box_a, self.box_b, self.box_lo, self.box_hi = pairs
+        if not (self.box_a > 0).all():
+            raise ValueError("nonpositive curvature")
         self.disks = [
             (s_index[k], float(a1[k]), float(self.beta[k]), reg.s_max)
             for k, (reg, _) in enumerate(phases)
@@ -357,14 +361,13 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
 
 
 def _project_injections(state: State) -> None:
-    """Every phase's injection about its target in x, in place: the box
-    clamp for all box phases at once, then the half-disk projection once
-    per DER phase."""
+    """Every phase's injection about its target in x, in place: one clamp
+    of the (p, q) pairs of all box phases, then the half-disk projection
+    once per DER phase."""
     x, inj, rho = state.x, state.injections, state.rho
-    t = x[inj.box_at]
-    x.real[inj.box_at], x.imag[inj.box_at] = project_injection_box(
-        inj.box_a1, inj.box_beta - rho * t.real, rho, -rho * t.imag, *inj.box_bounds
-    )
+    t = x[inj.box_at].view(float).reshape(-1, 2)
+    pq = project_injection_box(inj.box_a, inj.box_b - rho * t, inj.box_lo, inj.box_hi)
+    x[inj.box_at] = pq.view(complex)[:, 0]
     for at, a1, beta, s_max in inj.disks:
         p = q = 0.0
         if s_max != 0.0:
@@ -378,9 +381,7 @@ def x_update_round(state: State) -> None:
     the square-completion targets, the voltage clamp, the S^H corners, then
     the PSD projection of each slab and the injection projections."""
     x = state.x
-    x[...] = complete_square_x0(
-        state.y[state.obs], state.u, state.weight, state.pair_slots, state.den
-    )
+    complete_square_x0(state.y[state.obs], state.u, state.weight, state.pair_slots, state.den, x)
     solve_x1_voltage(x, state.v_diag, state.v_lo, state.v_hi)
     x[state.lower] = x[state.upper].conj()
     for slab in state.slabs:

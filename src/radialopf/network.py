@@ -409,7 +409,10 @@ def _parse_line(obj, k: int) -> LineSpec:
 def loads_feeder(text: str | bytes) -> FeederModel:
     """Parse a feeder-json document and validate it."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FeederParseError(f"not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -19,11 +19,11 @@ only the injection projections read the penalty rho. The engine runs
 every kernel once per iteration over the whole feeder, except the PSD
 projection, which runs once per non-root phase count on a stack of
 (2m, 2m) blocks, in closed form for m = 1: square completion is one
-weighted sum per primal entry, the box projection and the voltage clamp
-work elementwise on flat arrays, and one ``YNodeSolver`` serves every
-bus, with one operator stack per neighborhood shape, in which each
-distinct neighborhood of the feeder is prefactored once. The half-disk
-projection alone runs per DER phase.
+weighted sum per primal entry, the box projection is one clamp over
+(p, q) pairs, the voltage clamp works elementwise on a flat array, and
+one ``YNodeSolver`` serves every bus, with one operator stack per
+neighborhood shape, in which each distinct neighborhood of the feeder
+is prefactored once. The half-disk projection alone runs per DER phase.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def scatter_add(slots: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 def complete_square_x0(
-    y: np.ndarray, u: np.ndarray, weight: np.ndarray, slots: np.ndarray, den: np.ndarray
-) -> np.ndarray:
+    y: np.ndarray, u: np.ndarray, weight: np.ndarray, slots: np.ndarray, den: np.ndarray, out
+) -> None:
     """Collapse the weighted observation penalties into prox targets.
 
     Each row e of the consensus table ties x entry i = ``pair[e]`` to an
@@ -98,13 +98,13 @@ def complete_square_x0(
     completing the square gives the target sum_e (w_e y_e - u_e) / sum_e w_e,
     whatever rho. ``y``, ``u`` and ``weight`` are laid out by row, ``slots``
     is ``interleave(pair)`` and ``den`` holds sum_e w_e per x entry. The
-    sums run over the rows of every bus at once, in row order; returns the
-    targets laid out like x.
+    sums run over the rows of every bus at once, in row order; one
+    division per part by ``den`` writes every target into ``out``, a
+    complex buffer laid out like x, through its float views.
     """
     hat = scatter_add(slots, weight * y - u, len(den))
-    hat.real /= den
-    hat.imag /= den
-    return hat
+    np.divide(hat.real, den, out=out.real)
+    np.divide(hat.imag, den, out=out.imag)
 
 
 def solve_x0_matrix(block: np.ndarray) -> np.ndarray:
@@ -127,20 +127,15 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def project_injection_box(a1, b1, a2, b2, p_lo, p_hi, q_lo, q_hi):
-    """Minimize a1/2 p^2 + b1 p + a2/2 q^2 + b2 q over a rectangle.
+def project_injection_box(a, b, lo, hi):
+    """Minimize a/2 t^2 + b t over lo <= t <= hi, elementwise.
 
     Separable strictly convex quadratic: clamp each unconstrained
-    minimizer into its interval. Elementwise over arrays of phases. Any
-    curvature entry <= 0 is rejected; NaN entries are not compared (fmin
-    skips them).
+    minimizer -b/a into its interval. The engine passes (B, 2) arrays of
+    (p, q) pairs, one row per box phase. The curvature must be positive
+    (a > 0); the caller checks that once, where it builds ``a``.
     """
-    least = np.fmin.reduce(a2, axis=None, initial=np.inf)
-    if np.fmin.reduce(a1, axis=None, initial=least) <= 0:
-        raise ValueError("nonpositive curvature")
-    p = np.minimum(np.maximum(-b1 / a1, p_lo), p_hi)
-    q = np.minimum(np.maximum(-b2 / a2, q_lo), q_hi)
-    return p, q
+    return np.minimum(np.maximum(-b / a, lo), hi)
 
 
 def disk_case(a1: float, b1: float, a2: float, b2: float, c: float) -> int:
@@ -165,19 +160,19 @@ def solve_disk_multiplier(
     Newton iteration from the left converges monotonically. On a far
     target it grows lam only about 1.5x per step; if it has not converged
     within 200 steps, it restarts once from the larger of the lam at which
-    either term alone is c^2 (at least 0), where g >= 0 still. It raises
-    ValueError if that run does not converge either, or if float
-    arithmetic overflows.
+    either term alone is c^2 (at least 0), where g >= 0 still. The
+    derivative g' = -4 ((b1/d1)^2/d1 + (b2/d2)^2/d2), with d = a + 2lam,
+    squares the same quotients as g, so its powers overflow only where g's do.
+    It raises ValueError if the restarted run does not converge either,
+    or if float arithmetic overflows.
     """
 
     def g(lam: float) -> float:
         return (b1 / (a1 + 2.0 * lam)) ** 2 + (b2 / (a2 + 2.0 * lam)) ** 2 - c * c
 
     def dg(lam: float) -> float:
-        return (
-            -4.0 * b1 * b1 / (a1 + 2.0 * lam) ** 3
-            - 4.0 * b2 * b2 / (a2 + 2.0 * lam) ** 3
-        )
+        d1, d2 = a1 + 2.0 * lam, a2 + 2.0 * lam
+        return -4.0 * ((b1 / d1) ** 2 / d1 + (b2 / d2) ** 2 / d2)
 
     try:
         lo = 0.0

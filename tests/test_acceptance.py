@@ -112,7 +112,8 @@ def test_criterion_2_injection_projections():
         lo1, lo2 = rng.uniform(-1.0, 0.0, 2)
         hi1 = lo1 + rng.uniform(0.05, 1.5)
         hi2 = lo2 + rng.uniform(0.05, 1.5)
-        p, q = project_injection_box(a1, b1, a2, b2, lo1, hi1, lo2, hi2)
+        a, b, lo, hi = (np.array(pair) for pair in ((a1, a2), (b1, b2), (lo1, lo2), (hi1, hi2)))
+        p, q = project_injection_box(a, b, lo, hi)
         assert lo1 <= p <= hi1 and lo2 <= q <= hi2
         obj = 0.5 * a1 * p * p + b1 * p + 0.5 * a2 * q * q + b2 * q
         assert obj <= box_oracle(a1, b1, a2, b2, lo1, hi1, lo2, hi2) + 1e-5
@@ -271,8 +272,8 @@ def test_criterion_4_square_completion_gradient():
         nc = int(rng.integers(0, 4))
         rho = float(rng.uniform(0.4, 2.5))
         state = observed_bus(rng, m, nc, rho)
-        state.x[...] = complete_square_x0(
-            state.y[state.obs], state.u, state.weight, state.pair_slots, state.den
+        complete_square_x0(
+            state.y[state.obs], state.u, state.weight, state.pair_slots, state.den, state.x
         )
         hat = bus_blocks(state, 1).x0
 

@@ -3,7 +3,10 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +146,29 @@ def test_solve_invalid_network(tmp_path):
     net.write_text("{\"buses\": [], \"lines\": []}")
     code = main(["solve", "--network", str(net)])
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_utf8_feeder_file_exits_without_traceback(tmp_path, command):
+    # run as a program, so that an uncaught error would print its traceback
+    net = tmp_path / "net.json"
+    net.write_bytes(b"\xff\xfe{}")
+    args = ["--network", str(net)]
+    if command == "verify":
+        args += ["--solution", str(tmp_path / "solution.json")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "radialopf", command, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {net}: not UTF-8 text")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_solve_huge_integer_is_a_parse_error(tmp_path, capsys):

@@ -36,7 +36,7 @@ from radialopf.network import (
     phase_lift,
     phase_project,
 )
-from radialopf.subproblems import YNodeSolver, complete_square_x0, solve_x0_matrix
+from radialopf.subproblems import YNodeSolver, complete_square_x0, scatter_add, solve_x0_matrix
 
 INF = float("inf")
 
@@ -554,6 +554,19 @@ class TestXStepMaps:
         x_update_round(state)
         assert np.isfinite(state.x).all()
 
+    def test_square_completion_writes_every_entry_in_place(self, model):
+        # the divisions straight into out write every entry of it, bit for
+        # bit as the old divisions of a returned temporary did
+        state = initialize(model, SolverConfig(rho=0.9))
+        random_buffers(np.random.default_rng(44), state)
+        y, u, w = state.y[state.obs], state.u, state.weight
+        out = np.full(len(state.x), complex(np.nan, np.nan))
+        complete_square_x0(y, u, w, state.pair_slots, state.den, out)
+        hat = scatter_add(state.pair_slots, w * y - u, len(state.den))
+        hat.real /= state.den
+        hat.imag /= state.den
+        assert out.tobytes() == hat.tobytes()
+
     def test_x_step_leaves_blocks_hermitian(self, model):
         # every non-root block [[v, S], [S^H, ell]] is exactly Hermitian in x
         state = initialize(model, SolverConfig(rho=0.9))
@@ -570,8 +583,8 @@ class TestXStepMaps:
         state = initialize(model, config)
         random_buffers(np.random.default_rng(42), state)
         hat = State(model, config)
-        hat.x[...] = complete_square_x0(
-            state.y[state.obs], state.u, state.weight, state.pair_slots, state.den
+        complete_square_x0(
+            state.y[state.obs], state.u, state.weight, state.pair_slots, state.den, hat.x
         )
         x_update_round(state)
         for i, agent in views(state).items():

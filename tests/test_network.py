@@ -154,6 +154,10 @@ class TestLoader:
         with pytest.raises(FeederParseError, match="line 1"):
             loads_feeder("{not json")
 
+    def test_non_utf8_bytes_are_a_parse_error(self):
+        with pytest.raises(FeederParseError, match="UTF-8"):
+            loads_feeder(b"\xff\xfe{}")
+
     def test_disk_region(self):
         doc = json.loads(json.dumps(TWO_BUS_DOC))
         doc["buses"][1]["region"] = [{"type": "disk", "smax": 0.5}]

@@ -8,7 +8,7 @@ import pytest
 from conftest import HatConstants, bus_blocks, copy_block, direct_penalty, hermitian_blocks, inner
 
 from radialopf import subproblems
-from radialopf.engine import SolverConfig, State, run
+from radialopf.engine import SolverConfig, State, _Injections, _project_injections, run
 from radialopf.network import (
     Box,
     BusSpec,
@@ -36,6 +36,8 @@ from radialopf.subproblems import (
     y_signature,
     y_weights,
 )
+
+INF = math.inf
 
 
 def equivalence_feeder(name):
@@ -120,8 +122,9 @@ def fill_observations(rng, state, i):
 def targets(state):
     """complete_square_x0 over the state's buffers, each bus's targets
     (v, s[, S, ell]) read through its views."""
-    hat = complete_square_x0(state.y[state.obs], state.u, state.weight, state.pair_slots, state.den)
-    state.x[...] = hat
+    complete_square_x0(
+        state.y[state.obs], state.u, state.weight, state.pair_slots, state.den, state.x
+    )
     return {b.id: copy_block(bus_blocks(state, b.id).x0) for b in state.model.buses}
 
 
@@ -360,42 +363,52 @@ def disk_grid_best(a1, b1, a2, b2, c):
     return best
 
 
+def box(a, b, lo, hi):
+    """project_injection_box on one phase's (p, q) pair, as a tuple."""
+    return tuple(project_injection_box(*(np.array(pair, dtype=float) for pair in (a, b, lo, hi))))
+
+
 class TestBoxProjection:
     def test_interior(self):
-        p, q = project_injection_box(1.0, -0.5, 1.0, 0.0, 0.0, 1.0, -1.0, 1.0)
-        assert (p, q) == (0.5, 0.0)
+        assert box((1.0, 1.0), (-0.5, 0.0), (0.0, -1.0), (1.0, 1.0)) == (0.5, 0.0)
 
     def test_clamped(self):
-        p, _ = project_injection_box(1.0, -2.0, 1.0, 0.0, 0.0, 1.0, -1.0, 1.0)
+        p, _ = box((1.0, 1.0), (-2.0, 0.0), (0.0, -1.0), (1.0, 1.0))
         assert p == 1.0
 
     def test_curvature_precondition(self):
-        with pytest.raises(ValueError):
-            project_injection_box(0.0, 1.0, 1.0, 1.0, 0, 1, 0, 1)
+        # the kernel takes a > 0 as given: the engine checks the curvature
+        # pairs (alpha + rho, rho) once, when it builds them at set-up
+        model = feeder([0, 1], "ab")
+        s_index = np.arange(2 * len(model.buses))
+        for rho in (0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="nonpositive curvature"):
+                _Injections(list(model.buses), s_index, rho)
+        # alpha + rho > 0 but q's curvature rho < 0: still rejected
+        convex = [replace(b, cost=(ObjectiveCoeffs(2.0, 1.0),) * 2) for b in model.buses]
+        with pytest.raises(ValueError, match="nonpositive curvature"):
+            _Injections(convex, s_index, -1.0)
+        assert (_Injections(convex, s_index, 1e-300).box_a > 0).all()
 
-    @pytest.mark.parametrize(
-        "a1, a2, rejected",
-        [
-            (np.array([1.0, 0.0, 2.0]), 1.0, True),  # one a1 entry <= 0
-            (np.array([1.0, 2.0]), 0.0, True),  # scalar a2 <= 0
-            (np.array([1.0, 2.0]), np.array([1.0, -1.0]), True),  # array a2
-            (np.array([math.nan, -1.0]), 1.0, True),  # NaN beside a nonpositive entry
-            (np.array([1.0, 2.0]), np.array([math.nan, -0.5]), True),
-            (np.array([]), -1.0, True),  # no phases, a2 still checked
-            (np.array([math.nan, math.nan]), 1.0, False),  # NaN is not compared
-            (np.array([math.nan, 2.0]), math.nan, False),
-            (np.array([1.0, math.nan]), np.array([math.nan, 3.0]), False),
-            (np.array([]), 1.0, False),
-        ],
-    )
-    def test_curvature_check_is_the_two_any_rule(self, a1, a2, rejected):
-        assert bool(np.less_equal(a1, 0).any() or np.less_equal(a2, 0).any()) == rejected
-        args = (a1, 0.0, a2, 0.0, -1.0, 1.0, -1.0, 1.0)
-        if rejected:
-            with pytest.raises(ValueError, match="curvature"):
-                project_injection_box(*args)
-        else:
-            project_injection_box(*args)
+    def test_signed_zero_q_targets_keep_their_bits(self):
+        # a box target whose q is exactly +0.0 or -0.0 ends where the
+        # separate p and q clamps put it, sign of zero included: the linear
+        # cost's -0.0 makes -(-0.0 - rho t_q) / rho equal -(-rho t_q) / rho
+        rho = 0.7
+        state = State(feeder([0, 1, 1], "abc"), SolverConfig(rho=rho))
+        at = state.injections.box_at
+        p = np.random.default_rng(29).standard_normal(len(at))
+        for zero in (0.0, -0.0):
+            state.x.real[at], state.x.imag[at] = p, zero
+            t = state.x[at]
+            b1, b2 = 1.0 - rho * t.real, -rho * t.imag
+            p_old = np.minimum(np.maximum(-b1 / (0.0 + rho), -INF), INF)
+            q_old = np.minimum(np.maximum(-b2 / rho, -INF), INF)
+            _project_injections(state)
+            t = state.x[at]
+            assert t.real.tobytes() == p_old.tobytes()
+            assert t.imag.tobytes() == q_old.tobytes()
+            assert np.array_equal(np.signbit(t.imag), np.full(len(at), math.copysign(1, zero) < 0))
 
     def test_against_grid(self):
         rng = np.random.default_rng(7)
@@ -405,21 +418,24 @@ class TestBoxProjection:
             lo1, lo2 = rng.uniform(-1.0, 0.0, 2)
             hi1 = lo1 + rng.uniform(0.05, 1.5)
             hi2 = lo2 + rng.uniform(0.05, 1.5)
-            p, q = project_injection_box(a1, b1, a2, b2, lo1, hi1, lo2, hi2)
+            p, q = box((a1, a2), (b1, b2), (lo1, lo2), (hi1, hi2))
             assert lo1 <= p <= hi1 and lo2 <= q <= hi2
             obj = 0.5 * a1 * p * p + b1 * p + 0.5 * a2 * q * q + b2 * q
             assert obj <= box_grid_best(a1, b1, a2, b2, lo1, hi1, lo2, hi2) + 1e-5
 
     def test_arrays_match_scalar_calls(self):
         rng = np.random.default_rng(27)
-        a1 = rng.uniform(0.2, 3.0, 30)
-        b1, b2 = rng.uniform(-2.0, 2.0, (2, 30))
-        lo1, lo2 = rng.uniform(-1.0, 0.0, (2, 30))
-        hi1, hi2 = lo1 + rng.uniform(0.05, 1.5, 30), lo2 + rng.uniform(0.05, 1.5, 30)
-        p, q = project_injection_box(a1, b1, 1.3, b2, lo1, hi1, lo2, hi2)
+        a = np.column_stack([rng.uniform(0.2, 3.0, 30), np.full(30, 1.3)])
+        b = rng.uniform(-2.0, 2.0, (30, 2))
+        lo = rng.uniform(-1.0, 0.0, (30, 2))
+        hi = lo + rng.uniform(0.05, 1.5, (30, 2))
+        # some phases have free boxes, as the root does
+        lo[::7], hi[::7] = -INF, INF
+        out = project_injection_box(a, b, lo, hi)
+        assert out.shape == (30, 2)
+        assert out[::7].tobytes() == (-b[::7] / a[::7]).tobytes()
         for k in range(30):
-            one = project_injection_box(a1[k], b1[k], 1.3, b2[k], lo1[k], hi1[k], lo2[k], hi2[k])
-            assert (p[k], q[k]) == one
+            assert tuple(out[k]) == box(a[k], b[k], lo[k], hi[k])
 
 
 class TestDiskProjection:
@@ -517,12 +533,15 @@ class TestDiskProjection:
         with pytest.raises(ValueError):
             project_injection_disk(1.0, -(10.0**exponent), 1.0, 0.0, 1.0)
 
-    def test_overflow_in_the_multiplier_raises_value_error(self):
-        # the target itself squares finely, but Newton's derivative cubes
-        # a1 + 2 lam past the float range
-        assert disk_case(1e60, -1e160, 1.0, 0.0, 1.0) == 3
-        with pytest.raises(ValueError, match="out of range"):
-            solve_disk_multiplier(1e60, -1e160, 1.0, 0.0, 1.0)
+    @pytest.mark.parametrize(
+        "a1, b1, b2", [(3.0, -1e150, 1e149), (1e60, -1e160, 0.0)], ids=["off-axis", "a1-1e60"]
+    )
+    def test_large_denominator_target_lands_on_the_circle(self, a1, b1, b2):
+        # a1 + 2 lam cubed overflows, but Newton's derivative squares the
+        # same quotients as g and divides once more, so it stays finite
+        assert disk_case(a1, b1, 1.0, b2, 1.0) == 3
+        p, q = project_injection_disk(a1, b1, 1.0, b2, 1.0)
+        assert p > 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
 
 
 def clamp(lam, y, lo, hi, rho):
@@ -532,7 +551,8 @@ def clamp(lam, y, lo, hi, rho):
     lam / rho), then solve_x1_voltage on the target; reshaped back."""
     rows = np.arange(y.size)
     one = np.ones(y.size)
-    out = complete_square_x0(y.ravel(), lam.ravel() / rho, one, interleave(rows), one)
+    out = np.empty(y.size, dtype=complex)
+    complete_square_x0(y.ravel(), lam.ravel() / rho, one, interleave(rows), one, out)
     diag = np.diagonal(rows.reshape(y.shape), axis1=-2, axis2=-1).ravel()
     solve_x1_voltage(out, diag, np.ravel(lo), np.ravel(hi))
     return out.reshape(y.shape)
