@@ -7,9 +7,8 @@ state of a whole run lives in a few flat buffers: x, y and u. Within x
 each group of buses with one phase count (the root on its own) holds a
 contiguous slab of blocks, the (2m, 2m) Hermitian matrices
 [[v, S], [S^H, ell]] of the paper's x-step (v alone at the root), then
-a (B, m) slab of s; the voltage copies end x. y runs bus after bus in
-the order of the y-solver: each bus's own copies, its copy of its
-parent's v, then its copies of each child's (S, ell).
+a (B, m) slab of s; the voltage copies end x. y holds each bus's
+y-blocks (``subproblems.y_blocks``), bus after bus in the y-solver's order.
 
 Every consensus constraint is one row of one table, as in general-form
 consensus ADMM: row e ties x entry ``pair[e]`` to y entry ``obs[e]``
@@ -32,15 +31,16 @@ phases at once, and projects each half-disk phase. The y-step sums
 u + w x over the rows into y in one scatter-add and runs one
 ``YNodeSolver`` for all buses, on y's float view: one stacked
 matrix-vector product per y-block signature, from the linear terms
-straight into y. The multiplier update (u += x - y) and the residuals
-are single operations over the rows. Data crosses a tree edge only where
-a step reads an entry that another bus owns; those entries are the
-messages, and ``State.messages`` is derived from them once. Each round
-takes the state alone; only the injection projections and the dual
-residual read its rho (``State.rho``). ``run`` turns a kernel's
-ValueError into a ``SolverError`` that names the iteration. Every step
-applies the per-bus arithmetic elementwise and reduces in a fixed order,
-so runs are deterministic bit for bit.
+straight into y. The multiplier update forms every row's gap x - y once
+and adds it to u; the primal residual is that gap's norm. Data crosses a
+tree edge only where a y-block copies an entry that another bus owns;
+those blocks are the messages, and ``State.messages`` is read from the
+blocks' owners once. Each round takes the state alone; only the
+injection projections and the dual residual read its rho
+(``State.rho``). ``run`` turns a kernel's ValueError into a
+``SolverError`` that names the iteration. Every step applies the
+per-bus arithmetic elementwise and reduces in a fixed order, so runs
+are deterministic bit for bit.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .subproblems import (
     scatter_add,
     solve_x0_matrix,
     solve_x1_voltage,
-    y_signature,
+    y_blocks,
 )
 
 __all__ = [
@@ -169,20 +169,22 @@ class State:
     its v alone. ``x_entries[i]`` holds the positions in x of bus i's v,
     s[, S, ell]; the rows of a group's slabs follow the feeder's bus
     order. After them x holds the voltage copies, one per own v entry,
-    in the order of those entries. y is the y-solver's own buffer; it holds one
-    segment per bus, laid out as the bus's y-blocks
-    (``subproblems.y_signature``), in the order of ``ysolver.ctxs`` and
-    from the offsets ``ysolver.offsets``. Row e of the consensus table
+    in the order of those entries. y is the y-solver's own buffer: one
+    segment per bus of ``ysolver.ctxs`` (given in feeder order, ordered
+    by the solver), from ``ysolver.offsets``, laid out as the bus's
+    y-blocks (``subproblems.y_blocks``). Row e of the consensus table
     ties x entry ``pair[e]`` to y entry ``obs[e]`` with weight
     ``weight[e]`` and scaled multiplier ``u[e]`` = mu_e / rho (``obs`` and
-    ``weight`` come from ``ysolver``); ``den`` sums the weights per x
+    ``weight`` come from ``ysolver``; an identity row's x entry is
+    ``x_entries[owner][kind]`` of its y-block); ``gap`` holds x[pair] -
+    y[obs] at the last multiplier update. ``den`` sums the weights per x
     entry, and is 1 on the S^H corners, which no row observes;
     ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for the
     scatter-adds. ``s_index`` lists the entries of s in x, in the order
     of ``injections``, which holds the injections' projection constants
     at the penalty ``rho`` (``config.rho``). ``messages`` holds the
-    directed (sender, receiver) bus pairs of the entries that a step
-    reads across a tree edge; every iteration sends the same ones.
+    directed (sender, receiver) pairs of the y-blocks that copy another
+    bus's entries, both ways; every iteration sends the same ones.
 
     The x-step runs in x: ``slabs`` holds, per non-root phase count m,
     the view of x as its (B, 2m, 2m) blocks; ``lower`` lists the
@@ -210,7 +212,6 @@ class State:
         self._groups, self.x_entries = [], {}
         flows, lower, upper = [], [], []  # non-root block slabs, S^H and S entries
         size = 0
-        owners = []
         for branch, m in keys:
             ids = members[branch, m]
             k = 2 * m if branch else m
@@ -218,7 +219,6 @@ class State:
             for shape in [(k, k), (m,)]:
                 count = len(ids) * math.prod(shape)
                 slabs.append(np.arange(size, size + count).reshape((len(ids),) + shape))
-                owners.append(np.repeat(ids, count // len(ids)))
                 size += count
             block, s = slabs
             kinds = [block[:, :m, :m], s]
@@ -244,18 +244,14 @@ class State:
         self.v_lo = np.array([lo for b in in_order for lo in b.v_lo])
         self.v_hi = np.array([hi for b in in_order for hi in b.v_hi])
 
-        # y: buses of one y-block signature next to each other, so that they
-        # share one stacked operator
-        signatures: dict[tuple, list[YContext]] = {}
-        for b in model.buses:
-            ctx = self._context(b.id)
-            signatures.setdefault(y_signature(ctx), []).append(ctx)
-        ctxs = [ctx for group in signatures.values() for ctx in group]
-        self.ysolver = YNodeSolver(ctxs)
+        # y: the y-solver's layout; each y-block observes its owner's x
+        # entries of its kind
+        self.ysolver = YNodeSolver([self._context(b.id) for b in model.buses])
         self.obs, self.weight = self.ysolver.obs, self.ysolver.weight
-        offsets = self.ysolver.offsets
-        ny = offsets[-1]
-        pair = np.concatenate([self._observed(ctx.bus_id) for ctx in ctxs])
+        ny = self.ysolver.offsets[-1]
+        ctxs = self.ysolver.ctxs
+        seen = [(c.bus_id, owner, kind) for c in ctxs for owner, kind, _, _ in y_blocks(c)]
+        pair = np.concatenate([self.x_entries[owner][kind] for _, owner, kind in seen], axis=None)
         # a voltage copy's row holds the copy of the v entry its y entry observes
         held = size + np.searchsorted(v_index, pair[self.obs[ny:]])
         self.pair = np.concatenate([pair, held])
@@ -269,12 +265,11 @@ class State:
         self.y = self.ysolver.y
         self.y_prev = np.zeros(ny, dtype=complex)
         self.u = np.zeros(len(self.obs), dtype=complex)
+        self.gap = np.zeros(len(self.obs), dtype=complex)
 
-        # the voltage copies' rows stay within their bus
-        owner_y = np.repeat([ctx.bus_id for ctx in ctxs], np.diff(offsets))
-        owner_x = np.concatenate(owners)[pair]
-        cross = owner_y != owner_x
-        shares = set(zip(owner_y[cross].tolist(), owner_x[cross].tolist()))
+        # a bus reads its copies of its neighbors' entries, and they read its
+        # own; the voltage copies' rows stay within their bus
+        shares = {(i, owner) for i, owner, _ in seen if owner != i}
         self.messages = frozenset(shares | {(b, a) for a, b in shares})
 
     def _context(self, i: int) -> YContext:
@@ -282,21 +277,12 @@ class State:
         line = self._lines.get(i)
         return YContext(
             bus_id=i,
+            parent=None if line is None else line.parent,
             phases=bus.phases,
             z=None if line is None else line.z,
             parent_phases=None if line is None else self._by_id[line.parent].phases,
             children=tuple((j, self._by_id[j].phases, self._lines[j].z) for j in self._kids[i]),
         )
-
-    def _observed(self, i: int) -> np.ndarray:
-        """The x entries that bus i's y-blocks observe, in its layout order:
-        its own v, s[, S, ell], [the parent's v], then each child's S and ell."""
-        seen = list(self.x_entries[i])
-        if i in self._lines:
-            seen.append(self.x_entries[self.model.parent[i]][0])
-        for j in self._kids[i]:
-            seen += self.x_entries[j][2:]
-        return np.concatenate(seen, axis=None)
 
     def solution(self) -> dict[int, XBlock]:
         """Copies of every bus's primal blocks, by id in feeder order."""
@@ -398,8 +384,10 @@ def y_update_round(state: State) -> None:
 
 
 def multiplier_update_round(state: State) -> None:
-    """Dual ascent in scaled form: every multiplier u moves by its consensus gap."""
-    state.u += state.x[state.pair] - state.y[state.obs]
+    """Dual ascent in scaled form: form every row's consensus gap
+    x[pair] - y[obs] once, in ``state.gap``, and move u by it."""
+    np.subtract(state.x[state.pair], state.y[state.obs], out=state.gap)
+    state.u += state.gap
 
 
 def _sq(a: np.ndarray) -> float:
@@ -407,9 +395,9 @@ def _sq(a: np.ndarray) -> float:
 
 
 def compute_residuals(state: State) -> tuple[float, float]:
-    """Primal gap norm ||x - y|| and scaled dual change rho * ||y - y_prev||."""
-    gap = state.x[state.pair] - state.y[state.obs]
-    return math.sqrt(_sq(gap)), state.rho * math.sqrt(_sq(state.y - state.y_prev))
+    """Primal gap norm ||x - y||, of the gap of the last multiplier update,
+    and scaled dual change rho * ||y - y_prev||."""
+    return math.sqrt(_sq(state.gap)), state.rho * math.sqrt(_sq(state.y - state.y_prev))
 
 
 def compute_objective(state: State) -> float:
@@ -425,7 +413,6 @@ class RunResult:
     history: list[IterationStats]
     status: str
     wall_seconds: float
-    x_round_seconds: float
     n_buses: int
     message_pairs: set[tuple[int, int]] | None = None
 
@@ -456,14 +443,11 @@ def run(
     state = initialize(model, config)
     tol = config.tol_scale * math.sqrt(len(model))
     history: list[IterationStats] = []
-    x_time = 0.0
     status = "max-iters"
     t_start = time.perf_counter()
     try:
         for k in range(1, config.max_iters + 1):
-            t0 = time.perf_counter()
             x_update_round(state)
-            x_time += time.perf_counter() - t0
             y_update_round(state)
             multiplier_update_round(state)
             r, s = compute_residuals(state)
@@ -483,7 +467,6 @@ def run(
         history=history,
         status=status,
         wall_seconds=wall,
-        x_round_seconds=x_time,
         n_buses=len(model),
         message_pairs=set(state.messages) if record_messages else None,
     )

@@ -421,6 +421,9 @@ def loads_feeder(text: str | bytes) -> FeederModel:
         ) from exc
     if not isinstance(doc, dict) or "buses" not in doc or "lines" not in doc:
         raise FeederParseError("document must contain 'buses' and 'lines'")
+    for key in ("buses", "lines"):
+        if not isinstance(doc[key], list):
+            raise FeederParseError(f"'{key}' must be a list")
 
     buses = tuple(_parse_bus(b, k) for k, b in enumerate(doc["buses"]))
     seen: set[int] = set()

@@ -13,9 +13,10 @@ Each bus alternates between two kinds of local problems:
   view of the observations (no parameterization) with a full-row-rank
   constraint matrix, solved in closed form.
 
-The penalty weights of the observations (``y_weights``) are defined once
-and read by both steps. Both take the scaled multipliers u = mu / rho;
-only the injection projections read the penalty rho. The engine runs
+Each bus's y-blocks and their penalty weights (``y_blocks``) are defined
+once; the y-solver alone lays y out by them, and both steps read the
+weights. Both take the scaled multipliers u = mu / rho; only the
+injection projections read the penalty rho. The engine runs
 every kernel once per iteration over the whole feeder, except the PSD
 projection, which runs once per non-root phase count on a stack of
 (2m, 2m) blocks, in closed form for m = 1: square completion is one
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -52,8 +52,8 @@ __all__ = [
     "YLocal",
     "YNodeSolver",
     "split_blocks",
+    "y_blocks",
     "y_signature",
-    "y_weights",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -258,11 +258,13 @@ def solve_x1_voltage(target: np.ndarray, diag: np.ndarray, v_lo, v_hi) -> None:
 class YContext:
     """Static shape of one bus's y-subproblem.
 
-    ``z`` and ``parent_phases`` are None at the root; ``children`` lists
-    (bus id, phases, line impedance) for each child in ascending id order.
+    ``parent`` (the parent's bus id), ``z`` and ``parent_phases`` are None
+    at the root; ``children`` lists (bus id, phases, line impedance) for
+    each child in ascending id order.
     """
 
     bus_id: int
+    parent: int | None
     phases: PhaseSet
     z: np.ndarray | None
     parent_phases: PhaseSet | None
@@ -270,7 +272,7 @@ class YContext:
 
     @property
     def is_root(self) -> bool:
-        return self.z is None
+        return self.parent is None
 
 
 @dataclass
@@ -285,17 +287,34 @@ class YLocal:
     child_flows: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
-def y_signature(ctx: YContext) -> tuple[tuple[int, ...], ...]:
-    """The shapes of a bus's y-blocks: v, s, [S, ell, parent v], then
-    (S, ell) per child. Buses with one signature share a stacked operator."""
-    m = len(ctx.phases)
-    blocks = [(m, m), (m,)]
+def y_blocks(ctx: YContext) -> list[tuple[int, int, tuple[int, ...], float]]:
+    """The blocks of a bus's y segment, in layout order, as (owner, kind,
+    shape, weight): the copy of entry ``kind`` of bus ``owner``'s primal
+    tuple (v, s, S, ell). They are the bus's own v, s[, S, ell, its
+    parent's v], then each child's S and ell; the copies of its
+    neighbors' variables are the bus's messages.
+
+    With |C| children, the bus's own copies of v, s, S and ell weigh 2, 1,
+    2|C|+3 and |C|+1, and every copy of a neighbor's variable weighs 1.
+    The weights on each of v and ell then sum to |C|+2 and those on S to
+    twice that, so the x-step's square completion leaves one Hermitian
+    block distance. Both the x-step and the y-step read these weights.
+    """
+    i, m, nc = ctx.bus_id, len(ctx.phases), len(ctx.children)
+    blocks = [(i, 0, (m, m), 2.0), (i, 1, (m,), 1.0)]
     if not ctx.is_root:
         mp = len(ctx.parent_phases)
-        blocks += [(m, m), (m, m), (mp, mp)]
-    for _, cph, _ in ctx.children:
-        blocks += [(len(cph), len(cph))] * 2
-    return tuple(blocks)
+        blocks += [(i, 2, (m, m), 2.0 * nc + 3.0), (i, 3, (m, m), nc + 1.0)]
+        blocks.append((ctx.parent, 0, (mp, mp), 1.0))
+    for j, cph, _ in ctx.children:
+        blocks += [(j, kind, (len(cph), len(cph)), 1.0) for kind in (2, 3)]
+    return blocks
+
+
+def y_signature(ctx: YContext) -> tuple[tuple[int, ...], ...]:
+    """The shapes of a bus's y-blocks. Buses with one signature share a
+    stacked operator."""
+    return tuple(shape for _, _, shape, _ in y_blocks(ctx))
 
 
 def split_blocks(buf: np.ndarray, signature) -> list[np.ndarray]:
@@ -310,33 +329,12 @@ def split_blocks(buf: np.ndarray, signature) -> list[np.ndarray]:
     return views
 
 
-def y_weights(ctx: YContext) -> tuple[float, ...]:
-    """The penalty weight of each block of ``y_signature(ctx)``.
-
-    With |C| children, the bus's own copies of v, s, S and ell weigh 2, 1,
-    2|C|+3 and |C|+1, and every copy it holds of a neighbor's variable
-    (the parent's v, each child's S and ell) weighs 1. The weights on each
-    of v and ell then sum to |C|+2 and those on S to twice that, so the
-    x-step's square completion leaves one Hermitian block distance. Both
-    the x-step and the y-step read these weights.
-    """
-    nc = len(ctx.children)
-    weights = [2.0, 1.0]
-    if not ctx.is_root:
-        weights += [2.0 * nc + 3.0, nc + 1.0, 1.0]
-    return tuple(weights + [1.0, 1.0] * nc)
-
-
 def _local(blocks: list[np.ndarray], ctx: YContext) -> YLocal:
-    """Name the blocks: v, s, [S, ell, parent v], then each child's (S, ell)."""
-    v_self, s_self, *rest = blocks
-    S_self = ell_self = v_parent = None
-    if not ctx.is_root:
-        S_self, ell_self, v_parent, *rest = rest
-    flows = {
-        cid: (rest[2 * k], rest[2 * k + 1]) for k, (cid, _, _) in enumerate(ctx.children)
-    }
-    return YLocal(v_self, s_self, S_self, ell_self, v_parent, flows)
+    """Name the blocks by their (owner, kind) in ``y_blocks(ctx)``."""
+    named = {(owner, kind): b for (owner, kind, _, _), b in zip(y_blocks(ctx), blocks)}
+    own = [named.get((ctx.bus_id, kind)) for kind in range(4)]
+    flows = {j: (named[j, 2], named[j, 3]) for j, _, _ in ctx.children}
+    return YLocal(*own, named.get((ctx.parent, 0)), flows)
 
 
 def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
@@ -377,7 +375,7 @@ def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
 
 
 def _neighborhood(ctx: YContext) -> tuple:
-    """What ``YNodeSolver._prefactor`` reads of a bus but its id, in str and bytes."""
+    """What ``YNodeSolver._prefactor`` reads of a bus but bus ids, in str and bytes."""
     up = None if ctx.is_root else (ctx.parent_phases.letters, ctx.z.tobytes())
     return ctx.phases.letters, up, *[(p.letters, zc.tobytes()) for _, p, zc in ctx.children]
 
@@ -387,17 +385,18 @@ class YNodeSolver:
 
     Each bus's y-subproblem is the real quadratic min 1/2 y^T M y + c^T y
     subject to A y = 0 over the float view of its segment of y: the real
-    and imaginary part of every entry of its blocks (``y_signature``),
+    and imaginary part of every entry of its blocks (``y_blocks``),
     the lower triangles and imaginary diagonals of its Hermitian blocks
     included. ``a_mat[b]`` holds 2m^2 voltage-drop rows (off the root)
     and 2m power-balance rows and has full row rank; ``m_diag[b]`` is
     strictly positive. Both depend only on the bus's neighborhood, so
     the solution operator P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is
     computed once per distinct ``_neighborhood`` of the feeder, and
-    copied to the other buses that share it. Buses next to each other in
-    ``ctxs`` with one signature share one stacked operator, so every
-    iteration is one stacked matrix-vector product per signature, from c
-    straight into y's float view.
+    copied to the other buses that share it. ``ctxs`` groups the given
+    contexts by ``y_signature``, in first-seen order and keeping their
+    order within a signature; each signature shares one stacked operator,
+    so every iteration is one matrix-vector product per signature, from
+    c straight into y's float view.
 
     M and the constraint set are invariant under conjugate-transposing
     every Hermitian block (``_constraint_values``), so where c is too,
@@ -413,42 +412,46 @@ class YNodeSolver:
 
     The solver also holds the y side of the consensus table: row e
     observes y entry ``obs[e]`` with penalty weight ``weight[e]``. The
-    first rows are the identity, one per y entry, weighted by
-    ``y_weights``; after them comes one row of weight 1 per entry of each
-    bus's own v, for the voltage-limit copy x1. M is the weight sum of the
-    rows on each y entry, on its real and imaginary part alike: the
-    y-subproblem in scaled form, divided by the penalty rho.
+    first rows are the identity, one per y entry, weighted by its block's
+    weight in ``y_blocks``; after them comes one row of weight 1 per entry
+    of each bus's own v, for the voltage-limit copy x1. M is the weight
+    sum of the rows on each y entry, on its real and imaginary part
+    alike: the y-subproblem in scaled form, divided by the penalty rho.
     """
 
     def __init__(self, ctxs):
-        self.ctxs = tuple(ctxs)
-        signatures = [y_signature(ctx) for ctx in self.ctxs]
-        sizes = [math.prod(shape) for blocks in signatures for shape in blocks]
-        self.offsets = np.cumsum([0] + [sum(map(math.prod, blocks)) for blocks in signatures])
+        groups: dict[tuple, list[YContext]] = {}
+        for ctx in ctxs:
+            groups.setdefault(y_signature(ctx), []).append(ctx)
+        self.ctxs = tuple(ctx for group in groups.values() for ctx in group)
+        blocks = [y_blocks(ctx) for ctx in self.ctxs]
+        sizes = [[math.prod(shape) for _, _, shape, _ in table] for table in blocks]
+        self.offsets = np.cumsum([0] + [sum(n) for n in sizes])
         ny = self.offsets[-1]
 
         # the table's rows: the identity, then the voltage copy's, weight 1
         own_v = [b + np.arange(len(c.phases) ** 2) for c, b in zip(self.ctxs, self.offsets)]
         self.obs = np.concatenate([np.arange(ny)] + own_v)
-        weights = [w for ctx in self.ctxs for w in y_weights(ctx)]
-        self.weight = np.concatenate([np.repeat(weights, sizes), np.ones(len(self.obs) - ny)])
+        weights = np.repeat([w for table in blocks for *_, w in table], sum(sizes, []))
+        self.weight = np.concatenate([weights, np.ones(len(self.obs) - ny)])
         mass = np.repeat(np.bincount(self.obs, self.weight), 2)
 
         self.c = np.zeros(2 * ny)
         self.y = np.zeros(ny, dtype=complex)
         flat = self.y.view(float)
         self.a_mat, self.m_diag = [], []
-        self._stacks = []  # per run of one signature: operator, views of c and of y
+        self._stacks = []  # per signature: operator, views of c and of y
         built = {}  # (a_mat row, operator) per _neighborhood prefactored so far
-        for _, run in groupby(range(len(self.ctxs)), key=signatures.__getitem__):
-            run = list(run)
-            part = slice(2 * self.offsets[run[0]], 2 * self.offsets[run[-1] + 1])
-            m_diag = mass[part].reshape(len(run), -1)
-            keys = [_neighborhood(self.ctxs[b]) for b in run]
-            new = {k: self.ctxs[b] for k, b in zip(keys, run) if k not in built}
+        end = 0
+        for signature, group in groups.items():
+            start, end = end, end + len(group)
+            part = slice(2 * self.offsets[start], 2 * self.offsets[end])
+            m_diag = mass[part].reshape(len(group), -1)
+            keys = [_neighborhood(ctx) for ctx in group]
+            new = {k: ctx for k, ctx in zip(keys, group) if k not in built}
             if new:
                 # M follows from the signature: the rows of m_diag are all equal
-                batch = self._prefactor(list(new.values()), signatures[run[0]], m_diag[: len(new)])
+                batch = self._prefactor(list(new.values()), signature, m_diag[: len(new)])
                 built.update(zip(new, zip(*batch)))
             if len(new) < len(keys):
                 batch = [np.stack(p) for p in zip(*[built[k] for k in keys])]

@@ -83,6 +83,8 @@ def check_bfm_feasibility(
             raise ValueError(f"bus {b.id}: solution shape mismatch")
         if b.id in lines and (blk.S is None or blk.ell is None):
             raise ValueError(f"bus {b.id}: missing branch variables")
+        if b.id in lines and (blk.S.shape != (n, n) or blk.ell.shape != (n, n)):
+            raise ValueError(f"bus {b.id}: solution shape mismatch")
 
     vd: dict[int, float] = {}
     pb: dict[int, float] = {}

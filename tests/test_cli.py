@@ -20,7 +20,14 @@ from radialopf.cli import (
     EXIT_VALIDATION,
     main,
 )
-from radialopf.network import FeederModel, ObjectiveCoeffs, loads_feeder
+from radialopf.network import (
+    FeederModel,
+    ObjectiveCoeffs,
+    TopologyTemplate,
+    feeder_to_dict,
+    generate_topology,
+    loads_feeder,
+)
 from radialopf.serialize import BENCH_HEADER, HISTORY_HEADER
 
 
@@ -148,27 +155,43 @@ def test_solve_invalid_network(tmp_path):
     assert code == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
-def test_non_utf8_feeder_file_exits_without_traceback(tmp_path, command):
-    # run as a program, so that an uncaught error would print its traceback
-    net = tmp_path / "net.json"
-    net.write_bytes(b"\xff\xfe{}")
+def run_as_program(tmp_path, command, net):
+    """``python -m radialopf command --network net``, with a solution path
+    for ``verify``; an uncaught error would print its traceback."""
     args = ["--network", str(net)]
     if command == "verify":
         args += ["--solution", str(tmp_path / "solution.json")]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "radialopf", command, *args],
         capture_output=True,
         text=True,
         env=env,
         cwd=tmp_path,
     )
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_utf8_feeder_file_exits_without_traceback(tmp_path, command):
+    net = tmp_path / "net.json"
+    net.write_bytes(b"\xff\xfe{}")
+    proc = run_as_program(tmp_path, command, net)
     assert proc.returncode == EXIT_VALIDATION
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"error: {net}: not UTF-8 text")
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("key, value", [("buses", 5), ("lines", 3)])
+def test_non_list_buses_or_lines_exit_without_traceback(tmp_path, command, key, value):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(dict({"buses": [], "lines": []}, **{key: value})))
+    proc = run_as_program(tmp_path, command, net)
+    assert proc.returncode == EXIT_VALIDATION
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: {net}: '{key}' must be a list"]
 
 
 def test_solve_huge_integer_is_a_parse_error(tmp_path, capsys):
@@ -350,6 +373,23 @@ def test_verify_rejects_a_bus_the_feeder_does_not_have(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: solution has bus 99, which the feeder does not have"
     ]
+
+
+def test_verify_rejects_a_mis_shaped_branch_block(tmp_path, capsys):
+    # a (1, 2) S on a two-phase bus is a shape error; it used to be
+    # broadcast into the power-balance residual
+    net = tmp_path / "net.json"
+    model = generate_topology("line", 2, TopologyTemplate(phases="ab"))
+    net.write_text(json.dumps(feeder_to_dict(model)))
+    out = tmp_path / "run"
+    main(["solve", "--network", str(net), "--out-dir", str(out)])
+    capsys.readouterr()
+    doc = json.loads((out / "solution.json").read_text())
+    doc["buses"][1]["S"] = doc["buses"][1]["S"][:1]
+    (out / "solution.json").write_text(json.dumps(doc))
+    code = main(["verify", "--solution", str(out / "solution.json"), "--network", str(net)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["error: bus 1: solution shape mismatch"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.5"])

@@ -45,7 +45,7 @@ def test_copies_of_one_package_compare_bitwise(tool, documents, tmp_path):
     assert base.run is not change.run
     lines, ok = tool.compare(base, change, documents, 1e-12)
     assert ok
-    assert [line.rsplit(": ", 1)[1] for line in lines] == ["bitwise"] * len(FEEDERS)
+    assert [line.rsplit(": ", 1)[1] for line in lines] == ["bitwise; maps equal"] * len(FEEDERS)
 
 
 def test_a_difference_above_the_tolerance_fails(tool, documents, tmp_path, monkeypatch):
@@ -57,3 +57,22 @@ def test_a_difference_above_the_tolerance_fails(tool, documents, tmp_path, monke
     assert all("history 1.000e-09, blocks 0.000e+00" in line for line in lines)
     lines, ok = tool.compare(base, change, documents, 1e-6)
     assert ok
+
+
+@pytest.mark.parametrize("edit, named", [("empty", "messages"), ("delete", "messages n/a")])
+def test_a_changed_map_is_named_but_passes(tool, documents, tmp_path, monkeypatch, edit, named):
+    # the messages do not enter the iterates, so only the maps differ
+    base, change = copies(tool, tmp_path, f"maps_{edit}")
+    init = change.engine.State.__init__
+
+    def edited(self, *args):
+        init(self, *args)
+        if edit == "empty":
+            self.messages = frozenset()
+        else:
+            del self.messages
+
+    monkeypatch.setattr(change.engine.State, "__init__", edited)
+    lines, ok = tool.compare(base, change, documents[:1], 1e-12)
+    assert ok
+    assert lines[0].endswith(f": bitwise; maps differ: {named}")

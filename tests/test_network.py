@@ -229,6 +229,18 @@ class TestLoader:
         with pytest.raises(FeederParseError, match=where + r": .* is not an integer"):
             loads_feeder(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("buses", 5), ("buses", None), ("buses", "ab"), ("lines", 3), ("lines", {})],
+    )
+    def test_non_list_buses_or_lines_rejected(self, key, value):
+        # a number or null used to raise a bare TypeError, and a string or
+        # an object was iterated as if it were the list
+        doc = json.loads(json.dumps(TWO_BUS_DOC))
+        doc[key] = value
+        with pytest.raises(FeederParseError, match=f"^'{key}' must be a list$"):
+            loads_feeder(json.dumps(doc))
+
     def test_generated_round_trip(self):
         for kind in ("line", "fat-tree"):
             model = generate_topology(kind, 9, TopologyTemplate(phases="abc"))

@@ -33,17 +33,17 @@ from radialopf.subproblems import (
     solve_x0_matrix,
     solve_x1_voltage,
     split_blocks,
+    y_blocks,
     y_signature,
-    y_weights,
 )
 
 INF = math.inf
+RECORDS = json.loads((Path(__file__).parent / "data" / "engine_equivalence.json").read_text())
 
 
 def equivalence_feeder(name):
     """A feeder of the engine equivalence records."""
-    doc = json.loads((Path(__file__).parent / "data" / "engine_equivalence.json").read_text())
-    return loads_feeder(json.dumps(doc[name]["feeder"]))
+    return loads_feeder(json.dumps(RECORDS[name]["feeder"]))
 
 
 def rand_herm(rng, n, scale=1.0):
@@ -630,7 +630,12 @@ def make_context(rng, m, nc, root=False, parent_m=None):
         mc = int(rng.integers(1, m + 1))
         children.append((k + 10, PhaseSet("abc"[:mc]), rand_cmat(rng, mc, scale=0.05)))
     return YContext(
-        bus_id=1, phases=phases, z=z, parent_phases=parent_phases, children=tuple(children)
+        bus_id=1,
+        parent=None if root else 0,
+        phases=phases,
+        z=z,
+        parent_phases=parent_phases,
+        children=tuple(children),
     )
 
 
@@ -677,7 +682,7 @@ def coefficients(solver, rho, x0, x1_v, mu, lam1, mu_parent, x_parent, child_mul
     for cid, _, _ in ctx.children:
         mus += child_mults[cid]
         xs += child_x[cid]
-    xs = [w * x for w, x in zip(y_weights(ctx), xs, strict=True)]
+    xs = [w * x for (*_, w), x in zip(y_blocks(ctx), xs, strict=True)]
     xs[0] = xs[0] + x1_v
     solver.assemble_c(join(mus) / rho + join(xs))
     return solver.c.copy()
@@ -893,6 +898,7 @@ class TestYSystem:
         ctx = make_context(rng, 2, 0, parent_m=2)
         degenerate = YContext(
             bus_id=ctx.bus_id,
+            parent=ctx.parent,
             phases=ctx.phases,
             z=np.zeros((2, 2), dtype=complex),
             parent_phases=ctx.parent_phases,
@@ -1029,3 +1035,98 @@ class TestNeighborhoods:
         assert sorted(prefactored) == list(range(len(model.buses)))
         assert len(shared.history) == 300
         assert shared.history == alone.history
+
+
+def ordered_by_first_seen_signature(ctxs):
+    """The bus ids of the contexts grouped by signature, signatures in
+    first-seen order and contexts in the given order within each."""
+    signatures = dict.fromkeys(y_signature(c) for c in ctxs)
+    return [c.bus_id for sig in signatures for c in ctxs if y_signature(c) == sig]
+
+
+class TestYBlocks:
+    def test_table_of_mixed_feeder(self):
+        # mixed-7-unsorted: root 0 (abc) with children 1 (ab), 2 (ab), 4 (a);
+        # bus 2 with children 3 (a), 5 (b); bus 5 with child 6 (b)
+        solver = State(equivalence_feeder("mixed-7-unsorted"), SolverConfig()).ysolver
+        ctxs = {c.bus_id: c for c in solver.ctxs}
+        expected = {
+            0: [  # the root: its own v and s, then each child's S and ell
+                (0, 0, (3, 3), 2.0),
+                (0, 1, (3,), 1.0),
+                (1, 2, (2, 2), 1.0),
+                (1, 3, (2, 2), 1.0),
+                (2, 2, (2, 2), 1.0),
+                (2, 3, (2, 2), 1.0),
+                (4, 2, (1, 1), 1.0),
+                (4, 3, (1, 1), 1.0),
+            ],
+            2: [  # an inner bus with two children
+                (2, 0, (2, 2), 2.0),
+                (2, 1, (2,), 1.0),
+                (2, 2, (2, 2), 7.0),
+                (2, 3, (2, 2), 3.0),
+                (0, 0, (3, 3), 1.0),
+                (3, 2, (1, 1), 1.0),
+                (3, 3, (1, 1), 1.0),
+                (5, 2, (1, 1), 1.0),
+                (5, 3, (1, 1), 1.0),
+            ],
+            1: [  # a leaf
+                (1, 0, (2, 2), 2.0),
+                (1, 1, (2,), 1.0),
+                (1, 2, (2, 2), 3.0),
+                (1, 3, (2, 2), 1.0),
+                (0, 0, (3, 3), 1.0),
+            ],
+            5: [  # phase b of its parent's ab, with one child
+                (5, 0, (1, 1), 2.0),
+                (5, 1, (1,), 1.0),
+                (5, 2, (1, 1), 5.0),
+                (5, 3, (1, 1), 2.0),
+                (2, 0, (2, 2), 1.0),
+                (6, 2, (1, 1), 1.0),
+                (6, 3, (1, 1), 1.0),
+            ],
+        }
+        for i, table in expected.items():
+            assert y_blocks(ctxs[i]) == table, i
+            assert y_signature(ctxs[i]) == tuple(shape for _, _, shape, _ in table)
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_pair_follows_the_neighborhood_order(self, name):
+        # the identity rows observe each bus's own v, s[, S, ell], its
+        # parent's v, then each child's S and ell, buses grouped by
+        # first-seen signature in feeder order
+        model = equivalence_feeder(name)
+        state = State(model, SolverConfig())
+
+        def observed(i):
+            seen = list(state.x_entries[i])
+            if i in model.parent:
+                seen.append(state.x_entries[model.parent[i]][0])
+            for j in model.children[i]:
+                seen += state.x_entries[j][2:]
+            return np.concatenate(seen, axis=None)
+
+        ctxs = state.ysolver.ctxs
+        by_id = {c.bus_id: c for c in ctxs}
+        in_feeder_order = [by_id[b.id] for b in model.buses]
+        assert [c.bus_id for c in ctxs] == ordered_by_first_seen_signature(in_feeder_order)
+        ny = len(state.y)
+        assert np.array_equal(state.pair[:ny], np.concatenate([observed(c.bus_id) for c in ctxs]))
+
+    @pytest.mark.parametrize("name", ["line-10-a", "fat-tree-7-ab"])
+    def test_solver_groups_shuffled_contexts(self, name):
+        # inner buses and leaves share signatures, which the shuffle splits
+        given = list(State(equivalence_feeder(name), SolverConfig()).ysolver.ctxs)
+        np.random.default_rng(29).shuffle(given)
+        assert [c.bus_id for c in given] != ordered_by_first_seen_signature(given)
+        solver = YNodeSolver(given)
+        assert [c.bus_id for c in solver.ctxs] == ordered_by_first_seen_signature(given)
+        assert len(solver._stacks) == len({y_signature(c) for c in given})
+        assert_matches_each_bus_alone(solver)
+        for b, ctx in enumerate(solver.ctxs):
+            start, end = solver.offsets[b], solver.offsets[b + 1]
+            alone = YNodeSolver([ctx]).weight[: end - start]
+            assert np.array_equal(solver.weight[start:end], alone)

@@ -80,6 +80,16 @@ class TestBfmFeasibility:
         with pytest.raises(ValueError):
             check_bfm_feasibility(solution, model)
 
+    @pytest.mark.parametrize("field", ["S", "ell"])
+    def test_mis_shaped_branch_block_raises(self, field):
+        # a (1, 2) S or a 1-d ell would broadcast into the residuals
+        model = two_bus(0.02 + 0.04j, Box(-0.1, -0.1, -0.05, -0.05))
+        solution = exact_flow_solution(model, -0.1 - 0.05j)
+        block = getattr(solution[1], field)
+        setattr(solution[1], field, block[:, [0, 0]] if field == "S" else block[0])
+        with pytest.raises(ValueError, match="^bus 1: solution shape mismatch$"):
+            check_bfm_feasibility(solution, model)
+
     def test_unknown_bus_raises(self):
         model = two_bus(0.02j, Box(-0.1, -0.1, 0.0, 0.0))
         solution = exact_flow_solution(model, -0.1 + 0j)

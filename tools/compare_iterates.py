@@ -12,9 +12,12 @@ the default config: perfbench seeds 1-3 of every workload, the feeders of
 fat-tree 13 abc and fat-tree 15 ab. Per feeder it prints the status and
 the iteration count on both sides, then ``bitwise`` when the residual
 histories and the final blocks are equal byte for byte, or else their
-largest absolute differences. It exits 1 if a status or an iteration
-count differs, or if a difference exceeds ``--tol``, and 2 if REV cannot
-be exported.
+largest absolute differences. After that it compares the set-up maps of
+the feeder's ``State`` (``MAPS``) and prints ``maps equal``, or ``maps
+differ:`` and the names of those that differ, with ``n/a`` after a name
+that one side lacks. It exits 1 if a status or an iteration count
+differs, or if a difference exceeds ``--tol``, and 2 if REV cannot be
+exported; the maps do not change the exit status.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# the State attributes, dotted through the y-solver, that set-up builds
+MAPS = ("pair", "obs", "weight", "den", "ysolver.offsets", "messages")
 
 
 def load_package(path: Path, name: str):
@@ -98,6 +103,43 @@ def _solve(pkg, doc: str):
     return result.status, history, np.concatenate([a.ravel() for a in arrays if a is not None])
 
 
+def _maps(pkg, doc: str) -> dict:
+    """The ``MAPS`` of the feeder's ``State`` at the default config, by
+    name; None for a map the package lacks, or for all of them if the
+    feeder does not load."""
+    try:
+        state = pkg.engine.State(pkg.loads_feeder(doc), pkg.SolverConfig())
+    except (ValueError, RuntimeError):
+        return dict.fromkeys(MAPS)
+    maps = {}
+    for name in MAPS:
+        value = state
+        for attr in name.split("."):
+            value = getattr(value, attr, None)
+        maps[name] = value
+    return maps
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        arrays = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        return arrays and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    return a == b
+
+
+def compare_maps(base, change, doc: str) -> str:
+    """``maps equal``, or the names of the ``MAPS`` that differ between
+    the packages' set-up of the feeder ``doc``."""
+    m0, m1 = _maps(base, doc), _maps(change, doc)
+    differ = []
+    for name in MAPS:
+        if m0[name] is None or m1[name] is None:
+            differ.append(f"{name} n/a")
+        elif not _same(m0[name], m1[name]):
+            differ.append(name)
+    return "maps differ: " + ", ".join(differ) if differ else "maps equal"
+
+
 def compare(base, change, docs, tol: float) -> tuple[list[str], bool]:
     """Solve every (label, document) with both packages; return one line
     per feeder and whether all of them agree within ``tol``."""
@@ -115,7 +157,7 @@ def compare(base, change, docs, tol: float) -> tuple[list[str], bool]:
             dx = float(np.abs(x1 - x0).max(initial=0.0))
             ok = ok and dh <= tol and dx <= tol
             line += f"history {dh:.3e}, blocks {dx:.3e}"
-        lines.append(line)
+        lines.append(f"{line}; {compare_maps(base, change, doc)}")
     return lines, ok
 
 
