@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (converged/verified), 2 when the iteration cap
 was reached, 3 on validation or verification failure, 4 on I/O problems,
-5 when a solve diverged (a residual became non-finite). A benchmark sweep
+5 when a solve diverged (a residual became non-finite, or r grew 1e6-fold
+past both its earlier minimum and the tolerance). A benchmark sweep
 returns 5 if any of its solves diverged, else 2 if any hit the cap.
 """
 

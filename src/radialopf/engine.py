@@ -24,23 +24,25 @@ positions, costs and (p, q) box constants, whose curvature it checks
 then. The x-step runs in place in x: it writes the square-completion
 target of every copy into x's float views in one weighted sum over the
 rows and one division per part, clamps the voltage copies in one call,
-fills every S^H corner from its S corner in one gather, projects each
-non-root slab of blocks onto the PSD cone in one batched call per phase
-count, written back in place, clamps the (p, q) pairs of all box
-phases at once, and projects each half-disk phase. The y-step sums
-u + w x over the rows into y in one scatter-add and runs one
-``YNodeSolver`` for all buses, on y's float view: one stacked
-matrix-vector product per y-block signature, from the linear terms
-straight into y. The multiplier update forms every row's gap x - y once
-and adds it to u; the primal residual is that gap's norm. Data crosses a
-tree edge only where a y-block copies an entry that another bus owns;
-those blocks are the messages, and ``State.messages`` is read from the
-blocks' owners once. Each round takes the state alone; only the
+projects each non-root slab of blocks onto the PSD cone in one batched
+call per phase count, written back in place, clamps the (p, q) pairs of
+all box phases at once, and projects each half-disk phase. The
+projection reads each block's upper triangle alone and writes its S^H
+corner, which no row observes, as the adjoint of S; nothing fills that
+corner before. The y-step sums u + w x over the rows into y in one
+scatter-add and runs one ``YNodeSolver`` for all buses, on y's float
+view: one stacked matrix-vector product per y-block signature, from the
+linear terms straight into y. The multiplier update forms every row's
+gap x - y once and adds it to u; the primal residual is that gap's
+norm. Data crosses a tree edge only where a y-block copies an entry
+that another bus owns; those blocks are the messages, and
+``State.messages`` is read from the blocks' owners once. Each round takes the state alone; only the
 injection projections and the dual residual read its rho
 (``State.rho``). ``run`` turns a kernel's ValueError into a
 ``SolverError`` that names the iteration. Every step applies the
-per-bus arithmetic elementwise and reduces in a fixed order, so runs
-are deterministic bit for bit.
+per-bus arithmetic elementwise and reduces in a fixed order, without a
+BLAS dot product, so runs are deterministic bit for bit, with one BLAS
+thread or two.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ PHASE_REFERENCE = {
     "b": complex(math.cos(-2.0 * math.pi / 3.0), math.sin(-2.0 * math.pi / 3.0)),
     "c": complex(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0)),
 }
+
+
+DIVERGENCE_FACTOR = 1e6  # ``run``'s bound on the growth of r
 
 
 class SolverError(RuntimeError):
@@ -177,8 +182,9 @@ class State:
     ``weight[e]`` and scaled multiplier ``u[e]`` = mu_e / rho (``obs`` and
     ``weight`` come from ``ysolver``; an identity row's x entry is
     ``x_entries[owner][kind]`` of its y-block); ``gap`` holds x[pair] -
-    y[obs] at the last multiplier update. ``den`` sums the weights per x
-    entry, and is 1 on the S^H corners, which no row observes;
+    y[obs] at the last multiplier update and ``dy`` y - ``y_prev`` at
+    the last residuals. ``den`` sums the weights per x entry, and is 1
+    on the S^H corners, which no row observes;
     ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for the
     scatter-adds. ``s_index`` lists the entries of s in x, in the order
     of ``injections``, which holds the injections' projection constants
@@ -187,10 +193,9 @@ class State:
     bus's entries, both ways; every iteration sends the same ones.
 
     The x-step runs in x: ``slabs`` holds, per non-root phase count m,
-    the view of x as its (B, 2m, 2m) blocks; ``lower`` lists the
-    positions of every S^H corner entry and ``upper`` those of the S
-    entries whose conjugates they hold. ``v_diag`` are the positions in
-    x of the voltage copies' diagonals, with their bounds
+    the view of x as its (B, 2m, 2m) blocks, whose S^H corners nothing
+    fills before the projection. ``v_diag`` are the positions in x of
+    the voltage copies' diagonals, with their bounds
     ``v_lo``/``v_hi``. ``ysolver`` solves every bus's y-step; its
     operators do not depend on rho. A rule that changed rho would
     rescale u by rho_old / rho_new and rebuild ``injections``.
@@ -210,7 +215,7 @@ class State:
         # x: per group a slab of (B, k, k) blocks, then one of s, (B, m); each
         # as the array of its entry positions
         self._groups, self.x_entries = [], {}
-        flows, lower, upper = [], [], []  # non-root block slabs, S^H and S entries
+        flows = []  # the non-root block slabs
         size = 0
         for branch, m in keys:
             ids = members[branch, m]
@@ -225,14 +230,9 @@ class State:
             if branch:
                 kinds += [block[:, :m, m:], block[:, m:, m:]]
                 flows.append(block)
-            # each S^H corner entry and the S entry whose conjugate it holds
-            # (none at the root)
-            lower.append(block[:, m:, :m])
-            upper.append(block[:, :m, m:].swapaxes(1, 2))
             self._groups.append((ids, block, kinds))
             for r, i in enumerate(ids):
                 self.x_entries[i] = [kind[r] for kind in kinds]
-        self.lower, self.upper = (np.concatenate(c, axis=None) for c in (lower, upper))
         v_index = np.concatenate([kinds[0] for _, _, kinds in self._groups], axis=None)
         self.s_index = np.concatenate([kinds[1] for _, _, kinds in self._groups], axis=None)
         in_order = [self._by_id[i] for ids, _, _ in self._groups for i in ids]
@@ -257,13 +257,14 @@ class State:
         self.pair = np.concatenate([pair, held])
         self.den = np.bincount(self.pair, self.weight)
         # no row observes an S^H corner; weight 1 keeps 0 / 0 out of its target
-        self.den[self.lower] = 1.0
+        self.den[self.den == 0] = 1.0
         self.pair_slots, self.obs_slots = interleave(self.pair), interleave(self.obs)
 
         self.x = np.zeros(size + len(v_index), dtype=complex)
         self.slabs = [self.x[b.flat[0] : b.flat[0] + b.size].reshape(b.shape) for b in flows]
         self.y = self.ysolver.y
         self.y_prev = np.zeros(ny, dtype=complex)
+        self.dy = np.zeros(ny, dtype=complex)
         self.u = np.zeros(len(self.obs), dtype=complex)
         self.gap = np.zeros(len(self.obs), dtype=complex)
 
@@ -364,12 +365,12 @@ def _project_injections(state: State) -> None:
 
 def x_update_round(state: State) -> None:
     """Update every x_{i0} and x_{i1} from the observations, in place in x:
-    the square-completion targets, the voltage clamp, the S^H corners, then
-    the PSD projection of each slab and the injection projections."""
+    the square-completion targets, the voltage clamp, then the PSD
+    projection of each slab, which reads the upper triangle of each block
+    (the S^H corners are not filled), and the injection projections."""
     x = state.x
     complete_square_x0(state.y[state.obs], state.u, state.weight, state.pair_slots, state.den, x)
     solve_x1_voltage(x, state.v_diag, state.v_lo, state.v_hi)
-    x[state.lower] = x[state.upper].conj()
     for slab in state.slabs:
         slab[...] = solve_x0_matrix(slab)
     _project_injections(state)
@@ -391,13 +392,17 @@ def multiplier_update_round(state: State) -> None:
 
 
 def _sq(a: np.ndarray) -> float:
-    return float(np.vdot(a, a).real)
+    # numpy's own pairwise sum: unlike a BLAS dot, its bits do not depend on
+    # the BLAS thread count
+    f = a.view(float)
+    return float(np.add.reduce(f * f))
 
 
 def compute_residuals(state: State) -> tuple[float, float]:
     """Primal gap norm ||x - y||, of the gap of the last multiplier update,
-    and scaled dual change rho * ||y - y_prev||."""
-    return math.sqrt(_sq(state.gap)), state.rho * math.sqrt(_sq(state.y - state.y_prev))
+    and scaled dual change rho * ||y - y_prev||, formed in ``state.dy``."""
+    np.subtract(state.y, state.y_prev, out=state.dy)
+    return math.sqrt(_sq(state.gap)), state.rho * math.sqrt(_sq(state.dy))
 
 
 def compute_objective(state: State) -> float:
@@ -430,9 +435,11 @@ def run(
 
     Stops when r and s both fall below tol_scale * sqrt(|buses|)
     (status "converged"), at the first iteration where r or s is not
-    finite ("diverged"), or at the iteration cap ("max-iters"), and
-    returns the primal blocks with the full residual history. A kernel's
-    ValueError is raised as a ``SolverError`` that names the iteration.
+    finite or r exceeds ``DIVERGENCE_FACTOR`` times both its earlier
+    minimum and the tolerance ("diverged"), or at the iteration cap
+    ("max-iters"), and returns the primal blocks with the full residual
+    history. A kernel's ValueError is raised as a ``SolverError`` that
+    names the iteration.
     """
     if config is None:
         config = SolverConfig()
@@ -444,6 +451,7 @@ def run(
     tol = config.tol_scale * math.sqrt(len(model))
     history: list[IterationStats] = []
     status = "max-iters"
+    r_min = math.inf
     t_start = time.perf_counter()
     try:
         for k in range(1, config.max_iters + 1):
@@ -452,9 +460,11 @@ def run(
             multiplier_update_round(state)
             r, s = compute_residuals(state)
             history.append(IterationStats(k, r, s, compute_objective(state)))
-            if not (math.isfinite(r) and math.isfinite(s)):
+            finite = math.isfinite(r) and math.isfinite(s)
+            if not finite or r > DIVERGENCE_FACTOR * max(r_min, tol):
                 status = "diverged"
                 break
+            r_min = min(r_min, r)
             if r <= tol and s <= tol:
                 status = "converged"
                 break

@@ -333,8 +333,24 @@ def _integer(value, context: str, error: type[Exception] = FeederParseError) -> 
     raise error(f"{context}: {value!r} is not an integer")
 
 
-def _bound(value, context: str, missing: float) -> float:
-    return missing if value is None else _finite(value, context)
+def _bounds(pair, context: str) -> tuple[float, float]:
+    """A box's [lo, hi] list; a null bound is unbounded."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise FeederParseError(f"{context}: expected a list of 2 bounds")
+    lo, hi = pair
+    return (
+        -math.inf if lo is None else _finite(lo, f"{context}[0]"),
+        math.inf if hi is None else _finite(hi, f"{context}[1]"),
+    )
+
+
+def _known_keys(obj, keys: tuple[str, ...], context: str) -> None:
+    """Reject an object with a key outside ``keys``, naming the field."""
+    if not isinstance(obj, dict):
+        raise FeederParseError(f"{context}: expected an object")
+    for key in obj:
+        if key not in keys:
+            raise FeederParseError(f"{context}: unknown key {key!r}")
 
 
 def _parse_region(obj, context: str) -> InjectionRegion:
@@ -343,16 +359,14 @@ def _parse_region(obj, context: str) -> InjectionRegion:
     kind = obj["type"]
     try:
         if kind == "box":
-            p = obj.get("p", [None, None])
-            q = obj.get("q", [None, None])
-            p_lo = _bound(p[0], f"{context}.p[0]", -math.inf)
-            q_lo = _bound(q[0], f"{context}.q[0]", -math.inf)
-            p_hi = _bound(p[1], f"{context}.p[1]", math.inf)
-            q_hi = _bound(q[1], f"{context}.q[1]", math.inf)
+            _known_keys(obj, ("type", "p", "q"), context)
+            p_lo, p_hi = _bounds(obj.get("p", [None, None]), f"{context}.p")
+            q_lo, q_hi = _bounds(obj.get("q", [None, None]), f"{context}.q")
             return Box(p_lo, p_hi, q_lo, q_hi)
         if kind == "disk":
+            _known_keys(obj, ("type", "smax"), context)
             return Disk(_finite(obj["smax"], f"{context}.smax"))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FeederParseError(f"{context}: {exc}") from exc
     raise FeederParseError(f"{context}: unknown region type {kind!r}")
 
@@ -363,8 +377,16 @@ def _parse_complex(obj, context: str) -> complex:
     return complex(_finite(obj["re"], context), _finite(obj["im"], context))
 
 
+def _parse_cost(obj, context: str) -> ObjectiveCoeffs:
+    _known_keys(obj, ("alpha", "beta"), context)
+    return ObjectiveCoeffs(
+        _finite(obj["alpha"], f"{context}.alpha"), _finite(obj["beta"], f"{context}.beta")
+    )
+
+
 def _parse_bus(obj, k: int) -> BusSpec:
     ctx = f"buses[{k}]"
+    _known_keys(obj, ("id", "phases", "vmin", "vmax", "region", "cost"), ctx)
     try:
         bus_id = _integer(obj["id"], f"{ctx}.id")
         phases = PhaseSet(str(obj["phases"]))
@@ -373,13 +395,7 @@ def _parse_bus(obj, k: int) -> BusSpec:
         regions = tuple(
             _parse_region(r, f"{ctx}.region[{m}]") for m, r in enumerate(obj["region"])
         )
-        cost = tuple(
-            ObjectiveCoeffs(
-                _finite(c["alpha"], f"{ctx}.cost[{m}].alpha"),
-                _finite(c["beta"], f"{ctx}.cost[{m}].beta"),
-            )
-            for m, c in enumerate(obj["cost"])
-        )
+        cost = tuple(_parse_cost(c, f"{ctx}.cost[{m}]") for m, c in enumerate(obj["cost"]))
         return BusSpec(bus_id, phases, vmin, vmax, regions, cost)
     except FeederParseError:
         raise
@@ -389,6 +405,7 @@ def _parse_bus(obj, k: int) -> BusSpec:
 
 def _parse_line(obj, k: int) -> LineSpec:
     ctx = f"lines[{k}]"
+    _known_keys(obj, ("bus", "parent", "z"), ctx)
     try:
         z_rows = obj["z"]
         z = np.array(

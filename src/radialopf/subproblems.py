@@ -49,9 +49,8 @@ __all__ = [
     "disk_case",
     "solve_x1_voltage",
     "YContext",
-    "YLocal",
     "YNodeSolver",
-    "split_blocks",
+    "named_blocks",
     "y_blocks",
     "y_signature",
 ]
@@ -275,18 +274,6 @@ class YContext:
         return self.parent is None
 
 
-@dataclass
-class YLocal:
-    """Solution of one bus's y-subproblem, as named complex blocks."""
-
-    v_self: np.ndarray
-    s_self: np.ndarray
-    S_self: np.ndarray | None
-    ell_self: np.ndarray | None
-    v_parent: np.ndarray | None
-    child_flows: dict[int, tuple[np.ndarray, np.ndarray]]
-
-
 def y_blocks(ctx: YContext) -> list[tuple[int, int, tuple[int, ...], float]]:
     """The blocks of a bus's y segment, in layout order, as (owner, kind,
     shape, weight): the copy of entry ``kind`` of bus ``owner``'s primal
@@ -317,28 +304,19 @@ def y_signature(ctx: YContext) -> tuple[tuple[int, ...], ...]:
     return tuple(shape for _, _, shape, _ in y_blocks(ctx))
 
 
-def split_blocks(buf: np.ndarray, signature) -> list[np.ndarray]:
-    """Views of the blocks of ``signature``, raveled one after another
-    along the last axis of the complex buffer ``buf``."""
-    lead = buf.shape[:-1]
-    views, start = [], 0
-    for shape in signature:
+def named_blocks(buf: np.ndarray, ctx: YContext) -> dict[tuple[int, int], np.ndarray]:
+    """Views of a bus's y-blocks, raveled along ``buf``'s last axis, by (owner, kind)."""
+    lead, views, start = buf.shape[:-1], {}, 0
+    for owner, kind, shape, _ in y_blocks(ctx):
         end = start + math.prod(shape)
-        views.append(buf[..., start:end].reshape(lead + shape))
+        views[owner, kind] = buf[..., start:end].reshape(lead + shape)
         start = end
     return views
 
 
-def _local(blocks: list[np.ndarray], ctx: YContext) -> YLocal:
-    """Name the blocks by their (owner, kind) in ``y_blocks(ctx)``."""
-    named = {(owner, kind): b for (owner, kind, _, _), b in zip(y_blocks(ctx), blocks)}
-    own = [named.get((ctx.bus_id, kind)) for kind in range(4)]
-    flows = {j: (named[j, 2], named[j, 3]) for j, _, _ in ctx.children}
-    return YLocal(*own, named.get((ctx.parent, 0)), flows)
-
-
-def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
-    """Branch-flow residual blocks at a stack of candidate y points (linear in y).
+def _constraint_values(y: dict, ctx: YContext) -> list[np.ndarray]:
+    """Branch-flow residual blocks at a stack of candidate y points (linear
+    in y), from the bus's y-blocks ``y`` by (owner, kind) (``named_blocks``).
 
     The voltage drop (m x m, absent at the root), then the power balance
     (one complex entry per phase). The balance reads each child's ell
@@ -348,29 +326,29 @@ def _constraint_values(local: YLocal, ctx: YContext) -> list[np.ndarray]:
     itself. The phase projection and lift are index maps, so every block
     keeps its leading stack axes.
     """
-    rows = []
+    i, rows = ctx.bus_id, []
     if not ctx.is_root:
         z = ctx.z
         zh = z.conj().T
-        S = local.S_self
+        S = y[i, 2]
         idx = ctx.phases.indices_in(ctx.parent_phases)
         rows.append(
-            local.v_parent[(Ellipsis,) + np.ix_(idx, idx)]
-            - local.v_self
+            y[ctx.parent, 0][(Ellipsis,) + np.ix_(idx, idx)]
+            - y[i, 0]
             + z @ S.conj().swapaxes(-1, -2)
             + S @ zh
-            - z @ local.ell_self @ zh
+            - z @ y[i, 3] @ zh
         )
-    acc = np.zeros(local.s_self.shape, dtype=complex)
+    acc = np.zeros(y[i, 1].shape, dtype=complex)
     for cid, cph, zc in ctx.children:
-        s_j, ell_j = local.child_flows[cid]
+        s_j, ell_j = y[cid, 2], y[cid, 3]
         ell_j = 0.5 * (ell_j + ell_j.conj().swapaxes(-1, -2))
         acc[..., cph.indices_in(ctx.phases)] += np.diagonal(
             s_j - zc @ ell_j, axis1=-2, axis2=-1
         )
     if not ctx.is_root:
-        acc -= np.diagonal(local.S_self, axis1=-2, axis2=-1)
-    rows.append(local.s_self + acc)
+        acc -= np.diagonal(y[i, 2], axis1=-2, axis2=-1)
+    rows.append(y[i, 1] + acc)
     return rows
 
 
@@ -443,7 +421,7 @@ class YNodeSolver:
         self._stacks = []  # per signature: operator, views of c and of y
         built = {}  # (a_mat row, operator) per _neighborhood prefactored so far
         end = 0
-        for signature, group in groups.items():
+        for group in groups.values():
             start, end = end, end + len(group)
             part = slice(2 * self.offsets[start], 2 * self.offsets[end])
             m_diag = mass[part].reshape(len(group), -1)
@@ -451,7 +429,7 @@ class YNodeSolver:
             new = {k: ctx for k, ctx in zip(keys, group) if k not in built}
             if new:
                 # M follows from the signature: the rows of m_diag are all equal
-                batch = self._prefactor(list(new.values()), signature, m_diag[: len(new)])
+                batch = self._prefactor(list(new.values()), m_diag[: len(new)])
                 built.update(zip(new, zip(*batch)))
             if len(new) < len(keys):
                 batch = [np.stack(p) for p in zip(*[built[k] for k in keys])]
@@ -461,13 +439,13 @@ class YNodeSolver:
             shape = operator.shape[:2] + (1,)
             self._stacks.append((operator, self.c[part].reshape(shape), flat[part].reshape(shape)))
 
-    def _prefactor(self, ctxs, signature, m_diag: np.ndarray):
+    def _prefactor(self, ctxs, m_diag: np.ndarray):
         """The constraint rows and the solution operators of buses of one
         signature, stacked, for the diagonals ``m_diag`` of their M."""
         n = m_diag.shape[-1]
         # the constraint rows at every unit float vector at once
-        unit = split_blocks(np.eye(n).view(complex), signature)
-        values = [_constraint_values(_local(unit, c), c) for c in ctxs]
+        unit = np.eye(n).view(complex)
+        values = [_constraint_values(named_blocks(unit, c), c) for c in ctxs]
         rows = np.stack([np.concatenate([b.reshape(n, -1) for b in v], axis=1) for v in values])
         a_mat = rows.view(float).swapaxes(-1, -2)
         # full row rank: each row has a column that no other row uses

@@ -1,14 +1,15 @@
 """Helpers the test files share: the real inner product, a copy of a
-bus's primal tuple, the block target of the x-step's PSD projection, one
-bus's named blocks of a run's buffers, the Hermitian ones among a bus's
-y-blocks, and the x-step penalty written out term by term."""
+bus's primal tuple, the block target of the x-step's PSD projection, a
+bus's y-blocks by role, one bus's named blocks of a run's buffers, the
+Hermitian ones among a bus's y-blocks, and the x-step penalty written
+out term by term."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from radialopf.network import BusSpec
-from radialopf.subproblems import XBlock, YLocal, _local, split_blocks, y_signature
+from radialopf.subproblems import XBlock, named_blocks
 
 
 def inner(x, y) -> float:
@@ -47,6 +48,27 @@ class HatConstants:
 
 
 @dataclass
+class YRoles:
+    """A bus's y-blocks (or the multipliers of their rows) by role: its
+    own copies, its copy of its parent's v and its copies of each child's
+    (S, ell)."""
+
+    v_self: np.ndarray
+    s_self: np.ndarray
+    S_self: np.ndarray | None
+    ell_self: np.ndarray | None
+    v_parent: np.ndarray | None
+    child_flows: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def y_roles(blocks: dict, ctx) -> YRoles:
+    """Name a bus's y-blocks, given by (owner, kind) (``named_blocks``)."""
+    own = [blocks.get((ctx.bus_id, kind)) for kind in range(4)]
+    flows = {j: (blocks[j, 2], blocks[j, 3]) for j, _, _ in ctx.children}
+    return YRoles(*own, blocks.get((ctx.parent, 0)), flows)
+
+
+@dataclass
 class BusBlocks:
     """Bus i's named views of a ``State``'s buffers; writing into one
     writes the state.
@@ -68,8 +90,8 @@ class BusBlocks:
     x0: XBlock
     x1_v: np.ndarray
     u1: np.ndarray
-    y: YLocal
-    u: YLocal
+    y: YRoles
+    u: YRoles
 
     @property
     def is_root(self) -> bool:
@@ -95,7 +117,6 @@ def bus_blocks(state, i) -> BusBlocks:
     b = [ctx.bus_id for ctx in solver.ctxs].index(i)
     ctx, start = solver.ctxs[b], solver.offsets[b]
     segment = slice(start, solver.offsets[b + 1])
-    signature = y_signature(ctx)
     # the voltage copy's rows: past the identity rows, those that observe
     # the bus's own v, which opens its segment
     ny = len(state.y)
@@ -108,12 +129,12 @@ def bus_blocks(state, i) -> BusBlocks:
         x0=XBlock(*(_live(state.x, e) for e in own)),
         x1_v=_live(state.x, state.pair[rows]),
         u1=_live(state.u, rows),
-        y=_local(split_blocks(state.y[segment], signature), ctx),
-        u=_local(split_blocks(state.u[segment], signature), ctx),
+        y=y_roles(named_blocks(state.y[segment], ctx), ctx),
+        u=y_roles(named_blocks(state.u[segment], ctx), ctx),
     )
 
 
-def hermitian_blocks(local: YLocal) -> list[np.ndarray]:
+def hermitian_blocks(local: YRoles) -> list[np.ndarray]:
     """The y-blocks that observe Hermitian variables: v, ell and the
     parent's v (off the root), then each child's ell."""
     blocks = [local.v_self, local.ell_self, local.v_parent]

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radialopf import cli
+from radialopf import cli, engine
 from radialopf.cli import (
     EXIT_DIVERGED,
     EXIT_IO,
@@ -142,6 +142,23 @@ def test_solve_diverged_exit_code(tmp_path, monkeypatch, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_solve_growing_residual_exit_code(tmp_path, monkeypatch, capsys):
+    # a y round that doubles y every iteration: r grows, finite, past the
+    # divergence bound
+    def doubling(state):
+        np.copyto(state.y_prev, state.y)
+        state.y *= 2.0
+
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    monkeypatch.setattr(engine, "y_update_round", doubling)
+    code = main(["solve", "--network", str(net), "--out-dir", str(tmp_path / "r")])
+    assert code == EXIT_DIVERGED
+    assert not (tmp_path / "r").exists()
+    err = capsys.readouterr().err
+    assert "diverged" in err and "inf" not in err and "nan" not in err
+
+
 def test_solve_missing_file(tmp_path, capsys):
     code = main(["solve", "--network", str(tmp_path / "nope.json")])
     assert code == EXIT_IO
@@ -192,6 +209,20 @@ def test_non_list_buses_or_lines_exit_without_traceback(tmp_path, command, key, 
     assert proc.returncode == EXIT_VALIDATION
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [f"error: {net}: '{key}' must be a list"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_unknown_box_keys_exit_without_traceback(tmp_path, command):
+    # bounds written as p_lo, p_hi, q_lo, q_hi are not read as a box
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    doc = json.loads(net.read_text())
+    box = {"type": "box", "p_lo": -1, "p_hi": 1, "q_lo": -1, "q_hi": 1}
+    doc["buses"][0]["region"] = [box]
+    net.write_text(json.dumps(doc))
+    proc = run_as_program(tmp_path, command, net)
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.splitlines() == [f"error: {net}: buses[0].region[0]: unknown key 'p_lo'"]
 
 
 def test_solve_huge_integer_is_a_parse_error(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -403,6 +406,25 @@ class TestRun:
             earlier = result.history[:-1]
             assert all(np.isfinite(st.r) and np.isfinite(st.s) for st in earlier)
 
+    def test_growing_residual_stops_as_diverged(self, monkeypatch):
+        # a y round that doubles y: r grows while finite, and the run stops
+        # at the first r past DIVERGENCE_FACTOR times the larger of its
+        # smallest earlier value and the tolerance
+        def doubling(state):
+            np.copyto(state.y_prev, state.y)
+            state.y *= 2.0
+
+        monkeypatch.setattr(engine, "y_update_round", doubling)
+        result = run(generate_topology("line", 5), SolverConfig(max_iters=500))
+        assert result.status == "diverged"
+        r = [st.r for st in result.history]
+        assert len(r) < 500 and np.isfinite(r).all()
+        assert all(np.isfinite(st.s) for st in result.history)
+        tol = 1e-4 * math.sqrt(5)
+        bound = [engine.DIVERGENCE_FACTOR * max(min(r[:k]), tol) for k in range(1, len(r))]
+        assert r[-1] > bound[-1]
+        assert all(rk <= b for rk, b in zip(r[1:-1], bound))
+
     def test_history_is_deterministic(self):
         model = generate_topology("line", 4)
         config = SolverConfig(max_iters=80)
@@ -411,6 +433,28 @@ class TestRun:
         assert [(st.r, st.s, st.objective) for st in h1] == [
             (st.r, st.s, st.objective) for st in h2
         ]
+
+    def test_history_does_not_depend_on_the_blas_thread_count(self):
+        # fat-tree 255 abc has 16785 consensus rows and 14490 y entries,
+        # long enough that a BLAS dot product splits them across threads
+        script = (
+            "from radialopf import SolverConfig, TopologyTemplate, generate_topology, run\n"
+            "model = generate_topology('fat-tree', 255, TopologyTemplate(phases='abc'))\n"
+            "for st in run(model, SolverConfig(max_iters=300)).history:\n"
+            "    print(st.r.hex(), st.s.hex(), st.objective.hex())\n"
+        )
+        src = str(Path(engine.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, env=env, timeout=300
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            outputs.append(done.stdout)
+        assert len(outputs[0].splitlines()) == 300
+        assert outputs[0] == outputs[1]
 
     def test_messages_stay_on_tree_edges(self):
         model = generate_topology("fat-tree", 7)
@@ -579,6 +623,27 @@ class TestXStepMaps:
         for slab in state.slabs:
             assert np.array_equal(slab, slab.conj().swapaxes(1, 2))
 
+    def test_x_step_reads_no_s_h_corner(self, model, monkeypatch):
+        # NaN in every S^H corner of the projection's input, after square
+        # completion, does not reach x: the round is finite and equal, bit
+        # for bit, to the round without it
+        config = SolverConfig(rho=0.9)
+        clean, poisoned = initialize(model, config), initialize(model, config)
+        for state in (clean, poisoned):
+            random_buffers(np.random.default_rng(45), state)
+        x_update_round(clean)
+        project = engine.solve_x0_matrix
+
+        def poison_then_project(slab):
+            m = slab.shape[-1] // 2
+            slab[:, m:, :m] = complex(math.nan, math.nan)
+            return project(slab)
+
+        monkeypatch.setattr(engine, "solve_x0_matrix", poison_then_project)
+        x_update_round(poisoned)
+        assert np.isfinite(poisoned.x).all()
+        assert poisoned.x.tobytes() == clean.x.tobytes()
+
     def test_x_step_projects_each_block(self, model):
         # after the x round every non-root bus holds the projection of its
         # own target block and the root its voltage target, bit for bit
@@ -692,7 +757,9 @@ class TestYLayout:
         # which no row observes
         sums = np.bincount(state.pair, state.weight, len(state.x))
         corners = np.zeros(len(state.x), dtype=bool)
-        corners[state.lower] = True
+        for _, block, kinds in state._groups:
+            m = kinds[0].shape[-1]
+            corners[block[:, m:, :m]] = True  # empty at the root
         assert corners.sum() == sum(len(model.bus(ln.bus).phases) ** 2 for ln in model.lines)
         assert np.all(sums[corners] == 0) and np.all(sums[~corners] > 0)
         assert np.array_equal(state.den, np.where(corners, 1.0, sums))

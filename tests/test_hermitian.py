@@ -107,16 +107,35 @@ def test_eigh_cross_check_against_lapack():
             assert np.allclose(ours, ref, atol=1e-11)
 
 
-def test_eigh_symmetrizes_input():
-    # LAPACK reads one triangle, so eigh must decompose (a + a^H)/2 exactly
+def scramble_lower(rng, w):
+    """A copy of ``w`` with every strict lower triangle redrawn, its bottom
+    left entry NaN, and every diagonal given another finite imaginary
+    part: the parts that eigh and the PSD projection do not read."""
+    n = w.shape[-1]
+    out = w.copy()
+    rows, cols = np.tril_indices(n, -1)
+    shape = out[..., rows, cols].shape
+    out[..., rows, cols] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if n > 1:
+        out[..., n - 1, 0] = math.nan
+    diag = np.arange(n)
+    out[..., diag, diag] = out[..., diag, diag].real + 1j * rng.standard_normal(out.shape[:-1])
+    return out
+
+
+def test_eigh_and_projection_read_the_upper_triangle():
+    # the strict lower triangle and the imaginary diagonal do not reach
+    # either result, bit for bit, whatever they hold
     rng = np.random.default_rng(41)
     for n in range(1, 7):
         for _ in range(20):
-            noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            a = random_hermitian(rng, n) + 1e-14 * noise
-            assert not np.array_equal(a, a.conj().T)
-            for ours, ref in zip(eigh(a), eigh(0.5 * (a + a.conj().T)), strict=True):
+            w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            bad = scramble_lower(rng, w)
+            for ours, ref in zip(eigh(bad), eigh(w), strict=True):
                 assert np.array_equal(ours, ref)
+            x = solve_x0_matrix(bad)
+            assert np.array_equal(x, solve_x0_matrix(w))
+            assert np.all(np.isfinite(x))
 
 
 def test_eigh_rejects_non_square():
@@ -200,8 +219,9 @@ def test_psd_2x2_matches_eigh_path(scale):
     norm = np.linalg.norm(w, axis=(-2, -1))
     gap = np.linalg.norm(x - _psd_project_eigh(w), axis=(-2, -1))
     assert np.all(gap <= 1e-14 * norm)
-    # the eigenvalues of X are those of the Hermitian part, clipped at 0
-    lams = np.linalg.eigvalsh(0.5 * (w + w.conj().swapaxes(-1, -2)))
+    # the eigenvalues of X are those of the Hermitian matrix that the upper
+    # triangle defines, clipped at 0
+    lams = np.linalg.eigvalsh(w, UPLO="U")
     kept = np.linalg.eigvalsh(x)
     assert np.all(np.abs(kept - np.maximum(lams, 0.0)) <= 1e-14 * norm[:, None])
 
@@ -238,15 +258,17 @@ def test_psd_2x2_negative_definite_is_zero():
     assert np.array_equal(solve_x0_matrix(w), np.zeros_like(w))
 
 
-def test_psd_2x2_dust_reads_the_hermitian_part():
-    # triangles that differ by ~1e-14: the projection of (W + W^H)/2, bit for bit
+def test_psd_2x2_stack_reads_the_upper_triangle():
+    # a stack whose lower corners are redrawn, NaN in all, projects bit for
+    # bit as the untouched stack, exactly Hermitian and finite
     rng = np.random.default_rng(67)
     w = random_stack(rng, 200, 1.0)
-    w = 0.5 * (w + w.conj().swapaxes(-1, -2)) + 1e-14 * random_stack(rng, 200, 1.0)
-    assert not np.array_equal(w, w.conj().swapaxes(-1, -2))
-    x = solve_x0_matrix(w)
+    bad = scramble_lower(rng, w)
+    assert np.isnan(bad).any()
+    x = solve_x0_matrix(bad)
     assert_exactly_hermitian(x)
-    assert np.array_equal(x, solve_x0_matrix(0.5 * (w + w.conj().swapaxes(-1, -2))))
+    assert np.all(np.isfinite(x))
+    assert np.array_equal(x, solve_x0_matrix(w))
 
 
 @pytest.mark.parametrize(

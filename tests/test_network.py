@@ -210,6 +210,40 @@ class TestLoader:
             loads_feeder(json.dumps(doc))
 
     @pytest.mark.parametrize(
+        "path, key",
+        [
+            (("buses", 0), "vmn"),
+            (("buses", 1, "region", 0), "p_lo"),
+            (("buses", 1, "region", 0), "s_max"),
+            (("buses", 1, "cost", 0), "gamma"),
+            (("lines", 0), "r"),
+        ],
+    )
+    def test_unknown_key_rejected(self, path, key):
+        # a misspelled field used to be dropped: a box written with p_lo,
+        # p_hi, q_lo and q_hi loaded as an unbounded box
+        doc = json.loads(json.dumps(TWO_BUS_DOC))
+        if key == "s_max":
+            doc["buses"][1]["region"] = [{"type": "disk", "smax": 0.5}]
+        target = doc
+        for step in path:
+            target = target[step]
+        target[key] = 1.0
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+        with pytest.raises(FeederParseError) as err:
+            loads_feeder(json.dumps(doc))
+        assert str(err.value) == f"{where.lstrip('.')}: unknown key '{key}'"
+
+    @pytest.mark.parametrize("name", ["p", "q"])
+    @pytest.mark.parametrize("value", [[-0.1], [-0.2, -0.1, 0.0], None, {"lo": 0.0}])
+    def test_box_bounds_must_be_a_pair(self, name, value):
+        doc = json.loads(json.dumps(TWO_BUS_DOC))
+        doc["buses"][1]["region"][0][name] = value
+        with pytest.raises(FeederParseError) as err:
+            loads_feeder(json.dumps(doc))
+        assert str(err.value) == f"buses[1].region[0].{name}: expected a list of 2 bounds"
+
+    @pytest.mark.parametrize(
         "path, value, where",
         [
             (("buses", 1, "id"), 1.7, r"buses\[1\]\.id"),

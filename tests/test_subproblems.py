@@ -5,7 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import HatConstants, bus_blocks, copy_block, direct_penalty, hermitian_blocks, inner
+from conftest import (
+    HatConstants,
+    bus_blocks,
+    copy_block,
+    direct_penalty,
+    hermitian_blocks,
+    inner,
+    y_roles,
+)
 
 from radialopf import subproblems
 from radialopf.engine import SolverConfig, State, _Injections, _project_injections, run
@@ -23,16 +31,15 @@ from radialopf.subproblems import (
     XBlock,
     YContext,
     YNodeSolver,
-    _local,
     complete_square_x0,
     disk_case,
     interleave,
+    named_blocks,
     project_injection_box,
     project_injection_disk,
     solve_disk_multiplier,
     solve_x0_matrix,
     solve_x1_voltage,
-    split_blocks,
     y_blocks,
     y_signature,
 )
@@ -704,7 +711,7 @@ def solve_flat(solver, c):
 def solve_local(solver, c):
     """The one-bus solver's minimizer, split into named blocks."""
     ctx = solver.ctxs[0]
-    return _local(split_blocks(solve_flat(solver, c), y_signature(ctx)), ctx)
+    return y_roles(named_blocks(solve_flat(solver, c), ctx), ctx)
 
 
 def kkt_reference(solver, c, rho) -> np.ndarray:
@@ -812,7 +819,7 @@ class TestYSystem:
             assert np.array_equal(c, coefficients(solver, rho, contiguous, *args, copies))
 
             theta = rng.standard_normal(2 * solver.offsets[-1])
-            y = split_blocks(theta.view(complex), y_signature(ctx))
+            y = named_blocks(theta.view(complex), ctx).values()
             terms = [
                 (mu.v + lam1, 2.0 * v + x1_v, 1.0),
                 (mu.s, x0.s, 1.0),
@@ -954,9 +961,9 @@ def count_prefactored(monkeypatch):
     seen = []
     original = YNodeSolver._prefactor
 
-    def counted(self, ctxs, signature, m_diag):
+    def counted(self, ctxs, m_diag):
         seen.extend(ctx.bus_id for ctx in ctxs)
-        return original(self, ctxs, signature, m_diag)
+        return original(self, ctxs, m_diag)
 
     monkeypatch.setattr(YNodeSolver, "_prefactor", counted)
     return seen
