@@ -15,7 +15,7 @@ from .network import (
     phase_project,
     validate_radial,
 )
-from .verify import brute_force_opf, check_bfm_feasibility, check_rank1
+from .verify import check_bfm_feasibility, check_rank1
 
 __all__ = [
     "Box",
@@ -26,7 +26,6 @@ __all__ = [
     "RunResult",
     "SolverConfig",
     "TopologyTemplate",
-    "brute_force_opf",
     "check_bfm_feasibility",
     "check_rank1",
     "generate_topology",

@@ -1,9 +1,9 @@
 """Command-line driver: solve feeders, generate topologies, verify, benchmark.
 
-Exit codes: 0 on success (converged/verified), 2 when the iteration cap
-was reached, 3 on validation or verification failure, 4 on I/O problems,
-5 when a solve diverged (a residual became non-finite, or r grew 1e6-fold
-past both its earlier minimum and the tolerance). A benchmark sweep
+Exit codes: 0 on success (converged/verified), 2 when the iteration cap was
+reached, 3 on a usage error or a validation or verification failure, 4 on I/O
+problems, 5 when a solve diverged (a residual became non-finite, or r grew
+1e6-fold past both its earlier minimum and the tolerance). A benchmark sweep
 returns 5 if any of its solves diverged, else 2 if any hit the cap.
 """
 
@@ -31,13 +31,20 @@ from .serialize import (
     write_manifest,
     write_solution,
 )
-from .verify import check_bfm_feasibility, check_rank1
+from .verify import check_bfm_feasibility, check_rank1, require_threshold
 
 EXIT_OK = 0
 EXIT_MAX_ITERS = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_DIVERGED = 5
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (EXIT_VALIDATION), not argparse's 2 (EXIT_MAX_ITERS)."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _solver_flags(parser: argparse.ArgumentParser) -> None:
@@ -66,6 +73,7 @@ def _load_model(path: str):
 def cmd_solve(args) -> int:
     model = _load_model(args.network)
     try:
+        require_threshold(args.rank_threshold, "rank threshold")
         config = _config(args)
         result = run(model, config)
     except (SolverError, ValueError) as exc:
@@ -191,10 +199,10 @@ def cmd_verify(args) -> int:
 
     try:
         bfm = check_bfm_feasibility(solution, model, args.tol)
+        exact = check_rank1(solution, model, args.rank_threshold)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    exact = check_rank1(solution, model, args.rank_threshold)
 
     if args.out:
         import json
@@ -222,7 +230,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radialopf",
         description="Distributed OPF on unbalanced radial feeders",
     )
@@ -258,8 +266,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--out", default=None, help="also write the report as JSON")
     p_verify.set_defaults(fn=cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION

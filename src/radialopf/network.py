@@ -122,14 +122,8 @@ class Box:
     q_hi: float
 
     def __post_init__(self):
-        if self.p_lo > self.p_hi or self.q_lo > self.q_hi:
-            raise ValueError("box bounds must be ordered")
-
-    def contains(self, p: float, q: float, tol: float = 0.0) -> bool:
-        return (
-            self.p_lo - tol <= p <= self.p_hi + tol
-            and self.q_lo - tol <= q <= self.q_hi + tol
-        )
+        if not (self.p_lo <= self.p_hi and self.q_lo <= self.q_hi):
+            raise ValueError("box bounds must be ordered and not NaN")
 
     def initial_point(self) -> complex:
         """Midpoint of finite bounds, otherwise 0 clamped into the box."""
@@ -149,11 +143,8 @@ class Disk:
     s_max: float
 
     def __post_init__(self):
-        if self.s_max < 0:
-            raise ValueError("disk radius must be nonnegative")
-
-    def contains(self, p: float, q: float, tol: float = 0.0) -> bool:
-        return p >= -tol and p * p + q * q <= self.s_max**2 + tol
+        if not (0.0 <= self.s_max < math.inf):
+            raise ValueError("disk radius must be finite and nonnegative")
 
     def initial_point(self) -> complex:
         return 0j
@@ -170,8 +161,8 @@ class ObjectiveCoeffs:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("quadratic cost coefficient must be nonnegative")
+        if not (0.0 <= self.alpha < math.inf and math.isfinite(self.beta)):
+            raise ValueError("cost coefficients must be finite, the quadratic one nonnegative")
 
     def value(self, p: float) -> float:
         return 0.5 * self.alpha * p * p + self.beta * p

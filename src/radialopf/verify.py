@@ -2,8 +2,9 @@
 
 Nothing here shares code with the iteration itself: feasibility is
 re-evaluated from the raw branch-flow equations, exactness is measured
-through singular-value ratios of the per-line blocks, and tiny networks
-get a brute-force scan of the original (non-relaxed) problem.
+through singular-value ratios of the per-line blocks. The reference
+optimum the tests hold the solver to, a central OPF on phasors, lives
+in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Box, Disk, FeederModel, phase_lift, phase_project
+from .network import FeederModel, phase_lift, phase_project
 from .subproblems import XBlock
 
 __all__ = [
@@ -21,8 +22,14 @@ __all__ = [
     "ExactnessReport",
     "check_bfm_feasibility",
     "check_rank1",
-    "brute_force_opf",
+    "require_threshold",
 ]
+
+
+def require_threshold(value: float, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number >= 0."""
+    if not (0.0 <= value < math.inf):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,7 @@ def check_bfm_feasibility(
 ) -> BfmReport:
     """Evaluate both branch-flow equations on a candidate solution, which
     must hold every bus of the feeder and no other."""
+    require_threshold(tol, "tol")
     by_id = {b.id: b for b in model.buses}
     lines = {ln.bus: ln for ln in model.lines}
     for i in solution:
@@ -141,6 +149,7 @@ def check_rank1(
     solution: dict[int, XBlock], model: FeederModel, threshold: float = 1e-2
 ) -> ExactnessReport:
     """Measure how far each line block is from rank one."""
+    require_threshold(threshold, "rank threshold")
     ratios: dict[int, float] = {}
     for ln in model.lines:
         blk = solution[ln.bus]
@@ -153,93 +162,3 @@ def check_rank1(
         sv = np.linalg.svd(block, compute_uv=False)
         ratios[ln.bus] = float(sv[1] / sv[0]) if sv[0] > 1e-300 else 0.0
     return ExactnessReport(ratios, threshold)
-
-
-# ---------------------------------------------------------------------------
-# brute-force reference for the 2-bus single-phase family
-# ---------------------------------------------------------------------------
-
-
-def _solve_physical_flow(v0: float, z: complex, s1: complex):
-    """Exact single-phase flow: given the child injection, recover (v1, ell).
-
-    With S = s1 at the leaf, rank-one flow satisfies
-    |z|^2 ell^2 - (v0 + 2 Re(conj(z) S)) ell + |S|^2 = 0; the physical
-    branch is the smaller ell root. Returns None when no real solution
-    exists.
-    """
-    s_line = s1
-    w = v0 + 2.0 * (np.conj(z) * s_line).real
-    zsq = abs(z) ** 2
-    ssq = abs(s_line) ** 2
-    if zsq < 1e-300:
-        if v0 <= 0:
-            return None
-        ell = ssq / v0
-        return v0, ell
-    disc = w * w - 4.0 * zsq * ssq
-    if disc < 0:
-        return None
-    ell = (w - math.sqrt(disc)) / (2.0 * zsq)
-    v1 = w - zsq * ell
-    if v1 <= 0 or ell < 0:
-        return None
-    return v1, ell
-
-
-def _region_grid(region, step: float):
-    if isinstance(region, Box):
-        for b in (region.p_lo, region.p_hi, region.q_lo, region.q_hi):
-            if not math.isfinite(b):
-                raise ValueError("brute force needs a bounded child region")
-        ps = np.arange(region.p_lo, region.p_hi + step * 0.5, step)
-        qs = np.arange(region.q_lo, region.q_hi + step * 0.5, step)
-        return [(p, q) for p in ps for q in qs]
-    if isinstance(region, Disk):
-        c = region.s_max
-        ps = np.arange(0.0, c + step * 0.5, step)
-        out = []
-        for p in ps:
-            for q in np.arange(-c, c + step * 0.5, step):
-                if p * p + q * q <= c * c:
-                    out.append((p, q))
-        return out
-    raise ValueError(f"unsupported region {region!r}")
-
-
-def brute_force_opf(model: FeederModel, grid_step: float = 1e-3):
-    """Grid scan of the original problem on a 2-bus single-phase feeder.
-
-    Enumerates the child injection region, solves the exact power flow
-    for each candidate, rejects infeasible voltages, and returns
-    (best objective, best child injection).
-    """
-    if len(model.buses) != 2 or len(model.lines) != 1:
-        raise ValueError("brute force supports exactly 2 buses")
-    root = model.bus(0)
-    ln = model.lines[0]
-    child = model.bus(ln.bus)
-    if len(root.phases) != 1 or len(child.phases) != 1:
-        raise ValueError("brute force supports single-phase feeders")
-
-    v0 = root.v_lo[0]
-    z = complex(ln.z[0, 0])
-    best = None
-    best_s = None
-    for p, q in _region_grid(child.regions[0], grid_step):
-        flow = _solve_physical_flow(v0, z, complex(p, q))
-        if flow is None:
-            continue
-        v1, ell = flow
-        if not (child.v_lo[0] - 1e-12 <= v1 <= child.v_hi[0] + 1e-12):
-            continue
-        s0 = -complex(p, q) + z * ell
-        if not root.regions[0].contains(s0.real, s0.imag, tol=1e-12):
-            continue
-        obj = child.cost[0].value(p) + root.cost[0].value(s0.real)
-        if best is None or obj < best:
-            best = obj
-            best_s = complex(p, q)
-    if best is None:
-        raise ValueError("no feasible grid point")
-    return best, best_s

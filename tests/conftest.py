@@ -1,14 +1,15 @@
 """Helpers the test files share: the real inner product, a copy of a
-bus's primal tuple, the block target of the x-step's PSD projection, a
-bus's y-blocks by role, one bus's named blocks of a run's buffers, the
-Hermitian ones among a bus's y-blocks, and the x-step penalty written
-out term by term."""
+bus's primal tuple, a NaN cost, the block target of the x-step's PSD
+projection, a bus's y-blocks by role, one bus's named blocks of a run's
+buffers, the Hermitian ones among a bus's y-blocks, and the x-step
+penalty written out term by term."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from radialopf.network import BusSpec
+from radialopf.network import BusSpec, ObjectiveCoeffs
 from radialopf.subproblems import XBlock, named_blocks
 
 
@@ -24,6 +25,14 @@ def inner(x, y) -> float:
 def copy_block(x: XBlock) -> XBlock:
     """A copy of a primal tuple that owns its arrays."""
     return XBlock(*(None if a is None else a.copy() for a in (x.v, x.s, x.S, x.ell)))
+
+
+def nan_cost() -> ObjectiveCoeffs:
+    """A cost with a NaN beta, which ``ObjectiveCoeffs`` rejects, set past
+    its check: the way into the engine's handling of a non-finite iterate."""
+    cost = ObjectiveCoeffs(0.0, 0.0)
+    object.__setattr__(cost, "beta", math.nan)
+    return cost
 
 
 @dataclass

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import nan_cost
 
 from radialopf import cli, engine
 from radialopf.cli import (
@@ -22,7 +23,6 @@ from radialopf.cli import (
 )
 from radialopf.network import (
     FeederModel,
-    ObjectiveCoeffs,
     TopologyTemplate,
     feeder_to_dict,
     generate_topology,
@@ -128,11 +128,12 @@ def test_solve_max_iters_exit_code(tmp_path):
 
 
 def test_solve_diverged_exit_code(tmp_path, monkeypatch, capsys):
-    # the loader rejects a NaN cost, so the model is swapped in after loading
+    # the loader and the types reject a NaN cost, so the model is swapped
+    # in after loading
     net = tmp_path / "net.json"
     write_two_bus(net)
     model = loads_feeder(net.read_text())
-    load = replace(model.buses[1], cost=(ObjectiveCoeffs(0.0, math.nan),))
+    load = replace(model.buses[1], cost=(nan_cost(),))
     bad = FeederModel((model.buses[0], load), model.lines)
     monkeypatch.setattr(cli, "load_feeder", lambda path: bad)
     code = main(["solve", "--network", str(net), "--out-dir", str(tmp_path / "r")])
@@ -172,21 +173,85 @@ def test_solve_invalid_network(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def run_module(tmp_path, *args):
+    """``python -m radialopf *args`` in ``tmp_path``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "radialopf", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+
+
 def run_as_program(tmp_path, command, net):
     """``python -m radialopf command --network net``, with a solution path
     for ``verify``; an uncaught error would print its traceback."""
     args = ["--network", str(net)]
     if command == "verify":
         args += ["--solution", str(tmp_path / "solution.json")]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-m", "radialopf", command, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-    )
+    return run_module(tmp_path, command, *args)
+
+
+USAGE_ERRORS = [["solve", "--rho", "abc"], ["solve"], ["frobnicate"], ["verify", "--tol"]]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_exit_with_the_validation_code(capsys, argv):
+    # argparse's own code, 2, is EXIT_MAX_ITERS here
+    assert main(argv) == EXIT_VALIDATION
+    assert "error: " in capsys.readouterr().err
+
+
+def test_usage_errors_as_a_program(tmp_path):
+    proc = run_module(tmp_path, "solve", "--rho", "abc")
+    assert proc.returncode == EXIT_VALIDATION
+    assert "Traceback" not in proc.stderr and "error: " in proc.stderr
+    assert run_module(tmp_path, "solve", "--help").returncode == EXIT_OK
+
+
+def test_help_exits_ok(capsys):
+    assert main(["--help"]) == EXIT_OK
+    assert main(["verify", "--help"]) == EXIT_OK
+    assert "--rank-threshold" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
+def test_solve_rejects_a_bad_rank_threshold_before_solving(tmp_path, capsys, monkeypatch, bad):
+    def no_run(*args):
+        raise AssertionError("solved")
+
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "r"
+    code = main(["solve", "--network", str(net), "--out-dir", str(out), "--rank-threshold", bad])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: rank threshold must be a finite number >= 0, got {float(bad)!r}"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--rank-threshold", "rank threshold")])
+@pytest.mark.parametrize("bad", ["nan", "-1"])
+def test_verify_rejects_a_bad_threshold(tmp_path, capsys, flag, name, bad):
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    run = tmp_path / "run"
+    assert main(["solve", "--network", str(net), "--out-dir", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    argv = ["verify", "--solution", str(run / "solution.json"), "--network", str(net)]
+    code = main(argv + ["--out", str(report), flag, bad])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {name} must be a finite number >= 0, got {float(bad)!r}"
+    ]
+    assert captured.out == "" and not report.exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -325,7 +390,7 @@ def test_bench_reports_failed_solves(tmp_path, monkeypatch):
         model = real_generate(kind, size, template)
         if size != 4:
             return model
-        load = replace(model.buses[1], cost=(ObjectiveCoeffs(0.0, math.nan),))
+        load = replace(model.buses[1], cost=(nan_cost(),))
         return FeederModel((model.buses[0], load) + model.buses[2:], model.lines)
 
     monkeypatch.setattr(cli, "generate_topology", generate)

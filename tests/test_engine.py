@@ -9,7 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import HatConstants, bus_blocks, copy_block, direct_penalty, hermitian_blocks
+from conftest import (
+    HatConstants,
+    bus_blocks,
+    copy_block,
+    direct_penalty,
+    hermitian_blocks,
+    nan_cost,
+)
+from oracle import oracle_opf
 
 from radialopf import engine, hermitian
 from radialopf.engine import (
@@ -362,8 +370,6 @@ class TestRounds:
 
 class TestRun:
     def test_two_bus_converges_to_oracle(self):
-        from radialopf.verify import brute_force_opf
-
         model = chain_model([-0.25 + 0.05j])
         # widen the load band so the solver actually optimizes
         buses = list(model.buses)
@@ -371,7 +377,7 @@ class TestRun:
         model = FeederModel(tuple(buses), model.lines)
         result = run(model, SolverConfig(tol_scale=1e-6))
         assert result.converged
-        best, _ = brute_force_opf(model, grid_step=1e-3)
+        best, _ = oracle_opf(model)
         admm_obj = result.history[-1].objective
         assert admm_obj >= best - 1e-6
         assert admm_obj <= best + 1e-3 * abs(best) + 1e-6
@@ -390,12 +396,12 @@ class TestRun:
         assert len(result.history) == 1
 
     def test_non_finite_residual_stops_as_diverged(self):
-        # the loader rejects a NaN cost, so the models are built in code: a
-        # NaN cost on every box phase, then on one half-disk phase alone
-        model = chain_model([-0.1 + 0j], beta=float("nan"))
-        der = replace(
-            TWO_BUS.buses[1], regions=(Disk(0.5),), cost=(ObjectiveCoeffs(0.0, math.nan),)
-        )
+        # the loader and the types reject a NaN cost, so the models are built
+        # past their checks: a NaN cost on every box phase, then on one
+        # half-disk phase alone
+        chain = chain_model([-0.1 + 0j])
+        model = FeederModel(tuple(replace(b, cost=(nan_cost(),)) for b in chain.buses), chain.lines)
+        der = replace(TWO_BUS.buses[1], regions=(Disk(0.5),), cost=(nan_cost(),))
         for model in (model, FeederModel((TWO_BUS.buses[0], der), TWO_BUS.lines)):
             result = run(model, SolverConfig(max_iters=50))
             assert result.status == "diverged"

@@ -368,6 +368,27 @@ class TestRegionTypes:
         assert Box(-math.inf, math.inf, 1.0, math.inf).initial_point() == complex(0, 1)
         assert Disk(3.0).initial_point() == 0j
 
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (Box, (math.nan, 0.0, 0.0, 0.0)),
+            (Box, (0.0, math.nan, 0.0, 0.0)),
+            (Box, (0.0, 0.0, math.nan, 0.0)),
+            (Box, (0.0, 0.0, 0.0, math.nan)),
+            (Disk, (math.nan,)),
+            (Disk, (math.inf,)),
+            (ObjectiveCoeffs, (math.nan, 0.0)),
+            (ObjectiveCoeffs, (math.inf, 0.0)),
+            (ObjectiveCoeffs, (0.0, math.nan)),
+            (ObjectiveCoeffs, (0.0, -math.inf)),
+        ],
+    )
+    def test_nan_and_infinite_coefficients_rejected(self, make, args):
+        # the loader rejects them too; a type built in code must not reach
+        # the engine with them (infinite box bounds stay legal)
+        with pytest.raises(ValueError):
+            make(*args)
+
     def test_objective_requires_convexity(self):
         with pytest.raises(ValueError):
             ObjectiveCoeffs(-1.0, 0.0)

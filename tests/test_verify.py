@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import bus_blocks
+from oracle import oracle_opf
 
 from radialopf.network import (
     Box,
@@ -13,7 +14,7 @@ from radialopf.network import (
     PhaseSet,
 )
 from radialopf.subproblems import XBlock
-from radialopf.verify import brute_force_opf, check_bfm_feasibility, check_rank1
+from radialopf.verify import check_bfm_feasibility, check_rank1
 
 INF = float("inf")
 
@@ -26,7 +27,8 @@ def two_bus(z, region, v0=1.0):
 
 
 def exact_flow_solution(model, s1):
-    """Closed-form single-phase power flow for a 2-bus feeder."""
+    """Closed-form single-phase power flow for a 2-bus feeder; an array of
+    child injections gives arrays in each block's last axis."""
     z = complex(model.lines[0].z[0, 0])
     v0 = model.bus(0).v_lo[0]
     w = v0 + 2.0 * (np.conj(z) * s1).real
@@ -36,7 +38,7 @@ def exact_flow_solution(model, s1):
         v1 = v0
     else:
         disc = w * w - 4.0 * zsq * abs(s1) ** 2
-        ell = (w - math.sqrt(disc)) / (2.0 * zsq)
+        ell = (w - np.sqrt(disc)) / (2.0 * zsq)
         v1 = w - zsq * ell
     s0 = -s1 + z * ell
     return {
@@ -132,6 +134,16 @@ class TestRank1:
         assert not report.exact
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
+def test_checks_reject_a_bad_tolerance(bad):
+    model = two_bus(0.02 + 0.04j, Box(-0.1, -0.1, -0.05, -0.05))
+    solution = exact_flow_solution(model, -0.1 - 0.05j)
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0"):
+        check_bfm_feasibility(solution, model, bad)
+    with pytest.raises(ValueError, match="^rank threshold must be a finite number >= 0"):
+        check_rank1(solution, model, bad)
+
+
 class TestReportDocuments:
     def test_reports_serialize_to_documents(self):
         import json
@@ -147,47 +159,62 @@ class TestReportDocuments:
         assert doc["rank1"]["ratios"]["1"] <= 1e-10
 
 
+def grid_opf(model, step):
+    """The best point of a grid scan, at spacing ``step``, of a 2-bus
+    feeder's child box, each point's flow from ``exact_flow_solution``."""
+    box, child = model.bus(1).regions[0], model.bus(1)
+
+    def axis(lo, hi):
+        return np.append(np.arange(lo, hi, step), hi)
+
+    s1 = (axis(box.p_lo, box.p_hi)[:, None] + 1j * axis(box.q_lo, box.q_hi)).ravel()
+    with np.errstate(invalid="ignore"):  # no flow: NaN, rejected by the band
+        solution = exact_flow_solution(model, s1)
+    v1 = solution[1].v[0, 0].real
+    obj = model.bus(0).cost[0].value(solution[0].s[0].real) + child.cost[0].value(s1.real)
+    return obj[(child.v_lo[0] <= v1) & (v1 <= child.v_hi[0])].min()
+
+
 class TestBruteForce:
+    """The oracle on the 2-bus family, against closed forms and a grid scan."""
+
     def test_zero_load_zero_loss(self):
         model = two_bus(0.02 + 0.04j, Box(0.0, 0.0, 0.0, 0.0))
-        best, best_s = brute_force_opf(model, grid_step=1e-2)
+        best, solution = oracle_opf(model)
         assert best == pytest.approx(0.0, abs=1e-12)
-        assert best_s == 0
+        assert solution[1].s[0] == 0
 
     def test_singleton_box_matches_closed_form(self):
         s1 = -0.12 - 0.06j
         z = 0.03 + 0.05j
         model = two_bus(z, Box(s1.real, s1.real, s1.imag, s1.imag))
-        best, best_s = brute_force_opf(model, grid_step=1e-2)
-        assert best_s == pytest.approx(s1)
-        solution = exact_flow_solution(model, s1)
-        ell = solution[1].ell[0, 0].real
+        best, solution = oracle_opf(model)
+        assert solution[1].s[0] == pytest.approx(s1)
+        ell = exact_flow_solution(model, s1)[1].ell[0, 0].real
         # loss objective: total injection equals the line loss Re(z) * ell
         assert best == pytest.approx(z.real * ell, abs=1e-12)
 
-    def test_refinement_stability(self):
-        model = two_bus(0.05 + 0.1j, Box(-0.35, -0.25, -0.25, 0.25))
-        coarse, _ = brute_force_opf(model, grid_step=1e-2)
-        fine, _ = brute_force_opf(model, grid_step=1e-3)
-        assert fine <= coarse + 1e-12
-        assert abs(coarse - fine) <= 1e-3
-
-    def test_rejects_wrong_topology(self):
-        from radialopf.network import generate_topology
-
-        with pytest.raises(ValueError):
-            brute_force_opf(generate_topology("line", 3), 1e-2)
-
-    def test_rejects_unbounded_region(self):
-        model = two_bus(0.02j, Box(-INF, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            brute_force_opf(model, 1e-2)
+    @pytest.mark.parametrize(
+        "z, box",
+        [
+            (0.05 + 0.1j, Box(-0.35, -0.25, -0.25, 0.25)),
+            (0.01 + 0.02j, Box(-0.3, -0.2, -0.1, 0.1)),
+            (0.03 + 0.05j, Box(-0.2, -0.2, -0.1, 0.1)),
+            (0.04 + 0.03j, Box(-0.2, -0.1, 0.05, 0.05)),
+        ],
+    )
+    def test_at_most_the_best_grid_point(self, z, box):
+        model = two_bus(z, box)
+        best, _ = oracle_opf(model)
+        grid = grid_opf(model, 1e-3)
+        assert grid * (1.0 - 1e-5) <= best <= grid
 
     def test_infeasible_when_voltage_band_excludes_flow(self):
-        # huge fixed load on a stiff line drives v1 below the band
+        # a huge fixed load on a weak line: no power flow exists, so the
+        # sweep does not converge
         model = two_bus(0.5 + 0.5j, Box(-0.6, -0.6, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            brute_force_opf(model, 1e-2)
+        with pytest.raises(ValueError, match="did not converge"):
+            oracle_opf(model)
 
 
 class TestOracleConsistency:
@@ -197,7 +224,7 @@ class TestOracleConsistency:
         model = two_bus(0.05 + 0.1j, Box(-0.35, -0.25, -0.25, 0.25))
         result = run(model, SolverConfig(tol_scale=1e-6))
         assert result.converged
-        best, _ = brute_force_opf(model, grid_step=1e-3)
+        best, _ = oracle_opf(model)
         obj = result.history[-1].objective
         assert obj >= best - 1e-6
         rank = check_rank1(result.solution, model)
