@@ -31,8 +31,8 @@ projection reads each block's upper triangle alone and writes its S^H
 corner, which no row observes, as the adjoint of S; nothing fills that
 corner before. The y-step sums u + w x over the rows into y in one
 scatter-add and runs one ``YNodeSolver`` for all buses, on y's float
-view: one stacked matrix-vector product per y-block signature, from the
-linear terms straight into y. The multiplier update forms every row's
+view: one stacked matrix-vector product per group of buses, a shared
+neighborhood or a y-block signature, from the linear terms straight into y. The multiplier update forms every row's
 gap x - y once and adds it to u; the primal residual is that gap's
 norm. Data crosses a tree edge only where a y-block copies an entry
 that another bus owns; those blocks are the messages, and

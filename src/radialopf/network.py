@@ -513,18 +513,18 @@ class TopologyTemplate:
 
     Loads are fixed real draws with a small reactive band, scaled per phase
     to keep multi-phase feeders unbalanced. The root gets a pinned voltage
-    and an unconstrained injection.
+    and an unconstrained injection. Only ``phases`` is a field.
     """
 
     phases: str = "a"
-    load_p: float = -0.002
-    load_q_band: float = 0.001
-    z_self: complex = 0.002 + 0.004j
-    z_mutual: complex = 0.0005 + 0.001j
-    v_lo: float = 0.95**2
-    v_hi: float = 1.05**2
-    root_v: float = 1.0
-    phase_scale: tuple[float, float, float] = (1.0, 0.8, 1.2)
+    load_p = -0.002
+    load_q_band = 0.001
+    z_self = 0.002 + 0.004j
+    z_mutual = 0.0005 + 0.001j
+    v_lo = 0.95**2
+    v_hi = 1.05**2
+    root_v = 1.0
+    phase_scale = (1.0, 0.8, 1.2)
 
     def impedance(self) -> np.ndarray:
         n = len(self.phases)

@@ -22,14 +22,15 @@ projection, which runs once per non-root phase count on a stack of
 (2m, 2m) blocks, in closed form for m = 1: square completion is one
 weighted sum per primal entry, the box projection is one clamp over
 (p, q) pairs, the voltage clamp works elementwise on a flat array, and
-one ``YNodeSolver`` serves every bus, with one operator stack per
-neighborhood shape, in which each distinct neighborhood of the feeder
-is prefactored once. The half-disk projection alone runs per DER phase.
+one ``YNodeSolver`` serves every bus, prefactoring each distinct
+neighborhood once and broadcasting, not copying, a shared one's operator.
+The half-disk projection alone runs per DER phase.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,8 +300,8 @@ def y_blocks(ctx: YContext) -> list[tuple[int, int, tuple[int, ...], float]]:
 
 
 def y_signature(ctx: YContext) -> tuple[tuple[int, ...], ...]:
-    """The shapes of a bus's y-blocks. Buses with one signature share a
-    stacked operator."""
+    """The shapes of a bus's y-blocks. Buses with one signature and
+    neighborhoods of their own share a stacked operator."""
     return tuple(shape for _, _, shape, _ in y_blocks(ctx))
 
 
@@ -369,12 +370,13 @@ class YNodeSolver:
     and 2m power-balance rows and has full row rank; ``m_diag[b]`` is
     strictly positive. Both depend only on the bus's neighborhood, so
     the solution operator P = M^-1 A^T (A M^-1 A^T)^-1 A M^-1 - M^-1 is
-    computed once per distinct ``_neighborhood`` of the feeder, and
-    copied to the other buses that share it. ``ctxs`` groups the given
-    contexts by ``y_signature``, in first-seen order and keeping their
-    order within a signature; each signature shares one stacked operator,
-    so every iteration is one matrix-vector product per signature, from
-    c straight into y's float view.
+    computed once per distinct ``_neighborhood`` of the feeder. Buses
+    that share a neighborhood form one group, which applies its operator
+    broadcast over them, not copied; every other bus joins the group of
+    its ``y_signature``, a stack of their own operators. ``ctxs`` holds
+    the contexts group by group, groups in first-seen order and contexts
+    in the given order, so every iteration is one stacked matrix-vector
+    product per group, from c straight into y's float view.
 
     M and the constraint set are invariant under conjugate-transposing
     every Hermitian block (``_constraint_values``), so where c is too,
@@ -398,9 +400,12 @@ class YNodeSolver:
     """
 
     def __init__(self, ctxs):
+        keys = [_neighborhood(ctx) for ctx in ctxs]
+        shared = Counter(keys)
         groups: dict[tuple, list[YContext]] = {}
-        for ctx in ctxs:
-            groups.setdefault(y_signature(ctx), []).append(ctx)
+        for ctx, key in zip(ctxs, keys):
+            # a neighborhood's own group where buses share it, else the signature's
+            groups.setdefault(key if shared[key] > 1 else y_signature(ctx), []).append(ctx)
         self.ctxs = tuple(ctx for group in groups.values() for ctx in group)
         blocks = [y_blocks(ctx) for ctx in self.ctxs]
         sizes = [[math.prod(shape) for _, _, shape, _ in table] for table in blocks]
@@ -418,23 +423,18 @@ class YNodeSolver:
         self.y = np.zeros(ny, dtype=complex)
         flat = self.y.view(float)
         self.a_mat, self.m_diag = [], []
-        self._stacks = []  # per signature: operator, views of c and of y
-        built = {}  # (a_mat row, operator) per _neighborhood prefactored so far
+        self._stacks = []  # per group: operator, views of c and of y
         end = 0
-        for group in groups.values():
+        for key, group in groups.items():
             start, end = end, end + len(group)
             part = slice(2 * self.offsets[start], 2 * self.offsets[end])
             m_diag = mass[part].reshape(len(group), -1)
-            keys = [_neighborhood(ctx) for ctx in group]
-            new = {k: ctx for k, ctx in zip(keys, group) if k not in built}
-            if new:
-                # M follows from the signature: the rows of m_diag are all equal
-                batch = self._prefactor(list(new.values()), m_diag[: len(new)])
-                built.update(zip(new, zip(*batch)))
-            if len(new) < len(keys):
-                batch = [np.stack(p) for p in zip(*[built[k] for k in keys])]
-            a_mat, operator = batch
-            self.a_mat += list(a_mat)
+            # one bus stands for a shared neighborhood, M included
+            alike = group[:1] if shared[key] > 1 else group
+            a_mat, operator = self._prefactor(alike, m_diag[: len(alike)])
+            if len(alike) < len(group):
+                operator = np.broadcast_to(operator, (len(group),) + operator.shape[1:])
+            self.a_mat += list(a_mat) * (len(group) // len(alike))
             self.m_diag += list(m_diag)
             shape = operator.shape[:2] + (1,)
             self._stacks.append((operator, self.c[part].reshape(shape), flat[part].reshape(shape)))

@@ -24,6 +24,7 @@ from radialopf.network import (
     LineSpec,
     ObjectiveCoeffs,
     PhaseSet,
+    TopologyTemplate,
     generate_topology,
     loads_feeder,
 )
@@ -1042,6 +1043,53 @@ class TestNeighborhoods:
         assert sorted(prefactored) == list(range(len(model.buses)))
         assert len(shared.history) == 300
         assert shared.history == alone.history
+
+    def test_shared_neighborhood_leaves_its_signature(self):
+        # leaves 3, 4 and 6 share a neighborhood and leaf 5, on its scaled
+        # line, has its own: the three form a group that applies one
+        # operator, and leaf 5 stays in its signature's group, after them
+        solver = State(fat_tree_variant("line z"), SolverConfig()).ysolver
+        assert [c.bus_id for c in solver.ctxs] == [0, 1, 2, 3, 4, 6, 5]
+        assert len(solver._stacks) == 4
+        leaves = solver._stacks[2][0]
+        assert len(leaves) == 3
+        assert all(np.shares_memory(leaves[0], op) for op in leaves[1:])
+        assert_matches_each_bus_alone(solver)
+
+    def test_split_run_matches_one_prefactor_per_bus(self, monkeypatch):
+        # a prefactor per bus groups by signature alone, so y is laid out
+        # in another bus order and its sums run in another order
+        model = fat_tree_variant("line z")
+        shared = run(model, SolverConfig())
+        monkeypatch.setattr(subproblems, "_neighborhood", lambda ctx: ctx.bus_id)
+        alone = run(model, SolverConfig())
+        assert shared.status == alone.status == "converged"
+        assert len(shared.history) == len(alone.history)
+        for h0, h1 in zip(shared.history, alone.history):
+            assert h0.k == h1.k
+            assert max(abs(h0.r - h1.r), abs(h0.s - h1.s), abs(h0.objective - h1.objective)) <= 1e-12
+        for i, blk in shared.solution.items():
+            for a, b in zip(vars(blk).values(), vars(alone.solution[i]).values()):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_shared_operators_are_not_copied(self):
+        # one n x n float operator per distinct neighborhood, however many
+        # buses share it: the root, the inner buses and the leaves
+        model = generate_topology("fat-tree", 63, TopologyTemplate(phases="abc"))
+        solver = State(model, SolverConfig()).ysolver
+        bases = {}
+        for operator, _, _ in solver._stacks:
+            while isinstance(operator.base, np.ndarray):
+                operator = operator.base
+            bases[id(operator)] = operator
+        sizes = {
+            subproblems._neighborhood(ctx): 2 * (end - start)
+            for ctx, start, end in zip(solver.ctxs, solver.offsets, solver.offsets[1:])
+        }
+        assert len(sizes) == 3
+        assert sum(b.nbytes for b in bases.values()) == sum(8 * n * n for n in sizes.values())
 
 
 def ordered_by_first_seen_signature(ctxs):

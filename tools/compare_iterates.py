@@ -8,9 +8,12 @@ It exports ``src/radialopf`` at REV (default ``HEAD``) with ``git
 archive`` and imports it as the package ``radialopf_base``, beside the
 working tree's ``radialopf``. Both solve the same feeder documents with
 the default config: perfbench seeds 1-3 of every workload, the feeders of
-``tests/data/engine_equivalence.json``, and the generated line 10 a,
-fat-tree 13 abc and fat-tree 15 ab. Per feeder it prints the status and
-the iteration count on both sides, then ``bitwise`` when the residual
+``tests/data/engine_equivalence.json``, its fat-tree-7-ab with bus 5's
+line impedance scaled by 1.5 (three leaves then share a neighborhood
+and the fourth, of the same signature, has its own), and the generated
+line 10 a, fat-tree 13 abc, fat-tree 15 ab and fat-tree 63 abc. Per
+feeder it prints the status and the iteration count on both sides, then
+``bitwise`` when the residual
 histories and the final blocks are equal byte for byte, or else their
 largest absolute differences. After that it compares the set-up maps of
 the feeder's ``State`` (``MAPS``) and prints ``maps equal``, or ``maps
@@ -85,8 +88,15 @@ def feeder_documents(pkg) -> list[tuple[str, str]]:
                 docs.append((f"{workload} seed {seed} #{k}", doc))
     records = json.loads((ROOT / "tests" / "data" / "engine_equivalence.json").read_text())
     docs += [(name, json.dumps(record["feeder"])) for name, record in records.items()]
+    feeder = records["fat-tree-7-ab"]["feeder"]
+    line = next(ln for ln in feeder["lines"] if ln["bus"] == 5)
+    line["z"] = [[{"re": 1.5 * e["re"], "im": 1.5 * e["im"]} for e in row] for row in line["z"]]
+    docs.append(("fat-tree-7-ab, bus 5's line z 1.5x", json.dumps(feeder)))
     network = pkg.network
-    for kind, size, phases in (("line", 10, "a"), ("fat-tree", 13, "abc"), ("fat-tree", 15, "ab")):
+    generated = (
+        ("line", 10, "a"), ("fat-tree", 13, "abc"), ("fat-tree", 15, "ab"), ("fat-tree", 63, "abc")
+    )
+    for kind, size, phases in generated:
         model = network.generate_topology(kind, size, network.TopologyTemplate(phases=phases))
         docs.append((f"{kind} {size} {phases}", json.dumps(network.feeder_to_dict(model))))
     return docs
