@@ -7,8 +7,9 @@ state of a whole run lives in a few flat buffers: x, y and u. Within x
 each group of buses with one phase count (the root on its own) holds a
 contiguous slab of blocks, the (2m, 2m) Hermitian matrices
 [[v, S], [S^H, ell]] of the paper's x-step (v alone at the root), then
-a (B, m) slab of s; the voltage copies end x. y holds each bus's
-y-blocks (``subproblems.y_blocks``), bus after bus in the y-solver's order.
+a (B, m) slab of s and a (B, m, m) slab of the voltage copies. y holds
+each bus's y-blocks (``subproblems.y_blocks``), bus after bus in the
+y-solver's order.
 
 Every consensus constraint is one row of one table, as in general-form
 consensus ADMM: row e ties x entry ``pair[e]`` to y entry ``obs[e]``
@@ -169,19 +170,20 @@ class State:
     """The buffers of one run and their index maps.
 
     x holds, per group of buses with one phase count (the root on its
-    own), a slab of blocks and then a slab of s. Off the root a block is
-    the bus's (2m, 2m) Hermitian matrix [[v, S], [S^H, ell]], at the root
-    its v alone. ``x_entries[i]`` holds the positions in x of bus i's v,
-    s[, S, ell]; the rows of a group's slabs follow the feeder's bus
-    order. After them x holds the voltage copies, one per own v entry,
-    in the order of those entries. y is the y-solver's own buffer: one
-    segment per bus of ``ysolver.ctxs`` (given in feeder order, ordered
-    by the solver), from ``ysolver.offsets``, laid out as the bus's
-    y-blocks (``subproblems.y_blocks``). Row e of the consensus table
+    own), a slab of blocks, one of s and one of voltage copies. Off the
+    root a block is the bus's (2m, 2m) Hermitian matrix [[v, S], [S^H,
+    ell]], at the root its v alone. ``x_entries[i]`` holds the positions
+    in x of bus i's v, s[, S, ell] and ``v_copy[i]`` those of its (m, m)
+    voltage copy; the rows of a group's slabs follow the feeder's bus
+    order. y is the y-solver's own buffer: one segment per bus of
+    ``ysolver.ctxs`` (given in feeder order, ordered by the solver), from
+    ``ysolver.offsets``, laid out as the bus's y-blocks
+    (``subproblems.y_blocks``). Row e of the consensus table
     ties x entry ``pair[e]`` to y entry ``obs[e]`` with weight
     ``weight[e]`` and scaled multiplier ``u[e]`` = mu_e / rho (``obs`` and
     ``weight`` come from ``ysolver``; an identity row's x entry is
-    ``x_entries[owner][kind]`` of its y-block); ``gap`` holds x[pair] -
+    ``x_entries[owner][kind]`` of its y-block, a voltage row's the entry
+    of ``v_copy[bus]`` at its own v entry); ``gap`` holds x[pair] -
     y[obs] at the last multiplier update and ``dy`` y - ``y_prev`` at
     the last residuals. ``den`` sums the weights per x entry, and is 1
     on the S^H corners, which no row observes;
@@ -195,7 +197,7 @@ class State:
     The x-step runs in x: ``slabs`` holds, per non-root phase count m,
     the view of x as its (B, 2m, 2m) blocks, whose S^H corners nothing
     fills before the projection. ``v_diag`` are the positions in x of
-    the voltage copies' diagonals, with their bounds
+    the voltage copies' diagonals, group after group, with their bounds
     ``v_lo``/``v_hi``. ``ysolver`` solves every bus's y-step; its
     operators do not depend on rho. A rule that changed rho would
     rescale u by rho_old / rho_new and rebuild ``injections``.
@@ -203,29 +205,24 @@ class State:
 
     def __init__(self, model: FeederModel, config: SolverConfig):
         self.model = model
-        self._by_id = {b.id: b for b in model.buses}
-        self._lines = {ln.bus: ln for ln in model.lines}
-        self._kids = model.children
-
         members: dict[tuple[bool, int], list[int]] = {}
         for b in model.buses:
-            members.setdefault((b.id in self._lines, len(b.phases)), []).append(b.id)
-        keys = sorted(members)
+            members.setdefault((b.id in model.line, len(b.phases)), []).append(b.id)
 
-        # x: per group a slab of (B, k, k) blocks, then one of s, (B, m); each
-        # as the array of its entry positions
-        self._groups, self.x_entries = [], {}
-        flows = []  # the non-root block slabs
+        # x: per group a slab of (B, k, k) blocks, one of s, (B, m), then one
+        # of voltage copies, (B, m, m); each as the array of its entry positions
+        self._groups, self.x_entries, self.v_copy = [], {}, {}
+        flows, diagonals = [], []  # the non-root block slabs; the copies' diagonals
         size = 0
-        for branch, m in keys:
+        for branch, m in sorted(members):
             ids = members[branch, m]
             k = 2 * m if branch else m
             slabs = []
-            for shape in [(k, k), (m,)]:
+            for shape in [(k, k), (m,), (m, m)]:
                 count = len(ids) * math.prod(shape)
                 slabs.append(np.arange(size, size + count).reshape((len(ids),) + shape))
                 size += count
-            block, s = slabs
+            block, s, copy = slabs
             kinds = [block[:, :m, :m], s]
             if branch:
                 kinds += [block[:, :m, m:], block[:, m:, m:]]
@@ -233,34 +230,33 @@ class State:
             self._groups.append((ids, block, kinds))
             for r, i in enumerate(ids):
                 self.x_entries[i] = [kind[r] for kind in kinds]
-        v_index = np.concatenate([kinds[0] for _, _, kinds in self._groups], axis=None)
+                self.v_copy[i] = copy[r]
+            diagonals.append(np.diagonal(copy, axis1=1, axis2=2))
         self.s_index = np.concatenate([kinds[1] for _, _, kinds in self._groups], axis=None)
-        in_order = [self._by_id[i] for ids, _, _ in self._groups for i in ids]
+        in_order = [model.by_id[i] for ids, _, _ in self._groups for i in ids]
         self.rho = config.rho
         self.injections = _Injections(in_order, self.s_index, self.rho)
-        # the voltage copy of x entry v_index[k] is x[size + k]; v_index ascends
-        diagonals = [np.diagonal(kinds[0], axis1=1, axis2=2) for _, _, kinds in self._groups]
-        self.v_diag = size + np.searchsorted(v_index, np.concatenate(diagonals, axis=None))
+        self.v_diag = np.concatenate(diagonals, axis=None)
         self.v_lo = np.array([lo for b in in_order for lo in b.v_lo])
         self.v_hi = np.array([hi for b in in_order for hi in b.v_hi])
 
         # y: the y-solver's layout; each y-block observes its owner's x
-        # entries of its kind
+        # entries of its kind, and each voltage row its bus's copy of the v
+        # entry that its y entry observes
         self.ysolver = YNodeSolver([self._context(b.id) for b in model.buses])
         self.obs, self.weight = self.ysolver.obs, self.ysolver.weight
         ny = self.ysolver.offsets[-1]
         ctxs = self.ysolver.ctxs
         seen = [(c.bus_id, owner, kind) for c in ctxs for owner, kind, _, _ in y_blocks(c)]
-        pair = np.concatenate([self.x_entries[owner][kind] for _, owner, kind in seen], axis=None)
-        # a voltage copy's row holds the copy of the v entry its y entry observes
-        held = size + np.searchsorted(v_index, pair[self.obs[ny:]])
-        self.pair = np.concatenate([pair, held])
+        entries = [self.x_entries[owner][kind] for _, owner, kind in seen]
+        entries += [self.v_copy[c.bus_id] for c in ctxs]
+        self.pair = np.concatenate(entries, axis=None)
         self.den = np.bincount(self.pair, self.weight)
         # no row observes an S^H corner; weight 1 keeps 0 / 0 out of its target
         self.den[self.den == 0] = 1.0
         self.pair_slots, self.obs_slots = interleave(self.pair), interleave(self.obs)
 
-        self.x = np.zeros(size + len(v_index), dtype=complex)
+        self.x = np.zeros(size, dtype=complex)
         self.slabs = [self.x[b.flat[0] : b.flat[0] + b.size].reshape(b.shape) for b in flows]
         self.y = self.ysolver.y
         self.y_prev = np.zeros(ny, dtype=complex)
@@ -274,15 +270,16 @@ class State:
         self.messages = frozenset(shares | {(b, a) for a, b in shares})
 
     def _context(self, i: int) -> YContext:
-        bus = self._by_id[i]
-        line = self._lines.get(i)
+        by_id, line = self.model.by_id, self.model.line.get(i)
         return YContext(
             bus_id=i,
             parent=None if line is None else line.parent,
-            phases=bus.phases,
+            phases=by_id[i].phases,
             z=None if line is None else line.z,
-            parent_phases=None if line is None else self._by_id[line.parent].phases,
-            children=tuple((j, self._by_id[j].phases, self._lines[j].z) for j in self._kids[i]),
+            parent_phases=None if line is None else by_id[line.parent].phases,
+            children=tuple(
+                (j, by_id[j].phases, self.model.line[j].z) for j in self.model.children[i]
+            ),
         )
 
     def solution(self) -> dict[int, XBlock]:
@@ -309,8 +306,7 @@ def initialize(model: FeederModel, config: SolverConfig | None = None) -> State:
     if config is None:
         config = SolverConfig()
     state = State(model, config)
-    buses = {b.id: b for b in model.buses}
-
+    buses = model.by_id
     volt = {i: _flat_voltage(b.phases) for i, b in buses.items()}
     inj = {i: _initial_injection(b) for i, b in buses.items()}
 

@@ -39,7 +39,9 @@ def psd_project(w) -> np.ndarray:
     diagonal. 2 x 2 blocks take a closed form; larger ones are decomposed
     by ``eigh`` with the other eigenvalues masked to zero, so a stack is
     projected in one product. Thresholding with tolerances is left to
-    callers; the kernel follows the definition.
+    callers; the kernel follows the definition. The contract holds for
+    finite input: the 2 x 2 form never reads the imaginary diagonal, but
+    LAPACK may read a NaN there.
     """
     a = np.asarray(w, dtype=complex)
     if a.shape[-2:] == (2, 2):

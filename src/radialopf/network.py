@@ -208,31 +208,32 @@ class LineSpec:
 
 @dataclass(frozen=True)
 class FeederModel:
-    """Immutable radial network; safe to share read-only across agents."""
+    """Immutable radial network; safe to share read-only across agents.
+
+    Indexed once: ``by_id`` maps a bus id to its ``BusSpec``, ``line`` a
+    bus to the ``LineSpec`` toward its parent, and ``children`` a bus to
+    its children's ids, ascending."""
 
     buses: tuple[BusSpec, ...]
     lines: tuple[LineSpec, ...]
+    by_id: dict[int, BusSpec] = field(init=False, repr=False)
+    line: dict[int, LineSpec] = field(init=False, repr=False)
     children: dict[int, tuple[int, ...]] = field(init=False, repr=False)
-    parent: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        parent = {ln.bus: ln.parent for ln in self.lines}
         kids: dict[int, list[int]] = {b.id: [] for b in self.buses}
         for ln in self.lines:
             if ln.parent in kids:
                 kids[ln.parent].append(ln.bus)
-        children = {i: tuple(sorted(js)) for i, js in kids.items()}
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "by_id", {b.id: b for b in self.buses})
+        object.__setattr__(self, "line", {ln.bus: ln for ln in self.lines})
+        object.__setattr__(self, "children", {i: tuple(sorted(js)) for i, js in kids.items()})
 
     def __len__(self) -> int:
         return len(self.buses)
 
     def bus(self, i: int) -> BusSpec:
-        for b in self.buses:
-            if b.id == i:
-                return b
-        raise KeyError(i)
+        return self.by_id[i]
 
 
 def validate_radial(model: FeederModel) -> list[str]:
@@ -241,9 +242,7 @@ def validate_radial(model: FeederModel) -> list[str]:
     Returns every violation found (empty list means valid); never raises.
     """
     report: list[str] = []
-    ids = [b.id for b in model.buses]
-    by_id = {b.id: b for b in model.buses}
-    if 0 not in by_id:
+    if 0 not in model.by_id:
         report.append("no root bus with id 0")
 
     line_children = [ln.bus for ln in model.lines]
@@ -255,15 +254,15 @@ def validate_radial(model: FeederModel) -> list[str]:
             f"{len(model.lines)} lines for {len(model.buses)} buses: not a tree"
         )
     for ln in model.lines:
-        if ln.bus not in by_id:
+        if ln.bus not in model.by_id:
             report.append(f"line references unknown bus {ln.bus}")
-        if ln.parent not in by_id:
+        if ln.parent not in model.by_id:
             report.append(f"line of bus {ln.bus} references unknown parent {ln.parent}")
         if ln.bus == ln.parent:
             report.append(f"bus {ln.bus} is its own parent")
 
     # Reachability from the root over child links detects cycles and islands.
-    if 0 in by_id:
+    if 0 in model.by_id:
         seen = {0}
         stack = [0]
         while stack:
@@ -274,13 +273,13 @@ def validate_radial(model: FeederModel) -> list[str]:
                     continue
                 seen.add(j)
                 stack.append(j)
-        missing = sorted(set(ids) - seen)
+        missing = sorted(set(model.by_id) - seen)
         if missing:
             report.append(f"buses {missing} not reachable from root: not a tree")
 
     for ln in model.lines:
-        child = by_id.get(ln.bus)
-        par = by_id.get(ln.parent)
+        child = model.by_id.get(ln.bus)
+        par = model.by_id.get(ln.parent)
         if child is None or par is None:
             continue
         if not child.phases.issubset(par.phases):
@@ -362,10 +361,28 @@ def _parse_region(obj, context: str) -> InjectionRegion:
     raise FeederParseError(f"{context}: unknown region type {kind!r}")
 
 
-def _parse_complex(obj, context: str) -> complex:
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise FeederParseError(f"{context}: expected an object with 're' and 'im'")
-    return complex(_finite(obj["re"], context), _finite(obj["im"], context))
+def _complex_to_json(a: np.ndarray):
+    """The complex array ``a`` as nested lists of {"re": x, "im": y}."""
+
+    def entry(e):
+        return [entry(f) for f in e] if isinstance(e, list) else {"re": e.real, "im": e.imag}
+
+    return entry(a.tolist())
+
+
+def _parse_complex(obj, context: str, error: type[Exception] = FeederParseError) -> np.ndarray:
+    """The complex array that nested lists of {"re": x, "im": y} spell; an
+    entry that is no such object, or a number ``_finite`` rejects, raises
+    ``error`` naming it, as in ``context[0][1].re``."""
+
+    def entry(e, at: str):
+        if isinstance(e, list):
+            return [entry(f, f"{at}[{k}]") for k, f in enumerate(e)]
+        if not isinstance(e, dict) or "re" not in e or "im" not in e:
+            raise error(f"{at}: expected an object with 're' and 'im'")
+        return complex(*(_finite(e[key], f"{at}.{key}", error) for key in ("re", "im")))
+
+    return np.array(entry(obj, context), dtype=complex)
 
 
 def _parse_cost(obj, context: str) -> ObjectiveCoeffs:
@@ -398,14 +415,7 @@ def _parse_line(obj, k: int) -> LineSpec:
     ctx = f"lines[{k}]"
     _known_keys(obj, ("bus", "parent", "z"), ctx)
     try:
-        z_rows = obj["z"]
-        z = np.array(
-            [
-                [_parse_complex(e, f"{ctx}.z[{r}][{c}]") for c, e in enumerate(row)]
-                for r, row in enumerate(z_rows)
-            ],
-            dtype=complex,
-        )
+        z = _parse_complex(obj["z"], f"{ctx}.z")
         bus, parent = (_integer(obj[key], f"{ctx}.{key}") for key in ("bus", "parent"))
         return LineSpec(bus, parent, z)
     except FeederParseError:
@@ -489,7 +499,7 @@ def feeder_to_dict(model: FeederModel) -> dict:
         {
             "bus": ln.bus,
             "parent": ln.parent,
-            "z": [[{"re": z.real, "im": z.imag} for z in row] for row in ln.z.tolist()],
+            "z": _complex_to_json(ln.z),
         }
         for ln in model.lines
     ]

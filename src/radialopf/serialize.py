@@ -17,7 +17,7 @@ import platform
 import numpy as np
 
 from .engine import IterationStats, RunResult, SolverConfig
-from .network import FeederModel, _finite, _integer, feeder_to_dict
+from .network import FeederModel, _complex_to_json, _integer, _parse_complex, feeder_to_dict
 from .subproblems import XBlock
 
 __all__ = [
@@ -42,30 +42,6 @@ def model_hash(model: FeederModel) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _c(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _cmat(a: np.ndarray) -> list:
-    return [[_c(z) for z in row] for row in a.tolist()]
-
-
-def _parse_c(obj, context: str) -> complex:
-    """One {"re": x, "im": y} entry; NaN, infinities, integers beyond the
-    float range, strings and booleans raise ValueError naming ``context``."""
-    return complex(*(_finite(obj[key], f"{context}.{key}", ValueError) for key in ("re", "im")))
-
-
-def _parse_cmat(rows, context: str) -> np.ndarray:
-    return np.array(
-        [
-            [_parse_c(e, f"{context}[{r}][{c}]") for c, e in enumerate(row)]
-            for r, row in enumerate(rows)
-        ],
-        dtype=complex,
-    )
-
-
 def solution_to_dict(
     solution: dict[int, XBlock], model: FeederModel, status: str, objective: float,
     iterations: int,
@@ -76,10 +52,10 @@ def solution_to_dict(
         entry = {
             "id": b.id,
             "phases": b.phases.letters,
-            "v": _cmat(blk.v),
-            "s": [_c(z) for z in blk.s.tolist()],
-            "S": None if blk.S is None else _cmat(blk.S),
-            "l": None if blk.ell is None else _cmat(blk.ell),
+            "v": _complex_to_json(blk.v),
+            "s": _complex_to_json(blk.s),
+            "S": None if blk.S is None else _complex_to_json(blk.S),
+            "l": None if blk.ell is None else _complex_to_json(blk.ell),
         }
         buses.append(entry)
     return {
@@ -100,11 +76,11 @@ def solution_from_dict(doc: dict) -> dict[int, XBlock]:
         if i in solution:
             raise ValueError(f"buses[{k}].id: bus {i} appears twice")
         at = f"bus {i}"
-        v = _parse_cmat(entry["v"], f"{at} v")
-        s = [_parse_c(e, f"{at} s[{t}]") for t, e in enumerate(entry["s"])]
-        S = None if entry.get("S") is None else _parse_cmat(entry["S"], f"{at} S")
-        ell = None if entry.get("l") is None else _parse_cmat(entry["l"], f"{at} l")
-        solution[i] = XBlock(v=v, s=np.array(s, dtype=complex), S=S, ell=ell)
+        v = _parse_complex(entry["v"], f"{at} v", ValueError)
+        s = _parse_complex(entry["s"], f"{at} s", ValueError)
+        S = None if entry.get("S") is None else _parse_complex(entry["S"], f"{at} S", ValueError)
+        ell = None if entry.get("l") is None else _parse_complex(entry["l"], f"{at} l", ValueError)
+        solution[i] = XBlock(v=v, s=s, S=S, ell=ell)
     return solution
 
 

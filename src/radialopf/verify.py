@@ -34,7 +34,8 @@ def require_threshold(value: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class BfmReport:
-    """Per-bus branch-flow residuals in the infinity norm."""
+    """Per-bus branch-flow residuals in the infinity norm; a non-finite
+    residual is a violation and makes ``max_residual`` non-finite."""
 
     voltage_drop: dict[int, float]
     power_balance: dict[int, float]
@@ -42,10 +43,8 @@ class BfmReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            max(self.voltage_drop.values(), default=0.0),
-            max(self.power_balance.values(), default=0.0),
-        )
+        residuals = [*self.voltage_drop.values(), *self.power_balance.values()]
+        return float(np.max(residuals, initial=0.0))  # NaN propagates
 
     @property
     def ok(self) -> bool:
@@ -54,10 +53,10 @@ class BfmReport:
     def violations(self) -> list[str]:
         out = []
         for i, res in sorted(self.voltage_drop.items()):
-            if res > self.tol:
+            if not res <= self.tol:
                 out.append(f"bus {i}: voltage-drop residual {res:.3e}")
         for i, res in sorted(self.power_balance.items()):
-            if res > self.tol:
+            if not res <= self.tol:
                 out.append(f"bus {i}: power-balance residual {res:.3e}")
         return out
 
@@ -77,8 +76,7 @@ def check_bfm_feasibility(
     """Evaluate both branch-flow equations on a candidate solution, which
     must hold every bus of the feeder and no other."""
     require_threshold(tol, "tol")
-    by_id = {b.id: b for b in model.buses}
-    lines = {ln.bus: ln for ln in model.lines}
+    by_id, lines = model.by_id, model.line
     for i in solution:
         if i not in by_id:
             raise ValueError(f"solution has bus {i}, which the feeder does not have")
@@ -123,14 +121,15 @@ def check_bfm_feasibility(
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    """Second-to-first singular value ratio of every per-line block."""
+    """Second-to-first singular value ratio of every per-line block, NaN
+    for a non-finite block; ``max_ratio`` propagates a NaN."""
 
     ratios: dict[int, float]
     threshold: float
 
     @property
     def max_ratio(self) -> float:
-        return max(self.ratios.values(), default=0.0)
+        return float(np.max(list(self.ratios.values()), initial=0.0))
 
     @property
     def exact(self) -> bool:
@@ -159,6 +158,9 @@ def check_rank1(
         block[:m, m:] = blk.S
         block[m:, :m] = blk.S.conj().T
         block[m:, m:] = blk.ell
+        if not np.isfinite(block).all():  # the SVD may not converge on it
+            ratios[ln.bus] = math.nan
+            continue
         sv = np.linalg.svd(block, compute_uv=False)
         ratios[ln.bus] = float(sv[1] / sv[0]) if sv[0] > 1e-300 else 0.0
     return ExactnessReport(ratios, threshold)

@@ -133,10 +133,10 @@ def bus_blocks(state, i) -> BusBlocks:
     rows = rows.reshape(own[0].shape)
     return BusBlocks(
         bus=state.model.bus(i),
-        parent=None if ctx.is_root else state.model.parent[i],
+        parent=None if ctx.is_root else state.model.line[i].parent,
         children=tuple(j for j, _, _ in ctx.children),
         x0=XBlock(*(_live(state.x, e) for e in own)),
-        x1_v=_live(state.x, state.pair[rows]),
+        x1_v=_live(state.x, state.v_copy[i]),
         u1=_live(state.u, rows),
         y=y_roles(named_blocks(state.y[segment], ctx), ctx),
         u=y_roles(named_blocks(state.u[segment], ctx), ctx),

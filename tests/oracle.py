@@ -56,9 +56,8 @@ def oracle_opf(model: FeederModel):
     for i in order:
         order.extend(model.children[i])
     buses = [model.bus(i) for i in order[1:]]
-    z = {ln.bus: ln.z for ln in model.lines}
-    parent = model.parent
-    idx = {b.id: np.array(b.phases.indices_in(model.bus(parent[b.id]).phases)) for b in buses}
+    line = model.line
+    idx = {b.id: np.array(b.phases.indices_in(model.bus(line[b.id].parent).phases)) for b in buses}
     flat_start = {b.id: v0[b.phases.indices_in(root.phases)] for b in [root, *buses]}
     start = np.cumsum([0] + [len(b.phases) for b in buses])
     part = {b.id: slice(start[k], start[k + 1]) for k, b in enumerate(buses)}
@@ -110,7 +109,7 @@ def oracle_opf(model: FeederModel):
                     I[b.id] = cur
                 step = 0.0
                 for b in buses:
-                    new = V[parent[b.id]][idx[b.id]] + z[b.id] @ I[b.id]
+                    new = V[line[b.id].parent][idx[b.id]] + line[b.id].z @ I[b.id]
                     step = max(step, float(np.max(np.abs(new - V[b.id]))))
                     V[b.id] = new
                 if not step > SWEEP_TOL:  # converged, or NaN

@@ -756,9 +756,16 @@ class TestYLayout:
             own_v[start : start + len(ctx.phases) ** 2] = True
         assert np.array_equal(rows == 2, own_v)
         assert np.all(state.weight[:ny][own_v] == 2) and np.all(state.weight[ny:] == 1)
-        # the voltage copies' rows hold the end of x, one entry each
-        end = len(state.x)
-        assert np.array_equal(np.sort(state.pair[ny:]), np.arange(end - own_v.sum(), end))
+        # each bus's voltage rows hold its voltage copy, one entry each, in
+        # the order of the own v entries that they observe; no identity row
+        # holds a copy
+        for start, ctx in zip(state.ysolver.offsets, state.ysolver.ctxs):
+            size = len(ctx.phases) ** 2
+            rows = ny + np.flatnonzero((state.obs[ny:] >= start) & (state.obs[ny:] < start + size))
+            assert np.array_equal(state.obs[rows], start + np.arange(size))
+            assert np.array_equal(state.pair[rows], state.v_copy[ctx.bus_id].ravel())
+        assert len(np.unique(state.pair[ny:])) == len(state.pair) - ny
+        assert not np.isin(state.pair[ny:], state.pair[:ny]).any()
         # den: the weight sums on observed entries, 1 on the S^H corners,
         # which no row observes
         sums = np.bincount(state.pair, state.weight, len(state.x))

@@ -175,8 +175,8 @@ class TestLoader:
     @pytest.mark.parametrize(
         "path, value, where",
         [
-            (("lines", 0, "z", 0, 0, "re"), math.nan, r"lines\[0\]\.z\[0\]\[0\]"),
-            (("lines", 0, "z", 0, 0, "im"), math.nan, r"lines\[0\]\.z\[0\]\[0\]"),
+            (("lines", 0, "z", 0, 0, "re"), math.nan, r"lines\[0\]\.z\[0\]\[0\]\.re"),
+            (("lines", 0, "z", 0, 0, "im"), math.nan, r"lines\[0\]\.z\[0\]\[0\]\.im"),
             (("buses", 1, "region", 0, "p", 0), math.nan, r"region\[0\]\.p\[0\]"),
             (("buses", 1, "region", 0, "p", 1), math.nan, r"region\[0\]\.p\[1\]"),
             (("buses", 1, "region", 0, "q", 0), math.nan, r"region\[0\]\.q\[0\]"),

@@ -1158,8 +1158,8 @@ class TestYBlocks:
 
         def observed(i):
             seen = list(state.x_entries[i])
-            if i in model.parent:
-                seen.append(state.x_entries[model.parent[i]][0])
+            if i in model.line:
+                seen.append(state.x_entries[model.line[i].parent][0])
             for j in model.children[i]:
                 seen += state.x_entries[j][2:]
             return np.concatenate(seen, axis=None)

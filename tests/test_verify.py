@@ -5,6 +5,14 @@ import pytest
 from conftest import bus_blocks
 from oracle import oracle_opf
 
+from radialopf.engine import (
+    SolverConfig,
+    initialize,
+    multiplier_update_round,
+    run,
+    x_update_round,
+    y_update_round,
+)
 from radialopf.network import (
     Box,
     BusSpec,
@@ -12,6 +20,8 @@ from radialopf.network import (
     LineSpec,
     ObjectiveCoeffs,
     PhaseSet,
+    TopologyTemplate,
+    generate_topology,
 )
 from radialopf.subproblems import XBlock
 from radialopf.verify import check_bfm_feasibility, check_rank1
@@ -134,6 +144,37 @@ class TestRank1:
         assert not report.exact
 
 
+class TestNonFinite:
+    """A NaN in a solution fails both checks instead of slipping past
+    comparisons that are false on NaN."""
+
+    @pytest.fixture
+    def case(self):
+        model = generate_topology("line", 4, TopologyTemplate(phases="a"))
+        solution = run(model, SolverConfig(max_iters=5)).solution
+        solution[3].ell[...] = math.nan
+        return model, solution
+
+    def test_nan_residual_is_a_violation(self, case):
+        model, solution = case
+        report = check_bfm_feasibility(solution, model, tol=1e3)
+        assert math.isnan(report.voltage_drop[3]) and math.isnan(report.power_balance[2])
+        assert math.isnan(report.max_residual)
+        assert not report.ok
+        assert report.violations() == [
+            "bus 3: voltage-drop residual nan",
+            "bus 2: power-balance residual nan",
+        ]
+
+    def test_nan_block_has_nan_ratio(self, case):
+        model, solution = case
+        report = check_rank1(solution, model)
+        assert math.isnan(report.ratios[3])
+        assert all(math.isfinite(report.ratios[i]) for i in (1, 2))
+        assert math.isnan(report.max_ratio)
+        assert not report.exact
+
+
 @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
 def test_checks_reject_a_bad_tolerance(bad):
     model = two_bus(0.02 + 0.04j, Box(-0.1, -0.1, -0.05, -0.05))
@@ -219,8 +260,6 @@ class TestBruteForce:
 
 class TestOracleConsistency:
     def test_admm_brackets_oracle(self):
-        from radialopf.engine import SolverConfig, run
-
         model = two_bus(0.05 + 0.1j, Box(-0.35, -0.25, -0.25, 0.25))
         result = run(model, SolverConfig(tol_scale=1e-6))
         assert result.converged
@@ -234,14 +273,6 @@ class TestOracleConsistency:
     def test_y_outputs_pass_bfm_check(self):
         # map one agent's observation set into solution form; the y step
         # enforces the equations exactly
-        from radialopf.engine import (
-            SolverConfig,
-            initialize,
-            multiplier_update_round,
-            x_update_round,
-            y_update_round,
-        )
-
         model = two_bus(0.05 + 0.1j, Box(-0.35, -0.25, -0.25, 0.25))
         config = SolverConfig()
         state = initialize(model, config)

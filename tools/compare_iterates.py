@@ -46,7 +46,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 # the State attributes, dotted through the y-solver, that set-up builds
-MAPS = ("pair", "obs", "weight", "den", "ysolver.offsets", "messages")
+MAPS = ("pair", "obs", "weight", "den", "v_diag", "s_index", "ysolver.offsets", "messages")
 
 
 def load_package(path: Path, name: str):
