@@ -56,9 +56,6 @@ __all__ = [
     "y_signature",
 ]
 
-SQRT2 = math.sqrt(2.0)
-
-
 # ---------------------------------------------------------------------------
 # x-update: square completion and block projection
 # ---------------------------------------------------------------------------
@@ -155,65 +152,37 @@ def solve_disk_multiplier(
 ) -> float:
     """Unique positive root of g(lam) = b1^2/(a1+2lam)^2 + b2^2/(a2+2lam)^2 - c^2.
 
-    g is strictly decreasing and convex on lam >= 0 and g(0) > 0 whenever
-    the unconstrained minimizer lies outside the disk, so a safeguarded
-    Newton iteration from the left converges monotonically. On a far
-    target it grows lam only about 1.5x per step; if it has not converged
-    within 200 steps, it restarts once from the larger of the lam at which
-    either term alone is c^2 (at least 0), where g >= 0 still. The
-    derivative g' = -4 ((b1/d1)^2/d1 + (b2/d2)^2/d2), with d = a + 2lam,
-    squares the same quotients as g, so its powers overflow only where g's do.
-    It raises ValueError if the restarted run does not converge either,
-    or if float arithmetic overflows.
+    g is strictly decreasing and convex on lam >= 0, and g(0) > 0 whenever
+    the unconstrained minimizer lies outside the disk. Newton starts at the
+    larger of 0 and the lam at which either term alone is c^2, where g >= 0
+    still, and climbs to the root monotonically. It runs on g/c^2 = q1^2 +
+    q2^2 - 1, with q = b/(a + 2lam)/c, which takes the same steps in units
+    of the radius: from the start each |q| <= 1, so nothing in the loop
+    overflows, and its derivative does not underflow at tiny radii as g',
+    of order c^3, does. It stops where g <= 0 or where the step falls below
+    4e-16 lam, so the point lands on the circle to rounding, relative to c.
+    It raises ValueError if g(0) <= 0, if the target squared or |b|/c
+    overflows, or if 200 steps do not converge.
     """
-
-    def g(lam: float) -> float:
-        return (b1 / (a1 + 2.0 * lam)) ** 2 + (b2 / (a2 + 2.0 * lam)) ** 2 - c * c
-
-    def dg(lam: float) -> float:
-        d1, d2 = a1 + 2.0 * lam, a2 + 2.0 * lam
-        return -4.0 * ((b1 / d1) ** 2 / d1 + (b2 / d2) ** 2 / d2)
-
     try:
-        lo = 0.0
-        if g(lo) <= 0.0:
-            raise ValueError("bracketing failure: minimizer already inside the disk")
-        top = max(
-            1.0,
-            0.5 * (SQRT2 * abs(b1) / c - a1),
-            0.5 * (SQRT2 * abs(b2) / c - a2),
-        )
+        if (b1 / a1) ** 2 + (b2 / a2) ** 2 <= c * c:
+            raise ValueError("the unconstrained minimizer is already inside the disk")
+        lam = max(0.0, 0.5 * (abs(b1) / c - a1), 0.5 * (abs(b2) / c - a2))
+        if lam == math.inf:
+            raise ValueError("half-disk target out of range: |b| / c overflows")
         for _ in range(200):
-            if g(top) <= 0.0:
-                break
-            top *= 2.0
-        else:
-            raise ValueError("bracketing failure: no sign change found")
-
-        far = max(0.0, 0.5 * (abs(b1) / c - a1), 0.5 * (abs(b2) / c - a2))
-        for lam in (lo, far):
-            lo, hi, val = lam, top, g(lam)
-            for _ in range(200):
-                if abs(val) <= 1e-12:
-                    break
-                step = lam - val / dg(lam)
-                if not (lo < step < hi):
-                    step = 0.5 * (lo + hi)
-                lam = step
-                val = g(lam)
-                if val > 0.0:
-                    lo = lam
-                else:
-                    hi = lam
-                if hi - lo <= 1e-16 * (1.0 + hi):
-                    break
-            if abs(val) <= 1e-12 or hi - lo <= 1e-16 * (1.0 + hi):
-                break
-        else:
-            raise ValueError("Newton's method did not converge in 200 steps")
-    except OverflowError as err:
+            d1, d2 = a1 + 2.0 * lam, a2 + 2.0 * lam
+            q1, q2 = b1 / d1 / c, b2 / d2 / c
+            val = q1 * q1 + q2 * q2 - 1.0
+            if val <= 0.0:
+                return lam
+            step = val / (4.0 * (q1 * q1 / d1 + q2 * q2 / d2))
+            lam += step
+            if step <= 4e-16 * lam:
+                return lam
+    except ArithmeticError as err:
         raise ValueError(f"half-disk target out of range: {err}") from None
-    return lam
+    raise ValueError("Newton's method did not converge in 200 steps")
 
 
 def project_injection_disk(

@@ -135,11 +135,11 @@ def test_criterion_2_injection_projections():
         case = disk_case(a1, b1, a2, b2, c)
         case_counts[case] += 1
         p, q = project_injection_disk(a1, b1, a2, b2, c)
-        assert p >= 0.0 and p * p + q * q <= c * c + 2e-12
+        assert p >= 0.0 and p * p + q * q <= c * c * (1 + 1e-14)
         if case == 3:
             lam = solve_disk_multiplier(a1, b1, a2, b2, c)
             g = (b1 / (a1 + 2 * lam)) ** 2 + (b2 / (a2 + 2 * lam)) ** 2 - c * c
-            assert abs(g) <= 1e-10
+            assert abs(g) <= 1e-14 * c * c
         obj = 0.5 * a1 * p * p + b1 * p + 0.5 * a2 * q * q + b2 * q
         assert obj <= disk_oracle(a1, b1, a2, b2, c) + 1e-5
     assert all(count >= 50 for count in case_counts.values())

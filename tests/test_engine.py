@@ -340,7 +340,7 @@ class TestRounds:
         r, _ = compute_residuals(state)
         assert not math.isfinite(r)
         # a NaN target on a half-disk phase gives a NaN injection, as on a
-        # box phase, rather than a bracketing failure
+        # box phase, rather than a failed multiplier solve
         bus = replace(model.buses[1], regions=(Disk(0.5),) + model.buses[1].regions[1:])
         model = FeederModel((model.buses[0], bus, model.buses[2]), model.lines)
         state = initialize(model, config)

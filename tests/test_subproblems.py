@@ -478,7 +478,7 @@ class TestDiskProjection:
                 continue
             lam = solve_disk_multiplier(a1, b1, a2, b2, c)
             g = (b1 / (a1 + 2 * lam)) ** 2 + (b2 / (a2 + 2 * lam)) ** 2 - c * c
-            assert lam > 0 and abs(g) <= 1e-10
+            assert lam > 0 and abs(g) <= 1e-14 * c * c
             checked += 1
 
     def test_multiplier_requires_case3(self):
@@ -507,29 +507,28 @@ class TestDiskProjection:
             b1, b2 = rng.uniform(-2.0, 2.0, 2)
             c = rng.uniform(0.3, 1.2)
             p, q = project_injection_disk(a1, b1, a2, b2, c)
-            # the boundary case solves p^2 + q^2 = c^2 down to the 1e-12
-            # multiplier residual, so allow exactly that much slack
-            assert p >= 0 and p * p + q * q <= c * c + 2e-12
+            # the boundary case solves p^2 + q^2 = c^2 to rounding, relative
+            # to c^2, so allow that much slack
+            assert p >= 0 and p * p + q * q <= c * c * (1 + 1e-14)
             obj = 0.5 * a1 * p * p + b1 * p + 0.5 * a2 * q * q + b2 * q
             assert obj <= disk_grid_best(a1, b1, a2, b2, c) + 1e-5
 
     def test_far_target_lands_on_the_circle(self):
-        # Newton from lam = 0 grows lam about 1.5x per step: at 1e30 it
-        # still reaches the root within its 200 steps
+        # with b2 = 0 the start, where the first term alone is c^2, is the
+        # root itself, so a far target takes no step
         p, q = project_injection_disk(1.0, -1e30, 1.0, 0.0, 1.0)
         assert p > 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("exponent", [35, 40, 100, 150])
     def test_farther_target_lands_on_the_circle(self, exponent):
-        # from 1e35 Newton from lam = 0 has not converged after 200 steps;
-        # the restart where the first term alone is c^2 lands on the root
+        # and so are targets whose squares near the float range
         p, q = project_injection_disk(1.0, -(10.0**exponent), 1.0, 0.0, 1.0)
         assert p > 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("exponent", [40, 100])
     def test_far_target_off_the_axis_lands_on_the_circle(self, exponent):
-        # a1 != a2 and b2 != 0: the restart still starts left of the root,
-        # and Newton reaches it from there
+        # a1 != a2 and b2 != 0: the start, where the first term alone is
+        # c^2, lies left of the root, and Newton climbs to it from there
         p, q = project_injection_disk(3.0, -(10.0**exponent), 1.0, 10.0 ** (exponent - 1), 1.0)
         assert p > 0 and q < 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
 
@@ -550,6 +549,39 @@ class TestDiskProjection:
         assert disk_case(a1, b1, 1.0, b2, 1.0) == 3
         p, q = project_injection_disk(a1, b1, 1.0, b2, 1.0)
         assert p > 0 and abs(math.hypot(p, q) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-4, 1e-5, 1e-7, 1e-50, 1e-150])
+    @pytest.mark.parametrize("a2, b2", [(1.0, 0.0), (3.0, 0.5)], ids=["axis", "off-axis"])
+    def test_tiny_radius_lands_on_the_circle(self, a2, b2, c):
+        # g scales with c^2, so the stop must be relative to it: a bound on
+        # |g| alone left 1e-7 at 6.9 radii; and g' scales with c^3, which
+        # underflows off the axis at 1e-150 unless Newton runs on g / c^2
+        p, q = project_injection_disk(1.0, -1.0, a2, b2, c)
+        assert p > 0 and abs(math.hypot(p, q) / c - 1.0) <= 1e-15
+
+    def test_radius_below_the_float_range_raises_value_error(self):
+        # |b1| / c overflows, so no start exists; returning lam = inf would
+        # put the point at the origin
+        with pytest.raises(ValueError):
+            project_injection_disk(1.0, -1.0, 1.0, 0.0, 1e-320)
+
+    @pytest.mark.parametrize("name", ["four-bus-abc", "mixed-7-unsorted"])
+    def test_engine_multipliers_land_on_the_circle(self, name, monkeypatch):
+        # every multiplier the engine's half-disk projection asks for in 50
+        # iterations, at the feeder's DER radius of 0.03
+        original, seen = subproblems.solve_disk_multiplier, []
+
+        def checked(a1, b1, a2, b2, c):
+            lam = original(a1, b1, a2, b2, c)
+            p, q = -b1 / (a1 + 2 * lam), -b2 / (a2 + 2 * lam)
+            seen.append((abs(p * p + q * q - c * c) / (c * c), abs(math.hypot(p, q) / c - 1)))
+            return lam
+
+        monkeypatch.setattr(subproblems, "solve_disk_multiplier", checked)
+        run(equivalence_feeder(name), SolverConfig(max_iters=50))
+        assert seen
+        for g, off in seen:
+            assert g <= 1e-14 and off <= 1e-15
 
 
 def clamp(lam, y, lo, hi, rho):
