@@ -237,7 +237,7 @@ class FeederModel:
 
 
 def validate_radial(model: FeederModel) -> list[str]:
-    """Check tree structure, phase nesting, and impedance dimensions.
+    """Check tree structure, phase nesting, and impedance dimensions and values.
 
     Returns every violation found (empty list means valid); never raises.
     """
@@ -293,6 +293,8 @@ def validate_radial(model: FeederModel) -> list[str]:
                 f"line of bus {ln.bus}: impedance shape {ln.z.shape} "
                 f"does not match {n} phases"
             )
+        elif not np.isfinite(ln.z).all():
+            report.append(f"line of bus {ln.bus}: impedance has a non-finite entry")
     return report
 
 

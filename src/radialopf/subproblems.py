@@ -284,6 +284,16 @@ def named_blocks(buf: np.ndarray, ctx: YContext) -> dict[tuple[int, int], np.nda
     return views
 
 
+def _right(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ b`` for a stack ``x`` of square blocks, as one matrix product."""
+    return (x.reshape(-1, len(b)) @ b).reshape(x.shape)
+
+
+def _left(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a stack ``x`` of square blocks, as one matrix product."""
+    return _right(x.swapaxes(-1, -2), a.T).swapaxes(-1, -2)
+
+
 def _constraint_values(y: dict, ctx: YContext) -> list[np.ndarray]:
     """Branch-flow residual blocks at a stack of candidate y points (linear
     in y), from the bus's y-blocks ``y`` by (owner, kind) (``named_blocks``).
@@ -294,27 +304,28 @@ def _constraint_values(y: dict, ctx: YContext) -> list[np.ndarray]:
     Hermitian block (v, ell, the parent's v, each child's ell) maps the
     drop to its adjoint and keeps the balance: the constraint set maps to
     itself. The phase projection and lift are index maps, so every block
-    keeps its leading stack axes.
+    keeps its leading stack axes, and each impedance product is one GEMM
+    over the whole stack, not one per block; z S^H is the adjoint of S z^H.
     """
     i, rows = ctx.bus_id, []
     if not ctx.is_root:
         z = ctx.z
         zh = z.conj().T
-        S = y[i, 2]
-        idx = ctx.phases.indices_in(ctx.parent_phases)
+        sz = _right(y[i, 2], zh)
+        idx = np.array(ctx.phases.indices_in(ctx.parent_phases))
         rows.append(
-            y[ctx.parent, 0][(Ellipsis,) + np.ix_(idx, idx)]
+            y[ctx.parent, 0][..., idx[:, None], idx]
             - y[i, 0]
-            + z @ S.conj().swapaxes(-1, -2)
-            + S @ zh
-            - z @ y[i, 3] @ zh
+            + sz.conj().swapaxes(-1, -2)
+            + sz
+            - _right(_left(z, y[i, 3]), zh)
         )
     acc = np.zeros(y[i, 1].shape, dtype=complex)
     for cid, cph, zc in ctx.children:
         s_j, ell_j = y[cid, 2], y[cid, 3]
         ell_j = 0.5 * (ell_j + ell_j.conj().swapaxes(-1, -2))
         acc[..., cph.indices_in(ctx.phases)] += np.diagonal(
-            s_j - zc @ ell_j, axis1=-2, axis2=-1
+            s_j - _left(zc, ell_j), axis1=-2, axis2=-1
         )
     if not ctx.is_root:
         acc -= np.diagonal(y[i, 2], axis1=-2, axis2=-1)

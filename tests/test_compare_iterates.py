@@ -76,3 +76,21 @@ def test_a_changed_map_is_named_but_passes(tool, documents, tmp_path, monkeypatc
     lines, ok = tool.compare(base, change, documents[:1], 1e-12)
     assert ok
     assert lines[0].endswith(f": bitwise; maps differ: {named}")
+
+
+def test_changed_rows_show_their_largest_difference(tool, documents, tmp_path, monkeypatch):
+    # a_mat is a list of per-bus arrays; the operators are built before the
+    # edit, so the iterates stay bitwise
+    base, change = copies(tool, tmp_path, "rows")
+    init = change.engine.State.__init__
+
+    def edited(self, *args):
+        init(self, *args)
+        rows = self.ysolver.a_mat
+        rows[-1] = rows[-1].copy()
+        rows[-1][0, 0] += 0.25
+
+    monkeypatch.setattr(change.engine.State, "__init__", edited)
+    lines, ok = tool.compare(base, change, documents[:1], 1e-12)
+    assert ok
+    assert lines[0].endswith(": bitwise; maps differ: ysolver.a_mat (largest difference 2.500e-01)")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from radialopf.engine import run
 from radialopf.network import (
     Box,
     BusSpec,
@@ -311,6 +312,21 @@ class TestValidateRadial:
         )
         report = validate_radial(FeederModel(model.buses, lines))
         assert any("impedance" in v for v in report)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_impedance_is_a_violation(self, value):
+        # a model built in Python skips the parser's finiteness check; NaN
+        # times the prefactor's zero units would spread over every row
+        model = generate_topology("line", 4)
+        first = model.lines[0]
+        z = first.z.copy()
+        z[0, 0] = value
+        bad = FeederModel(model.buses, (LineSpec(first.bus, first.parent, z),) + model.lines[1:])
+        expected = ["line of bus 1: impedance has a non-finite entry"]
+        assert validate_radial(bad) == expected
+        with pytest.raises(FeederValidationError) as info:
+            run(bad)
+        assert info.value.violations == expected
 
     def test_missing_root(self):
         model = line_model(3)

@@ -27,6 +27,8 @@ from radialopf.network import (
     TopologyTemplate,
     generate_topology,
     loads_feeder,
+    phase_lift,
+    phase_project,
 )
 from radialopf.subproblems import (
     XBlock,
@@ -987,6 +989,83 @@ class TestYSystem:
                 assert np.array_equal(y_b, y[start:end])
                 first += n
             assert first == len(c)
+
+
+def bfm_residuals(model, i, local) -> np.ndarray:
+    """Bus i's branch-flow residuals at its y-blocks ``local`` (``y_roles``),
+    written as ``verify.check_bfm_feasibility`` writes them: the voltage
+    drop's entries row by row (off the root), then the power balance, as
+    one float vector."""
+    bus, parts = model.bus(i), []
+    if i in model.line:
+        z = model.line[i].z
+        parent = model.bus(model.line[i].parent)
+        drop = phase_project(local.v_parent, parent.phases, bus.phases) - (
+            local.v_self
+            - z @ local.S_self.conj().T
+            - local.S_self @ z.conj().T
+            + z @ local.ell_self @ z.conj().T
+        )
+        parts.append(drop.ravel())
+    acc = np.zeros(len(bus.phases), dtype=complex)
+    for j in model.children[i]:
+        S_j, ell_j = local.child_flows[j]
+        flow = S_j - model.line[j].z @ ell_j
+        acc += phase_lift(flow, model.bus(j).phases, bus.phases).diagonal()
+    if i in model.line:
+        acc -= local.S_self.diagonal()
+    parts.append(local.s_self + acc)
+    return np.concatenate(parts).view(float)
+
+
+def impedance_variant(name, change):
+    """An equivalence feeder with each line's impedance scaled by its own
+    factor (``distinct``), or with bus 2's line impedance zero (``zero``)."""
+    feeder = json.loads(json.dumps(RECORDS[name]["feeder"]))
+    for k, line in enumerate(feeder["lines"]):
+        if change == "distinct":
+            f = 1.0 + 0.37 * k
+        elif line["bus"] == 2:
+            f = 0.0
+        else:
+            continue
+        line["z"] = [[{"re": f * e["re"], "im": f * e["im"]} for e in row] for row in line["z"]]
+    return loads_feeder(json.dumps(feeder))
+
+
+class TestConstraintRows:
+    """``a_mat`` as the linear map it stands for, on the engine's solver."""
+
+    @pytest.mark.parametrize("change", ["as recorded", "distinct", "zero"])
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_rows_are_the_branch_flow_residuals(self, name, change):
+        # random Hermitian segments far from any minimizer: a_mat y is the
+        # float view of the drop, then the balance, as the verifier writes them
+        model = equivalence_feeder(name) if change == "as recorded" else (
+            impedance_variant(name, change)
+        )
+        solver = State(model, SolverConfig()).ysolver
+        rng = np.random.default_rng(29)
+        segments = zip(solver.offsets[:-1], solver.offsets[1:])
+        for a, ctx, (start, end) in zip(solver.a_mat, solver.ctxs, segments, strict=True):
+            y = rand_cvec(rng, end - start)
+            local = y_roles(named_blocks(y, ctx), ctx)
+            for block in hermitian_blocks(local):
+                block[...] = 0.5 * (block + block.conj().T)
+            want = bfm_residuals(model, ctx.bus_id, local)
+            got = a @ y.view(float)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_feeders_cover_phase_subsets_and_impedances(self):
+        # abc -> ab -> a below one bus, children of one bus on distinct
+        # impedances, and a zero line impedance
+        model = equivalence_feeder("mixed-7-unsorted")
+        path = [model.bus(i).phases.letters for i in (0, 2, 3)]
+        assert path == ["abc", "ab", "a"] and model.line[3].parent == 2
+        distinct = impedance_variant("fat-tree-7-abc", "distinct")
+        assert not np.array_equal(distinct.line[1].z, distinct.line[2].z)
+        assert not impedance_variant("four-bus-abc", "zero").line[2].z.any()
 
 
 def count_prefactored(monkeypatch):

@@ -16,9 +16,12 @@ feeder it prints the status and the iteration count on both sides, then
 ``bitwise`` when the residual
 histories and the final blocks are equal byte for byte, or else their
 largest absolute differences. After that it compares the set-up maps of
-the feeder's ``State`` (``MAPS``) and prints ``maps equal``, or ``maps
-differ:`` and the names of those that differ, with ``n/a`` after a name
-that one side lacks. It exits 1 if a status or an iteration count
+the feeder's ``State`` (``MAPS``), among them the y-solver's constraint
+rows ``ysolver.a_mat``, a list of per-bus arrays. It prints ``maps
+equal`` when every map is equal byte for byte, or ``maps differ:`` and the
+names of those that differ, with ``n/a`` after a name that one side lacks
+and the largest absolute difference after a map of arrays whose shapes
+agree. It exits 1 if a status or an iteration count
 differs, or if a difference exceeds ``--tol``, and 2 if REV cannot be
 exported; the maps do not change the exit status.
 """
@@ -46,7 +49,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 # the State attributes, dotted through the y-solver, that set-up builds
-MAPS = ("pair", "obs", "weight", "den", "v_diag", "s_index", "ysolver.offsets", "messages")
+MAPS = (
+    "pair", "obs", "weight", "den", "v_diag", "s_index", "ysolver.offsets", "ysolver.a_mat",
+    "messages",
+)
 
 
 def load_package(path: Path, name: str):
@@ -130,11 +136,27 @@ def _maps(pkg, doc: str) -> dict:
     return maps
 
 
-def _same(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        arrays = isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-        return arrays and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    return a == b
+def _arrays(value) -> list | None:
+    """A map that is an array or a list of arrays, as a list; else None."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, list) and all(isinstance(v, np.ndarray) for v in value):
+        return value
+    return None
+
+
+def _difference(a, b) -> str | None:
+    """None when two maps are equal, arrays byte for byte; otherwise ``""``,
+    or the largest absolute difference of arrays whose shapes agree."""
+    xs, ys = _arrays(a), _arrays(b)
+    if xs is None or ys is None:
+        return None if xs is ys and a == b else ""
+    if [(x.dtype, x.shape) for x in xs] != [(y.dtype, y.shape) for y in ys]:
+        return ""
+    if all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys)):
+        return None
+    largest = max(float(np.abs(y - x).max(initial=0.0)) for x, y in zip(xs, ys))
+    return f" (largest difference {largest:.3e})"
 
 
 def compare_maps(base, change, doc: str) -> str:
@@ -145,8 +167,8 @@ def compare_maps(base, change, doc: str) -> str:
     for name in MAPS:
         if m0[name] is None or m1[name] is None:
             differ.append(f"{name} n/a")
-        elif not _same(m0[name], m1[name]):
-            differ.append(name)
+        elif (diff := _difference(m0[name], m1[name])) is not None:
+            differ.append(name + diff)
     return "maps differ: " + ", ".join(differ) if differ else "maps equal"
 
 
