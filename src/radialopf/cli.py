@@ -3,21 +3,25 @@
 Exit codes: 0 on success (converged/verified), 2 when the iteration cap was
 reached, 3 on a usage error or a validation or verification failure, 4 on I/O
 problems, 5 when a solve diverged (a residual became non-finite, or r grew
-1e6-fold past both its earlier minimum and the tolerance). A benchmark sweep
-returns 5 if any of its solves diverged, else 2 if any hit the cap.
+1e6-fold past both its earlier minimum and the tolerance). ``STATUS_EXIT``
+maps a solver status to its code: ``solve`` returns its status's code, and a
+benchmark sweep the largest code among its solves. A command that cannot
+finish raises, and ``main`` alone prints the ``error: ...`` line and returns
+the code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .engine import SolverConfig, SolverError, run
 from .network import (
     FeederError,
-    FeederValidationError,
     TopologyTemplate,
     dump_feeder,
     generate_topology,
@@ -38,6 +42,24 @@ EXIT_MAX_ITERS = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_DIVERGED = 5
+STATUS_EXIT = {"converged": EXIT_OK, "max-iters": EXIT_MAX_ITERS, "diverged": EXIT_DIVERGED}
+
+
+class _Exit(Exception):
+    """A failure that ``main`` reports as ``error: <message>`` and exit ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _io(action: str):
+    """Turn an OSError into exit 4 (EXIT_IO), reported as ``action: <error>``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Exit(EXIT_IO, f"{action}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,38 +82,28 @@ def _config(args) -> SolverConfig:
 
 
 def _load_model(path: str):
-    try:
-        return load_feeder(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    except FeederError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+    with _io(f"cannot read {path}"):
+        try:
+            return load_feeder(path)
+        except FeederError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
     model = _load_model(args.network)
-    try:
-        require_threshold(args.rank_threshold, "rank threshold")
-        config = _config(args)
-        result = run(model, config)
-    except (SolverError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    require_threshold(args.rank_threshold, "rank threshold")
+    config = _config(args)
+    result = run(model, config)
+    last = result.history[-1]
     if result.status == "diverged":
-        last = result.history[-1]
-        print(
-            f"error: diverged at iteration {last.k}: r {last.r:.3e}, s {last.s:.3e}",
-            file=sys.stderr,
+        raise _Exit(
+            EXIT_DIVERGED, f"diverged at iteration {last.k}: r {last.r:.3e}, s {last.s:.3e}"
         )
-        return EXIT_DIVERGED
 
     exact = check_rank1(result.solution, model, args.rank_threshold)
     out_dir = Path(args.out_dir)
-    try:
+    with _io("cannot write artifacts"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        last = result.history[-1]
         write_solution(
             out_dir / "solution.json",
             result.solution,
@@ -105,56 +117,34 @@ def cmd_solve(args) -> int:
             model, config, result, exact.max_ratio, exact.threshold
         )
         write_manifest(out_dir / "manifest.json", manifest)
-    except OSError as exc:
-        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_IO
 
-    last = result.history[-1]
     print(
         f"{result.status}: {len(result.history)} iterations, "
         f"objective {last.objective:.6g}, r {last.r:.3e}, s {last.s:.3e}, "
         f"rank ratio {exact.max_ratio:.3e}"
     )
-    return EXIT_OK if result.converged else EXIT_MAX_ITERS
+    return STATUS_EXIT[result.status]
 
 
 def cmd_generate(args) -> int:
-    template = TopologyTemplate(phases=args.phases)
-    try:
-        model = generate_topology(args.kind, args.size, template)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+    model = generate_topology(args.kind, args.size, TopologyTemplate(phases=args.phases))
+    with _io(f"cannot write {args.out}"):
         dump_feeder(model, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"wrote {args.kind} feeder with {args.size} buses to {args.out}")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
     kinds = [k for k in args.kinds.split(",") if k]
-    try:
-        sizes = [int(x) for x in args.sizes.split(",") if x]
-        config = _config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    sizes = [int(x) for x in args.sizes.split(",") if x]
+    config = _config(args)
     if not kinds or not sizes:
-        print("error: empty benchmark sweep", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("empty benchmark sweep")
     template = TopologyTemplate(phases=args.phases)
     rows = []
     for kind in kinds:
         for size in sizes:
-            try:
-                model = generate_topology(kind, size, template)
-                result = run(model, config)
-            except (SolverError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
+            result = run(generate_topology(kind, size, template), config)
             rows.append(
                 [
                     kind,
@@ -169,51 +159,28 @@ def cmd_bench(args) -> int:
                 f"{kind} size {size}: {result.status} in "
                 f"{len(result.history)} iterations ({result.wall_seconds:.2f}s)"
             )
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(BENCH_HEADER)
-            writer.writerows(rows)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _io(f"cannot write {args.out}"), open(args.out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(BENCH_HEADER)
+        writer.writerows(rows)
     print(f"wrote benchmark table to {args.out}")
-    statuses = {row[-1] for row in rows}
-    if "diverged" in statuses:
-        return EXIT_DIVERGED
-    if "max-iters" in statuses:
-        return EXIT_MAX_ITERS
-    return EXIT_OK
+    return max(STATUS_EXIT[row[-1]] for row in rows)
 
 
 def cmd_verify(args) -> int:
     model = _load_model(args.network)
-    try:
-        solution = read_solution(args.solution)
-    except OSError as exc:
-        print(f"error: cannot read {args.solution}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed solution document: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    try:
-        bfm = check_bfm_feasibility(solution, model, args.tol)
-        exact = check_rank1(solution, model, args.rank_threshold)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    if args.out:
-        import json
-
+    with _io(f"cannot read {args.solution}"):
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump({"bfm": bfm.as_dict(), "rank1": exact.as_dict()}, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            solution = read_solution(args.solution)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed solution document: {exc}") from exc
+
+    bfm = check_bfm_feasibility(solution, model, args.tol)
+    exact = check_rank1(solution, model, args.rank_threshold)
+    if args.out:
+        with _io(f"cannot write {args.out}"), open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({"bfm": bfm.as_dict(), "rank1": exact.as_dict()}, fh, indent=2)
+            fh.write("\n")
 
     print(f"branch-flow residuals (tol {args.tol:g}): max {bfm.max_residual:.3e}")
     for line in bfm.violations():
@@ -271,9 +238,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
-    except FeederValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except _Exit as exc:
+        code, message = exc.code, str(exc)
+    except (ValueError, SolverError, FeederError) as exc:
+        code, message = EXIT_VALIDATION, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

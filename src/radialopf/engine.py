@@ -66,7 +66,6 @@ from .network import (
 )
 from .subproblems import (
     XBlock,
-    YContext,
     YNodeSolver,
     complete_square_x0,
     interleave,
@@ -76,6 +75,7 @@ from .subproblems import (
     solve_x0_matrix,
     solve_x1_voltage,
     y_blocks,
+    y_context,
 )
 
 __all__ = [
@@ -243,7 +243,7 @@ class State:
         # y: the y-solver's layout; each y-block observes its owner's x
         # entries of its kind, and each voltage row its bus's copy of the v
         # entry that its y entry observes
-        self.ysolver = YNodeSolver([self._context(b.id) for b in model.buses])
+        self.ysolver = YNodeSolver([y_context(model, b.id) for b in model.buses])
         self.obs, self.weight = self.ysolver.obs, self.ysolver.weight
         ny = self.ysolver.offsets[-1]
         ctxs = self.ysolver.ctxs
@@ -268,19 +268,6 @@ class State:
         # own; the voltage copies' rows stay within their bus
         shares = {(i, owner) for i, owner, _ in seen if owner != i}
         self.messages = frozenset(shares | {(b, a) for a, b in shares})
-
-    def _context(self, i: int) -> YContext:
-        by_id, line = self.model.by_id, self.model.line.get(i)
-        return YContext(
-            bus_id=i,
-            parent=None if line is None else line.parent,
-            phases=by_id[i].phases,
-            z=None if line is None else line.z,
-            parent_phases=None if line is None else by_id[line.parent].phases,
-            children=tuple(
-                (j, by_id[j].phases, self.model.line[j].z) for j in self.model.children[i]
-            ),
-        )
 
     def solution(self) -> dict[int, XBlock]:
         """Copies of every bus's primal blocks, by id in feeder order."""

@@ -358,7 +358,9 @@ def _parse_region(obj, context: str) -> InjectionRegion:
         if kind == "disk":
             _known_keys(obj, ("type", "smax"), context)
             return Disk(_finite(obj["smax"], f"{context}.smax"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise FeederParseError(f"{context}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise FeederParseError(f"{context}: {exc}") from exc
     raise FeederParseError(f"{context}: unknown region type {kind!r}")
 
@@ -407,9 +409,9 @@ def _parse_bus(obj, k: int) -> BusSpec:
         )
         cost = tuple(_parse_cost(c, f"{ctx}.cost[{m}]") for m, c in enumerate(obj["cost"]))
         return BusSpec(bus_id, phases, vmin, vmax, regions, cost)
-    except FeederParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise FeederParseError(f"{ctx}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise FeederParseError(f"{ctx}: {exc}") from exc
 
 
@@ -420,9 +422,9 @@ def _parse_line(obj, k: int) -> LineSpec:
         z = _parse_complex(obj["z"], f"{ctx}.z")
         bus, parent = (_integer(obj[key], f"{ctx}.{key}") for key in ("bus", "parent"))
         return LineSpec(bus, parent, z)
-    except FeederParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise FeederParseError(f"{ctx}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise FeederParseError(f"{ctx}: {exc}") from exc
 
 

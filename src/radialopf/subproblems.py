@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import psd_project
-from .network import PhaseSet
+from .network import FeederModel, PhaseSet
 
 __all__ = [
     "XBlock",
@@ -50,6 +50,7 @@ __all__ = [
     "disk_case",
     "solve_x1_voltage",
     "YContext",
+    "y_context",
     "YNodeSolver",
     "named_blocks",
     "y_blocks",
@@ -242,6 +243,19 @@ class YContext:
     @property
     def is_root(self) -> bool:
         return self.parent is None
+
+
+def y_context(model: FeederModel, i: int) -> YContext:
+    """Bus i's neighborhood in ``model``, as the y-solver reads it."""
+    by_id, line = model.by_id, model.line.get(i)
+    return YContext(
+        bus_id=i,
+        parent=None if line is None else line.parent,
+        phases=by_id[i].phases,
+        z=None if line is None else line.z,
+        parent_phases=None if line is None else by_id[line.parent].phases,
+        children=tuple((j, by_id[j].phases, model.line[j].z) for j in model.children[i]),
+    )
 
 
 def y_blocks(ctx: YContext) -> list[tuple[int, int, tuple[int, ...], float]]:

@@ -49,23 +49,11 @@ from radialopf.subproblems import (
     solve_x0_matrix,
     solve_x1_voltage,
     y_blocks,
+    y_context,
 )
 
 COMMAND = "PYTHONPATH=src python tests/reference.py tests/data/engine_equivalence.json"
 FIELDS = ("v", "s", "S", "ell")
-
-
-def context(model: FeederModel, i: int) -> YContext:
-    """Bus i's neighborhood, as the y-solver reads it."""
-    line = model.line.get(i)
-    return YContext(
-        bus_id=i,
-        parent=None if line is None else line.parent,
-        phases=model.by_id[i].phases,
-        z=None if line is None else line.z,
-        parent_phases=None if line is None else model.by_id[line.parent].phases,
-        children=tuple((j, model.by_id[j].phases, model.line[j].z) for j in model.children[i]),
-    )
 
 
 class Agent:
@@ -210,7 +198,7 @@ class Reference:
 
     def __init__(self, model: FeederModel, config: SolverConfig):
         self.config = config
-        ctxs = {b.id: context(model, b.id) for b in model.buses}
+        ctxs = {b.id: y_context(model, b.id) for b in model.buses}
         self.agents = {}
         for i, ctx in ctxs.items():
             around = ([] if ctx.is_root else [ctx.parent]) + [j for j, _, _ in ctx.children]

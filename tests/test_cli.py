@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from radialopf.cli import (
     EXIT_VALIDATION,
     main,
 )
+from radialopf.engine import SolverError
 from radialopf.network import (
     FeederModel,
     TopologyTemplate,
@@ -505,3 +507,84 @@ def test_verify_rejects_non_finite_solution_entry(tmp_path, capfd, bad):
     assert err.splitlines() == [
         f"error: malformed solution document: bus 1 S[0][0].im: {bad!r} is not a finite number"
     ]
+
+
+def os_error(code, path):
+    """The text of the OSError with errno ``code`` on ``path``."""
+    return str(OSError(code, os.strerror(code), str(path)))
+
+
+def test_solve_out_dir_naming_a_file_is_an_io_error(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    out = tmp_path / "run"
+    out.write_text("")
+    assert main(["solve", "--network", str(net), "--out-dir", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: cannot write artifacts: {os_error(errno.EEXIST, out)}"
+    ]
+    assert captured.out == ""
+
+
+def test_generate_into_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "feeder.json"
+    code = main(["generate", "--kind", "line", "--size", "3", "--out", str(out)])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: cannot write {out}: {os_error(errno.ENOENT, out)}"
+    ]
+    assert captured.out == ""
+
+
+def test_bench_out_naming_a_directory_is_an_io_error_after_the_rows(tmp_path, capsys):
+    code = main(["bench", "--kinds", "line", "--sizes", "3", "--out", str(tmp_path)])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: cannot write {tmp_path}: {os_error(errno.EISDIR, tmp_path)}"
+    ]
+    rows = captured.out.splitlines()
+    assert len(rows) == 1 and rows[0].startswith("line size 3: converged in ")
+
+
+def test_bench_solve_error_exits_with_the_validation_code(tmp_path, capsys, monkeypatch):
+    def failing(model, config):
+        raise SolverError("iteration 7: x-step failed")
+
+    monkeypatch.setattr(cli, "run", failing)
+    out = tmp_path / "b.csv"
+    code = main(["bench", "--kinds", "line", "--sizes", "3,4", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: iteration 7: x-step failed"]
+    assert captured.out == "" and not out.exists()
+
+
+def test_verify_missing_solution_is_an_io_error(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    sol = tmp_path / "solution.json"
+    assert main(["verify", "--solution", str(sol), "--network", str(net)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: cannot read {sol}: {os_error(errno.ENOENT, sol)}"
+    ]
+    assert captured.out == ""
+
+
+def test_verify_report_into_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    write_two_bus(net)
+    assert main(["solve", "--network", str(net), "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+    capsys.readouterr()
+    sol = tmp_path / "run" / "solution.json"
+    out = tmp_path / "missing" / "report.json"
+    argv = ["verify", "--solution", str(sol), "--network", str(net), "--out", str(out)]
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: cannot write {out}: {os_error(errno.ENOENT, out)}"
+    ]
+    assert captured.out == ""

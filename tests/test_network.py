@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -18,6 +19,7 @@ from radialopf.network import (
     TopologyTemplate,
     feeder_to_dict,
     generate_topology,
+    load_feeder,
     loads_feeder,
     phase_lift,
     phase_project,
@@ -275,6 +277,75 @@ class TestLoader:
         doc[key] = value
         with pytest.raises(FeederParseError, match=f"^'{key}' must be a list$"):
             loads_feeder(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda d: d["buses"][1].update(phases="x"),
+                "buses[1]: unknown phase 'x'",
+                id="phase-x",
+            ),
+            pytest.param(
+                lambda d: d["buses"][1].update(phases="aa"),
+                "buses[1]: duplicate phase 'a'",
+                id="phase-aa",
+            ),
+            pytest.param(
+                lambda d: d["buses"][1].update(region=[3]),
+                "buses[1].region[0]: region must be an object with a 'type'",
+                id="region-not-object",
+            ),
+            pytest.param(
+                lambda d: d["buses"][1].update(region=[{"type": "hex"}]),
+                "buses[1].region[0]: unknown region type 'hex'",
+                id="region-hex",
+            ),
+            pytest.param(
+                lambda d: d["buses"][1].update(region=[{"type": "disk"}]),
+                "buses[1].region[0]: missing key 'smax'",
+                id="disk-without-smax",
+            ),
+            pytest.param(
+                lambda d: d["buses"][1].pop("cost"),
+                "buses[1]: missing key 'cost'",
+                id="bus-without-cost",
+            ),
+            pytest.param(
+                lambda d: d["lines"][0].pop("z"), "lines[0]: missing key 'z'", id="line-without-z"
+            ),
+            pytest.param(
+                lambda d: d["lines"][0].update(z=[[0.5]]),
+                "lines[0].z[0][0]: expected an object with 're' and 'im'",
+                id="z-entry-not-complex",
+            ),
+            pytest.param(
+                lambda d: d.pop("lines"),
+                "document must contain 'buses' and 'lines'",
+                id="no-lines",
+            ),
+        ],
+    )
+    def test_malformed_field_is_named(self, edit, message):
+        doc = json.loads(json.dumps(TWO_BUS_DOC))
+        edit(doc)
+        with pytest.raises(FeederParseError) as err:
+            loads_feeder(json.dumps(doc))
+        assert str(err.value) == message
+
+    def test_unknown_parent_is_a_validation_error(self):
+        doc = json.loads(json.dumps(TWO_BUS_DOC))
+        doc["lines"][0]["parent"] = 7
+        with pytest.raises(FeederValidationError) as err:
+            loads_feeder(json.dumps(doc))
+        assert err.value.violations == [
+            "line of bus 1 references unknown parent 7",
+            "buses [1] not reachable from root: not a tree",
+        ]
+
+    def test_load_feeder_reads_a_text_stream(self):
+        model = load_feeder(io.StringIO(json.dumps(TWO_BUS_DOC)))
+        assert feeder_to_dict(model) == feeder_to_dict(loads_feeder(json.dumps(TWO_BUS_DOC)))
 
     def test_generated_round_trip(self):
         for kind in ("line", "fat-tree"):

@@ -102,6 +102,13 @@ class TestBfmFeasibility:
         with pytest.raises(ValueError, match="^bus 1: solution shape mismatch$"):
             check_bfm_feasibility(solution, model)
 
+    def test_missing_branch_variables_raise(self):
+        model = two_bus(0.02 + 0.04j, Box(-0.1, -0.1, -0.05, -0.05))
+        solution = exact_flow_solution(model, -0.1 - 0.05j)
+        solution[1] = XBlock(v=solution[1].v, s=solution[1].s)
+        with pytest.raises(ValueError, match="^bus 1: missing branch variables$"):
+            check_bfm_feasibility(solution, model)
+
     def test_unknown_bus_raises(self):
         model = two_bus(0.02j, Box(-0.1, -0.1, 0.0, 0.0))
         solution = exact_flow_solution(model, -0.1 + 0j)
