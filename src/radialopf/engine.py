@@ -4,12 +4,14 @@ Each bus owns its primal copies x0 = (v, s, S, ell) and x1, a copy of
 its v that carries the voltage limits, the observations y that its
 y-step re-solves, and the multipliers of its consensus constraints. The
 state of a whole run lives in a few flat buffers: x, y and u. Within x
-each group of buses with one phase count (the root on its own) holds a
-contiguous slab of blocks, the (2m, 2m) Hermitian matrices
-[[v, S], [S^H, ell]] of the paper's x-step (v alone at the root), then
-a (B, m) slab of s and a (B, m, m) slab of the voltage copies. y holds
-each bus's y-blocks (``subproblems.y_blocks``), bus after bus in the
-y-solver's order.
+the blocks, the (2m, 2m) Hermitian matrices [[v, S], [S^H, ell]] of the
+paper's x-step (v alone at the root), lie in contiguous slabs by width:
+the widest non-root width K has one (B, K, K) slab, which a narrower
+width's blocks join, zero-padded, when the feeder has at most
+``N_JOIN`` of them. Each group of buses with one phase count (the root
+on its own) also holds a (B, m) slab of s and a (B, m, m) slab of the
+voltage copies. y holds each bus's y-blocks (``subproblems.y_blocks``),
+bus after bus in the y-solver's order.
 
 Every consensus constraint is one row of one table, as in general-form
 consensus ADMM: row e ties x entry ``pair[e]`` to y entry ``obs[e]``
@@ -26,13 +28,15 @@ then. The x-step runs in place in x: it writes the square-completion
 target of every copy into x's float views in one weighted sum over the
 rows and one division per part, clamps the voltage copies in one call,
 projects each non-root slab of blocks onto the PSD cone in one batched
-call per phase count, written back in place, clamps the (p, q) pairs of
-all box phases at once, and projects each half-disk phase. The
-projection reads each block's upper triangle alone and writes its S^H
-corner, which no row observes, as the adjoint of S; nothing fills that
-corner before. The y-step sums u + w x over the rows into y in one
-scatter-add and runs one ``YNodeSolver`` for all buses, on y's float
-view: one stacked matrix-vector product per group of buses, a shared
+call, written back in place, clamps the (p, q) pairs of all box phases
+at once, and projects each half-disk phase. The projection reads each
+block's upper triangle alone and writes its S^H corner, which no row
+observes, as the adjoint of S; nothing fills that corner before. No row
+observes the padding either: square completion writes 0 there, and the
+projection of a zero-padded block keeps the zeros. The y-step sums
+u + w x over the rows into y in one scatter-add and runs one
+``YNodeSolver`` for all buses, on y's float view: one stacked
+matrix-vector product per group of buses, a shared
 neighborhood or a y-block signature, from the linear terms straight into y. The multiplier update forms every row's
 gap x - y once and adds it to u; the primal residual is that gap's
 norm. Data crosses a tree edge only where a y-block copies an entry
@@ -102,6 +106,7 @@ PHASE_REFERENCE = {
 
 
 DIVERGENCE_FACTOR = 1e6  # ``run``'s bound on the growth of r
+N_JOIN = 8  # most blocks of a narrower width that join the widest slab
 
 
 class SolverError(RuntimeError):
@@ -170,13 +175,16 @@ class State:
     """The buffers of one run and their index maps.
 
     x holds, per group of buses with one phase count (the root on its
-    own), a slab of blocks, one of s and one of voltage copies. Off the
-    root a block is the bus's (2m, 2m) Hermitian matrix [[v, S], [S^H,
-    ell]], at the root its v alone. ``x_entries[i]`` holds the positions
-    in x of bus i's v, s[, S, ell] and ``v_copy[i]`` those of its (m, m)
-    voltage copy; the rows of a group's slabs follow the feeder's bus
-    order. y is the y-solver's own buffer: one segment per bus of
-    ``ysolver.ctxs`` (given in feeder order, ordered by the solver), from
+    own), rows of a slab of blocks, a slab of s and one of voltage
+    copies. Off the root a block is the bus's (2m, 2m) Hermitian matrix
+    [[v, S], [S^H, ell]], at the root its v alone. A group of at most
+    ``N_JOIN`` buses has its blocks zero-padded in the slab of the widest
+    non-root width, a larger one in a slab of their own width; the
+    first group in a slab lays it down. ``x_entries[i]`` holds the
+    positions in x of bus i's v, s[, S, ell] and ``v_copy[i]`` those of
+    its (m, m) voltage copy; the rows of a group's slabs follow the
+    feeder's bus order. y is the y-solver's own buffer: one segment per
+    bus of ``ysolver.ctxs`` (given in feeder order, ordered by the solver), from
     ``ysolver.offsets``, laid out as the bus's y-blocks
     (``subproblems.y_blocks``). Row e of the consensus table
     ties x entry ``pair[e]`` to y entry ``obs[e]`` with weight
@@ -186,7 +194,7 @@ class State:
     of ``v_copy[bus]`` at its own v entry); ``gap`` holds x[pair] -
     y[obs] at the last multiplier update and ``dy`` y - ``y_prev`` at
     the last residuals. ``den`` sums the weights per x entry, and is 1
-    on the S^H corners, which no row observes;
+    on the S^H corners and the padding, which no row observes;
     ``pair_slots``/``obs_slots`` interleave ``pair``/``obs`` for the
     scatter-adds. ``s_index`` lists the entries of s in x, in the order
     of ``injections``, which holds the injections' projection constants
@@ -194,9 +202,9 @@ class State:
     directed (sender, receiver) pairs of the y-blocks that copy another
     bus's entries, both ways; every iteration sends the same ones.
 
-    The x-step runs in x: ``slabs`` holds, per non-root phase count m,
-    the view of x as its (B, 2m, 2m) blocks, whose S^H corners nothing
-    fills before the projection. ``v_diag`` are the positions in x of
+    The x-step runs in x: ``slabs`` holds the view of x as each non-root
+    slab's (B, K, K) blocks, whose S^H corners nothing fills before the
+    projection. ``v_diag`` are the positions in x of
     the voltage copies' diagonals, group after group, with their bounds
     ``v_lo``/``v_hi``. ``ysolver`` solves every bus's y-step; its
     operators do not depend on rho. A rule that changed rho would
@@ -208,25 +216,37 @@ class State:
         members: dict[tuple[bool, int], list[int]] = {}
         for b in model.buses:
             members.setdefault((b.id in model.line, len(b.phases)), []).append(b.id)
+        # the slab (branch, width) of each group (branch, m): a narrow width with
+        # at most N_JOIN blocks joins the widest, its blocks zero-padded
+        wide = max((2 * m for branch, m in members if branch), default=0)
+        slab_of = {g: (True, wide if len(ids) <= N_JOIN else 2 * g[1]) if g[0] else g
+                   for g, ids in members.items()}
 
-        # x: per group a slab of (B, k, k) blocks, one of s, (B, m), then one
-        # of voltage copies, (B, m, m); each as the array of its entry positions
+        # x: per group its rows of a (B, K, K) slab of blocks, laid down by
+        # the slab's first group, then a slab of s, (B, m), and one of voltage
+        # copies, (B, m, m); each as the array of its entry positions
         self._groups, self.x_entries, self.v_copy = [], {}, {}
-        flows, diagonals = [], []  # the non-root block slabs; the copies' diagonals
+        rest, flows, diagonals = {}, [], []  # slabs' untaken rows; non-root slabs; diagonals
         size = 0
         for branch, m in sorted(members):
-            ids = members[branch, m]
+            ids, key = members[branch, m], slab_of[branch, m]
+            shapes = [(len(ids), m), (len(ids), m, m)]
+            if key not in rest:
+                rows = sum(len(members[g]) for g in members if slab_of[g] == key)
+                shapes.insert(0, (rows, key[1], key[1]))
+            spans = []
+            for shape in shapes:
+                spans.append(np.arange(size, size + math.prod(shape)).reshape(shape))
+                size += spans[-1].size
+            if key not in rest:
+                rest[key] = spans[0]
+                flows += [spans[0]] if branch else []
             k = 2 * m if branch else m
-            slabs = []
-            for shape in [(k, k), (m,), (m, m)]:
-                count = len(ids) * math.prod(shape)
-                slabs.append(np.arange(size, size + count).reshape((len(ids),) + shape))
-                size += count
-            block, s, copy = slabs
+            block, rest[key] = rest[key][: len(ids), :k, :k], rest[key][len(ids) :]
+            s, copy = spans[-2:]
             kinds = [block[:, :m, :m], s]
             if branch:
                 kinds += [block[:, :m, m:], block[:, m:, m:]]
-                flows.append(block)
             self._groups.append((ids, block, kinds))
             for r, i in enumerate(ids):
                 self.x_entries[i] = [kind[r] for kind in kinds]
@@ -252,7 +272,7 @@ class State:
         entries += [self.v_copy[c.bus_id] for c in ctxs]
         self.pair = np.concatenate(entries, axis=None)
         self.den = np.bincount(self.pair, self.weight)
-        # no row observes an S^H corner; weight 1 keeps 0 / 0 out of its target
+        # no row observes an S^H corner or the padding; weight 1 keeps 0 / 0 out
         self.den[self.den == 0] = 1.0
         self.pair_slots, self.obs_slots = interleave(self.pair), interleave(self.obs)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -336,6 +337,18 @@ def _bounds(pair, context: str) -> tuple[float, float]:
     )
 
 
+@contextmanager
+def _named(context: str):
+    """Raise a KeyError, TypeError or ValueError of the block as a
+    ``FeederParseError`` that names the field ``context``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FeederParseError(f"{context}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FeederParseError(f"{context}: {exc}") from exc
+
+
 def _known_keys(obj, keys: tuple[str, ...], context: str) -> None:
     """Reject an object with a key outside ``keys``, naming the field."""
     if not isinstance(obj, dict):
@@ -349,7 +362,7 @@ def _parse_region(obj, context: str) -> InjectionRegion:
     if not isinstance(obj, dict) or "type" not in obj:
         raise FeederParseError(f"{context}: region must be an object with a 'type'")
     kind = obj["type"]
-    try:
+    with _named(context):
         if kind == "box":
             _known_keys(obj, ("type", "p", "q"), context)
             p_lo, p_hi = _bounds(obj.get("p", [None, None]), f"{context}.p")
@@ -358,10 +371,6 @@ def _parse_region(obj, context: str) -> InjectionRegion:
         if kind == "disk":
             _known_keys(obj, ("type", "smax"), context)
             return Disk(_finite(obj["smax"], f"{context}.smax"))
-    except KeyError as exc:
-        raise FeederParseError(f"{context}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FeederParseError(f"{context}: {exc}") from exc
     raise FeederParseError(f"{context}: unknown region type {kind!r}")
 
 
@@ -391,15 +400,16 @@ def _parse_complex(obj, context: str, error: type[Exception] = FeederParseError)
 
 def _parse_cost(obj, context: str) -> ObjectiveCoeffs:
     _known_keys(obj, ("alpha", "beta"), context)
-    return ObjectiveCoeffs(
-        _finite(obj["alpha"], f"{context}.alpha"), _finite(obj["beta"], f"{context}.beta")
-    )
+    with _named(context):
+        return ObjectiveCoeffs(
+            _finite(obj["alpha"], f"{context}.alpha"), _finite(obj["beta"], f"{context}.beta")
+        )
 
 
 def _parse_bus(obj, k: int) -> BusSpec:
     ctx = f"buses[{k}]"
     _known_keys(obj, ("id", "phases", "vmin", "vmax", "region", "cost"), ctx)
-    try:
+    with _named(ctx):
         bus_id = _integer(obj["id"], f"{ctx}.id")
         phases = PhaseSet(str(obj["phases"]))
         vmin = tuple(_finite(x, f"{ctx}.vmin[{t}]") for t, x in enumerate(obj["vmin"]))
@@ -409,23 +419,15 @@ def _parse_bus(obj, k: int) -> BusSpec:
         )
         cost = tuple(_parse_cost(c, f"{ctx}.cost[{m}]") for m, c in enumerate(obj["cost"]))
         return BusSpec(bus_id, phases, vmin, vmax, regions, cost)
-    except KeyError as exc:
-        raise FeederParseError(f"{ctx}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FeederParseError(f"{ctx}: {exc}") from exc
 
 
 def _parse_line(obj, k: int) -> LineSpec:
     ctx = f"lines[{k}]"
     _known_keys(obj, ("bus", "parent", "z"), ctx)
-    try:
+    with _named(ctx):
         z = _parse_complex(obj["z"], f"{ctx}.z")
         bus, parent = (_integer(obj[key], f"{ctx}.{key}") for key in ("bus", "parent"))
         return LineSpec(bus, parent, z)
-    except KeyError as exc:
-        raise FeederParseError(f"{ctx}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise FeederParseError(f"{ctx}: {exc}") from exc
 
 
 def loads_feeder(text: str | bytes) -> FeederModel:

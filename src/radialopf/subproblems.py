@@ -18,8 +18,9 @@ once; the y-solver alone lays y out by them, and both steps read the
 weights. Both take the scaled multipliers u = mu / rho; only the
 injection projections read the penalty rho. The engine runs
 every kernel once per iteration over the whole feeder, except the PSD
-projection, which runs once per non-root phase count on a stack of
-(2m, 2m) blocks, in closed form for m = 1: square completion is one
+projection, which runs once per slab of blocks, a stack of (2m, 2m)
+blocks, narrower ones zero-padded, in closed form for 2 x 2 blocks
+(``engine.State``): square completion is one
 weighted sum per primal entry, the box projection is one clamp over
 (p, q) pairs, the voltage clamp works elementwise on a flat array, and
 one ``YNodeSolver`` serves every bus, prefactoring each distinct

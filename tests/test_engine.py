@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from conftest import (
 )
 from oracle import oracle_opf
 
-from radialopf import engine, hermitian
+from radialopf import engine, hermitian, network
 from radialopf.engine import (
     PHASE_REFERENCE,
     SolverConfig,
@@ -100,6 +102,50 @@ def views(state):
     return {b.id: bus_blocks(state, b.id) for b in state.model.buses}
 
 
+def load(path):
+    """The module of the Python file ``path``, under the repository."""
+    spec = importlib.util.spec_from_file_location(path.stem, Path(__file__).parents[1] / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def mixed_der_feeders():
+    """perfbench's two mixed-der feeders of seed 1."""
+    workloads = load(Path("perfbench", "workloads.py"))
+    return [loads_feeder(doc) for doc in workloads.feeder_documents("mixed-der", 1)]
+
+
+def trunk_feeder(laterals):
+    """A three-phase trunk with ``laterals`` single-phase leaves."""
+    tool = load(Path("tools", "compare_iterates.py"))
+    return loads_feeder(tool.trunk_feeder(network, laterals, laterals))
+
+
+def layout(state):
+    """Where the x-step's slabs lie in x: ``slabs`` holds each slab's
+    positions by width, ``blocks`` and ``width`` each non-root bus's (2m,
+    2m) block and its slab's width by id, and ``corners`` and ``padding``
+    are masks over x of the S^H corners and of the slab entries around a
+    narrower block."""
+    probe = State(state.model, SolverConfig())
+    probe.x[...] = np.arange(len(probe.x))
+    lay = SimpleNamespace(slabs={}, blocks={}, width={})
+    lay.corners, lay.padding = np.zeros((2, len(probe.x)), dtype=bool)
+    for slab in probe.slabs:
+        lay.slabs[slab.shape[-1]] = slab.real.astype(int)
+        lay.padding[lay.slabs[slab.shape[-1]]] = True
+    for ids, block, kinds in probe._groups:
+        m = kinds[0].shape[-1]
+        lay.corners[block[:, m:, :m]] = True  # empty at the root
+        lay.padding[block] = False
+        for i, rows in zip(ids, block):
+            if i in state.model.line:
+                lay.blocks[i] = rows
+                lay.width[i] = next(k for k, at in lay.slabs.items() if rows[0, 0] in at)
+    return lay
+
+
 class TestInitialize:
     def test_leaf_current_from_injection(self):
         agents = views(initialize(TWO_BUS))
@@ -151,12 +197,14 @@ class TestInitialize:
                 current[i][model.bus(j).phases.indices_in(bus.phases)] += current[j]
 
         accumulate(0)
+        lay = layout(state)
         for i, w in volt.items():
             if i != 0:
                 w = np.concatenate([w, current[i]])
-            start = state.x_entries[i][0].flat[0]
-            block = state.x[start : start + w.size**2].reshape(w.size, w.size)
+            block = state.x[lay.blocks[i]] if i != 0 else state.x[state.x_entries[0][0]]
             assert np.array_equal(block, w[:, None] * w.conj()[None, :])
+        # the padding around a narrower block starts at zero
+        assert not state.x[lay.padding].any()
 
     def test_multipliers_start_at_zero(self):
         agents = views(initialize(TWO_BUS))
@@ -596,7 +644,13 @@ def random_buffers(rng, state):
 
 
 @pytest.mark.parametrize(
-    "model", [three_class_feeder(), mixed_feeder(), generate_topology("line", 5)]
+    "model",
+    [
+        three_class_feeder(),
+        mixed_feeder(),
+        generate_topology("line", 5),
+        trunk_feeder(engine.N_JOIN + 1),
+    ],
 )
 class TestXStepMaps:
     def test_x_step_writes_every_entry(self, model):
@@ -628,21 +682,28 @@ class TestXStepMaps:
         assert sum(len(slab) for slab in state.slabs) == len(model.lines)
         for slab in state.slabs:
             assert np.array_equal(slab, slab.conj().swapaxes(1, 2))
+        # and the padding around a narrower block is exactly zero
+        assert not state.x[layout(state).padding].any()
 
     def test_x_step_reads_no_s_h_corner(self, model, monkeypatch):
-        # NaN in every S^H corner of the projection's input, after square
-        # completion, does not reach x: the round is finite and equal, bit
-        # for bit, to the round without it
+        # NaN in every S^H corner and all the padding before the round, and
+        # in every S^H corner and the padding's strict lower triangle of the
+        # projection's input, after square completion, does not reach x:
+        # the round is finite and equal, bit for bit, to the round without it
         config = SolverConfig(rho=0.9)
         clean, poisoned = initialize(model, config), initialize(model, config)
         for state in (clean, poisoned):
             random_buffers(np.random.default_rng(45), state)
         x_update_round(clean)
-        project = engine.solve_x0_matrix
+        project, lay, nan = engine.solve_x0_matrix, layout(poisoned), complex(math.nan, math.nan)
+        poisoned.x[lay.corners | lay.padding] = nan
 
         def poison_then_project(slab):
-            m = slab.shape[-1] // 2
-            slab[:, m:, :m] = complex(math.nan, math.nan)
+            at = lay.slabs[slab.shape[-1]]
+            rows, cols = np.tril_indices(at.shape[-1], -1)
+            lower = at[:, rows, cols]
+            poisoned.x[at[lay.corners[at]]] = nan
+            poisoned.x[lower[lay.padding[lower]]] = nan
             return project(slab)
 
         monkeypatch.setattr(engine, "solve_x0_matrix", poison_then_project)
@@ -652,7 +713,9 @@ class TestXStepMaps:
 
     def test_x_step_projects_each_block(self, model):
         # after the x round every non-root bus holds the projection of its
-        # own target block and the root its voltage target, bit for bit
+        # own unpadded target block, bit for bit if the block fills its
+        # slab's rows and within 1e-14 ||W|| if it is padded, and the root
+        # its voltage target, bit for bit
         config = SolverConfig(rho=0.9)
         state = initialize(model, config)
         random_buffers(np.random.default_rng(42), state)
@@ -661,57 +724,79 @@ class TestXStepMaps:
             state.y[state.obs], state.u, state.weight, state.pair_slots, state.den, hat.x
         )
         x_update_round(state)
+        width = layout(state).width
         for i, agent in views(state).items():
             t = bus_blocks(hat, i).x0
             if agent.is_root:
                 assert np.array_equal(agent.x0.v, t.v)
                 continue
             m = len(agent.bus.phases)
-            w = solve_x0_matrix(HatConstants(t.v, t.S, t.ell).block())
-            assert np.array_equal(agent.x0.v, w[:m, :m])
-            assert np.array_equal(agent.x0.S, w[:m, m:])
-            assert np.array_equal(agent.x0.ell, w[m:, m:])
+            target = HatConstants(t.v, t.S, t.ell).block()
+            w = solve_x0_matrix(target)
+            tol = 0.0 if width[i] == 2 * m else 1e-14 * np.linalg.norm(target)
+            assert np.abs(agent.x0.v - w[:m, :m]).max() <= tol
+            assert np.abs(agent.x0.S - w[:m, m:]).max() <= tol
+            assert np.abs(agent.x0.ell - w[m:, m:]).max() <= tol
 
     def test_one_kernel_call_per_layer(self, model, monkeypatch):
-        # the PSD projection runs once per non-root phase count, the voltage
-        # clamp and the y-step once per iteration, whatever the signatures;
-        # only the 4 x 4 and 6 x 6 blocks are decomposed, one eigh call per
-        # phase count, and the 2 x 2 blocks of one phase take the closed form
-        calls = Counter()
-
-        def count(owner, name):
-            original = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
-
-        for owner, name in (
-            (hermitian, "eigh"),
-            (engine, "solve_x0_matrix"),
-            (engine, "solve_x1_voltage"),
-            (YNodeSolver, "assemble_c"),
-            (YNodeSolver, "solve"),
-        ):
-            count(owner, name)
-        config = SolverConfig()
-        state = initialize(model, config)
+        # the PSD projection runs once per slab, the voltage clamp and the
+        # y-step once per iteration, whatever the signatures; only the 4 x 4
+        # and 6 x 6 slabs are decomposed, one eigh call each, and a slab of
+        # 2 x 2 blocks takes the closed form
+        calls = count_calls(monkeypatch)
+        state = initialize(model, SolverConfig())
         x_update_round(state)
         y_update_round(state)
         multiplier_update_round(state)
-        phase_counts = {len(model.bus(ln.bus).phases) for ln in model.lines}
+        widths = [slab.shape[-1] for slab in state.slabs]
         assert calls == Counter(
-            eigh=len(phase_counts - {1}),
-            solve_x0_matrix=len(phase_counts),
+            eigh=sum(k > 2 for k in widths),
+            solve_x0_matrix=len(widths),
             solve_x1_voltage=1,
             assemble_c=1,
             solve=1,
         )
 
 
-@pytest.mark.parametrize("model", [three_class_feeder(), mixed_feeder()])
+def count_calls(monkeypatch):
+    """A Counter of the calls, by name, of the kernels of each layer."""
+    calls = Counter()
+    for owner, name in (
+        (hermitian, "eigh"),
+        (engine, "solve_x0_matrix"),
+        (engine, "solve_x1_voltage"),
+        (YNodeSolver, "assemble_c"),
+        (YNodeSolver, "solve"),
+    ):
+
+        def counted(*args, original=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "model, slabs",
+    [(model, 1) for model in mixed_der_feeders()]
+    + [(trunk_feeder(engine.N_JOIN), 1), (trunk_feeder(engine.N_JOIN + 1), 2)],
+)
+def test_narrow_blocks_join_the_widest_slab(model, slabs, monkeypatch):
+    # at most N_JOIN blocks of a narrower width join the widest slab, so
+    # the x-step projects once on perfbench's mixed-der feeders; more keep
+    # their own slab and its 2 x 2 closed form
+    calls = count_calls(monkeypatch)
+    state = initialize(model, SolverConfig())
+    x_update_round(state)
+    assert [calls["solve_x0_matrix"], calls["eigh"]] == [slabs, 1]
+    widest = max(2 * len(model.bus(ln.bus).phases) for ln in model.lines)
+    assert sorted(slab.shape[-1] for slab in state.slabs) == [2, widest][-slabs:]
+
+
+@pytest.mark.parametrize(
+    "model", [three_class_feeder(), mixed_feeder(), trunk_feeder(engine.N_JOIN + 1)]
+)
 class TestYLayout:
     def test_segments_observe_the_neighborhood(self, model):
         # with every x entry distinct, each bus's y segment reads exactly its
@@ -766,16 +851,18 @@ class TestYLayout:
             assert np.array_equal(state.pair[rows], state.v_copy[ctx.bus_id].ravel())
         assert len(np.unique(state.pair[ny:])) == len(state.pair) - ny
         assert not np.isin(state.pair[ny:], state.pair[:ny]).any()
-        # den: the weight sums on observed entries, 1 on the S^H corners,
-        # which no row observes
+        # den: the weight sums on observed entries, 1 on the S^H corners and
+        # the padding around a narrower block, which no row observes
         sums = np.bincount(state.pair, state.weight, len(state.x))
-        corners = np.zeros(len(state.x), dtype=bool)
-        for _, block, kinds in state._groups:
-            m = kinds[0].shape[-1]
-            corners[block[:, m:, :m]] = True  # empty at the root
-        assert corners.sum() == sum(len(model.bus(ln.bus).phases) ** 2 for ln in model.lines)
-        assert np.all(sums[corners] == 0) and np.all(sums[~corners] > 0)
-        assert np.array_equal(state.den, np.where(corners, 1.0, sums))
+        lay = layout(state)
+        phases = [len(model.bus(ln.bus).phases) for ln in model.lines]
+        assert lay.corners.sum() == sum(m**2 for m in phases)
+        slab_area = sum(at.size for at in lay.slabs.values())
+        assert lay.padding.sum() == slab_area - sum((2 * m) ** 2 for m in phases)
+        unobserved = lay.corners | lay.padding
+        assert not np.isin(state.pair, np.flatnonzero(unobserved)).any()
+        assert np.all(sums[unobserved] == 0) and np.all(sums[~unobserved] > 0)
+        assert np.array_equal(state.den, np.where(unobserved, 1.0, sums))
         mass = np.bincount(state.obs, state.weight, ny)
         solver = state.ysolver
         segments = zip(solver.offsets[:-1], solver.offsets[1:])

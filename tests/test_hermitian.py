@@ -138,6 +138,37 @@ def test_eigh_and_projection_read_the_upper_triangle():
             assert np.all(np.isfinite(x))
 
 
+def four_kinds(rng, n):
+    """Hermitian n x n blocks by kind: random, rank one, negative definite,
+    and with a zero eigenvalue."""
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    values, u = np.linalg.eigh(random_hermitian(rng, n))
+    values[rng.integers(n)] = 0.0
+    return {
+        "random": random_hermitian(rng, n),
+        "rank-1": np.outer(z, z.conj()),
+        "negative-definite": -random_psd(rng, n) - np.eye(n),
+        "zero-eigenvalue": (u * values) @ u.conj().T,
+    }
+
+
+@pytest.mark.parametrize("n, size", [(2, 4), (2, 6), (4, 6)])
+def test_zero_padding_projects_the_block_alone(n, size):
+    # the engine's widest slab holds narrower blocks in its top-left corner
+    # with zeros around them: projected in one stack, each block part is
+    # the block's own projection, the closed form or eigh at its size,
+    # within 1e-14 ||W||, and the padding comes back as exact zeros
+    rng = np.random.default_rng(29 + n + size)
+    blocks = [(kind, w) for _ in range(50) for kind, w in four_kinds(rng, n).items()]
+    padded = np.zeros((len(blocks), size, size), dtype=complex)
+    padded[:, :n, :n] = [w for _, w in blocks]
+    x = solve_x0_matrix(padded)
+    own = hermitian._psd_project_2x2 if n == 2 else _psd_project_eigh
+    for (kind, w), got in zip(blocks, x, strict=True):
+        assert np.abs(got[:n, :n] - own(w)).max() <= 1e-14 * np.linalg.norm(w), kind
+        assert np.all(got[n:, :] == 0) and np.all(got[:, n:] == 0), kind
+
+
 def test_eigh_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         eigh(np.ones((2, 3), dtype=complex))

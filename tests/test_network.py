@@ -312,6 +312,11 @@ class TestLoader:
                 id="bus-without-cost",
             ),
             pytest.param(
+                lambda d: d["buses"][1]["cost"][0].pop("beta"),
+                "buses[1].cost[0]: missing key 'beta'",
+                id="cost-without-beta",
+            ),
+            pytest.param(
                 lambda d: d["lines"][0].pop("z"), "lines[0]: missing key 'z'", id="line-without-z"
             ),
             pytest.param(

@@ -11,8 +11,11 @@ the default config: perfbench seeds 1-3 of every workload, the feeders of
 ``tests/data/engine_equivalence.json``, its fat-tree-7-ab with bus 5's
 line impedance scaled by 1.5 (three leaves then share a neighborhood
 and the fourth, of the same signature, has its own), and the generated
-line 10 a, fat-tree 13 abc, fat-tree 15 ab and fat-tree 63 abc. Per
-feeder it prints the status and the iteration count on both sides, then
+line 10 a, fat-tree 13 abc, fat-tree 15 ab and fat-tree 63 abc, and two
+seeded mixed-phase feeders (``trunk_feeder``): a three-phase trunk with
+``engine.N_JOIN`` single-phase laterals, whose 2 x 2 blocks join the
+trunk's slab, and one with ``N_JOIN + 1``, whose blocks keep their own.
+Per feeder it prints the status and the iteration count on both sides, then
 ``bitwise`` when the residual
 histories and the final blocks are equal byte for byte, or else their
 largest absolute differences. After that it compares the set-up maps of
@@ -39,6 +42,7 @@ import argparse
 import importlib.util
 import io
 import json
+import math
 import subprocess
 import sys
 import tarfile
@@ -48,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+TRUNK = 4  # three-phase buses in a line below the root of ``trunk_feeder``
 # the State attributes, dotted through the y-solver, that set-up builds
 MAPS = (
     "pair", "obs", "weight", "den", "v_diag", "s_index", "ysolver.offsets", "ysolver.a_mat",
@@ -105,7 +110,32 @@ def feeder_documents(pkg) -> list[tuple[str, str]]:
     for kind, size, phases in generated:
         model = network.generate_topology(kind, size, network.TopologyTemplate(phases=phases))
         docs.append((f"{kind} {size} {phases}", json.dumps(network.feeder_to_dict(model))))
+    for laterals in (pkg.engine.N_JOIN, pkg.engine.N_JOIN + 1):
+        docs.append((f"trunk with {laterals} laterals", trunk_feeder(network, laterals, laterals)))
     return docs
+
+
+def trunk_feeder(network, laterals: int, seed: int) -> str:
+    """JSON of a seeded mixed-phase feeder: a three-phase root and a line
+    of ``TRUNK`` three-phase buses below it, with ``laterals`` single-phase
+    leaves hung off the trunk buses in turn, on phases a, b and c in turn.
+    Every load has a fixed p and a small q band, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    loss = network.ObjectiveCoeffs(0.0, 1.0)
+    free = network.Box(-math.inf, math.inf, -math.inf, math.inf)
+    three = network.PhaseSet("abc")
+    buses = [network.BusSpec(0, three, (1.0,) * 3, (1.0,) * 3, (free,) * 3, (loss,) * 3)]
+    lines = []
+    for i in range(1, TRUNK + laterals + 1):
+        phases, parent = ("abc", i - 1) if i <= TRUNK else ("abc"[i % 3], 1 + i % TRUNK)
+        template = network.TopologyTemplate(phases=phases)
+        m = len(phases)
+        p, q = -rng.uniform(0.001, 0.003, m), rng.uniform(0.0005, 0.0015, m)
+        loads = tuple(network.Box(pk, pk, -qk, qk) for pk, qk in zip(p, q))
+        lo, hi = (template.v_lo,) * m, (template.v_hi,) * m
+        buses.append(network.BusSpec(i, network.PhaseSet(phases), lo, hi, loads, (loss,) * m))
+        lines.append(network.LineSpec(i, parent, template.impedance()))
+    return json.dumps(network.feeder_to_dict(network.FeederModel(tuple(buses), tuple(lines))))
 
 
 def _solve(pkg, doc: str):
